@@ -2,8 +2,10 @@
 """Run the standard experiment battery on one dataset directory.
 
 Per feature mode (fbt, dft, fused): repeated-split identification error,
-then a CMC and a verification ROC on the first split.  Results land in
-the output directory as CSV plus a console table.
+then a CMC and a verification ROC on the first split.  Each experiment
+is one `polarface experiment` run, so the output directory receives the
+usual hash-tagged CSVs and config copies, and the console one summary
+line per experiment.
 
 Usage:
     python3 scripts/run_face_experiments.py DATASET_DIR [OUT_DIR]
@@ -12,24 +14,11 @@ Usage:
 
 import argparse
 import sys
-from pathlib import Path
 
-from polarface import (
-    SplitSpec,
-    cmc,
-    equal_error_rate,
-    extract_dft,
-    extract_fbt,
-    fused_predictor,
-    load_dataset_dir,
-    pfld_predictor,
-    random_split,
-    run_error_experiment,
-    score_matrix,
-    verification_pairs,
-    verification_roc,
-)
-from polarface.evaluate import write_cmc_csv, write_roc_csv, write_summary_csv
+from polarface.cli import main as cli_main
+
+MODES = ("fbt", "dft", "fused")
+EXPERIMENTS = ("error-rate", "cmc", "roc")
 
 
 def main() -> int:
@@ -42,46 +31,17 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    spec = SplitSpec(k_train=args.k_train, repetitions=args.reps, seed=args.seed)
-
-    dataset = load_dataset_dir(args.dataset, layout=args.layout)
-    entries = dataset.id_subject_pairs()
-    subject_of = dict(entries)
-    print(f"{len(dataset)} images, {len(dataset.subjects())} subjects")
-
-    fb = {e.image_id: extract_fbt(e.load()) for e in dataset}
-    df = {e.image_id: extract_dft(e.load()) for e in dataset}
-    factories = {
-        "fbt": pfld_predictor(fb),
-        "dft": pfld_predictor(df),
-        "fused": fused_predictor(fb, df),
-    }
-
-    summary = []
-    train_ids, probe_ids = random_split(entries, spec, 0)
-    truths = [subject_of[p] for p in probe_ids]
-    for mode, factory in factories.items():
-        report = run_error_experiment(entries, spec, factory)
-        print(f"{mode:6s} error {report.mean_error:6.3f} +- {report.sem:.3f}")
-        summary.append((f"error-rate-{mode}", report.mean_error, report.sem, None))
-
-        features_b = df if mode == "fused" else None
-        table = fb if mode in ("fbt", "fused") else df
-        scores, labels = score_matrix(table, train_ids, probe_ids, subject_of, features_b)
-        curve = cmc(scores, truths, labels)
-        write_cmc_csv(out / f"cmc_{mode}.csv", curve)
-
-        genuine, impostor = verification_pairs(scores, truths, labels, "distance")
-        roc = verification_roc(genuine, impostor, "distance")
-        eer = equal_error_rate(roc)
-        write_roc_csv(out / f"roc_{mode}.csv", roc)
-        print(f"{mode:6s} rank-1 {100 * (1 - curve.proportions[0]):6.3f}  eer {100 * eer.eer:6.3f}")
-        summary.append((f"eer-{mode}", 100 * eer.eer, 0.0, eer.eer))
-
-    write_summary_csv(out / "summary.csv", summary)
-    print(f"CSV written to {out}")
+    common = [
+        "--dataset", args.dataset, "--layout", args.layout,
+        "--k-train", str(args.k_train), "--reps", str(args.reps),
+        "--seed", str(args.seed), "--out", args.out,
+    ]
+    for mode in MODES:
+        for experiment in EXPERIMENTS:
+            code = cli_main(["experiment", experiment, "--mode", mode, *common])
+            if code != 0:
+                return code
+    print(f"CSV written to {args.out}")
     return 0
 
 

@@ -15,12 +15,10 @@ from .classifier import (
     TrainedModel,
     classify,
     dissimilarity_matrix,
-    embed_probe,
+    embed,
     fuse_max,
-    fused_posterior,
-    load_model,
-    nearest_neighbor_single_feature,
-    save_model,
+    pairwise_distances,
+    score,
     train_pfld,
 )
 from .config import RunConfig, config_hash, load_run_config, resolved_text
@@ -41,6 +39,7 @@ from .evaluate import (
     ROCCurve,
     SplitSpec,
     cmc,
+    embedding_matrix,
     equal_error_rate,
     fit_pfld,
     fused_predictor,

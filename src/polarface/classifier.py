@@ -21,46 +21,58 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError
 from .features import FeatureVector
-from .fileio import atomic_write_text
 
 _SVD_CUTOFF = 1e-10  # relative singular value cutoff in the least-squares solve
-_MODEL_MAGIC = "PFLD1"
 _DIST_CHUNK = 64
+_TILE_FLOATS = 1 << 15  # one difference block: 256 KB of float64, small enough to stay in cache
 
 
-def _pad_to_chunk(X: np.ndarray) -> np.ndarray:
-    pad = (-X.shape[-1]) % _DIST_CHUNK
-    if pad == 0:
-        return X
-    shape = X.shape[:-1] + (pad,)
-    return np.concatenate([X, np.zeros(shape)], axis=-1)
+def pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every row of A and every row of B.
 
-
-def _distances_to(X: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Euclidean distance from every row of X to `row`.
-
-    Both operands must be pre-padded to a _DIST_CHUNK multiple.  Squares
-    are reduced chunk by chunk in a fixed order, so appending zero
-    coordinates (which lands in pad positions or adds all-zero chunks)
-    cannot change any distance, not even its last bit.
+    Both operands are (rows, dim) with the same dim, a multiple of 64;
+    feature vectors are zero-padded to it when stacked.  Each distance
+    comes from explicit differences, not the Gram shortcut, so
+    d(a, b) == d(b, a) and d(a, a) == 0 exactly.  Squares are summed
+    within 64-wide chunks and the chunk sums are added in a fixed order,
+    so appending zero coordinates (which lands in pad positions or adds
+    all-zero chunks) cannot change any distance, not even its last bit.
+    B is walked in tiles of rows holding about _TILE_FLOATS values; a
+    distance does not depend on the tile it falls in.
     """
-    diff = X - row
-    parts = diff.reshape(X.shape[0], -1, _DIST_CHUNK)
-    chunks = np.einsum("ijk,ijk->ij", parts, parts)
-    acc = chunks[:, 0].copy()
-    for k in range(1, chunks.shape[1]):
-        acc += chunks[:, k]
-    return np.sqrt(acc)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1] or A.shape[1] % _DIST_CHUNK:
+        raise DomainError(
+            f"operands must be 2-D with one width, a multiple of {_DIST_CHUNK}; "
+            f"got {A.shape} and {B.shape}"
+        )
+    n_b, dim = B.shape
+    tile = max(1, _TILE_FLOATS // dim)
+    out = np.empty((A.shape[0], n_b))
+    for start in range(0, n_b, tile):
+        block = B[start:start + tile]
+        for i, row in enumerate(A):
+            parts = (block - row).reshape(block.shape[0], -1, _DIST_CHUNK)
+            chunks = np.einsum("ijk,ijk->ij", parts, parts)
+            acc = chunks[:, 0].copy()
+            for k in range(1, chunks.shape[1]):
+                acc += chunks[:, k]
+            out[i, start:start + block.shape[0]] = acc
+    return np.sqrt(out, out=out)
 
 
-def _stack_checked(features: Sequence[FeatureVector]) -> tuple[np.ndarray, str]:
+def _stack_checked(features: Sequence[FeatureVector]) -> tuple[np.ndarray, str, int]:
+    """Stack one-layout vectors into rows zero-padded to the chunk width.
+
+    Returns the padded matrix, the layout id and the unpadded length.
+    """
     if len(features) == 0:
         raise ConfigError("need at least one feature vector")
     layout = features[0].layout_id
     dim = features[0].values.size
-    for f in features:
+    X = np.zeros((len(features), dim + (-dim) % _DIST_CHUNK))
+    for row, f in zip(X, features):
         if f.layout_id != layout:
             raise ConfigError(
                 f"mixed feature layouts: {layout!r} vs {f.layout_id!r}"
@@ -69,7 +81,21 @@ def _stack_checked(features: Sequence[FeatureVector]) -> tuple[np.ndarray, str]:
             raise ConfigError(
                 f"feature length mismatch under layout {layout!r}: {dim} vs {f.values.size}"
             )
-    return np.array([f.values for f in features], dtype=float), layout
+        row[:dim] = f.values
+    return X, layout, dim
+
+
+def _stack_probes(probes: Sequence[FeatureVector], layout: str, dim: int) -> np.ndarray:
+    P, probe_layout, probe_dim = _stack_checked(probes)
+    if probe_layout != layout:
+        raise ConfigError(
+            f"probe layout {probe_layout!r} does not match gallery {layout!r}"
+        )
+    if probe_dim != dim:
+        raise ConfigError(
+            f"probe length {probe_dim} does not match gallery dimension {dim}"
+        )
+    return P
 
 
 @dataclass(frozen=True)
@@ -84,12 +110,11 @@ class DissimilarityMatrix:
 def dissimilarity_matrix(features: Sequence[FeatureVector], ids: Sequence[str] | None = None) -> DissimilarityMatrix:
     """Pairwise Euclidean distance matrix of a feature list.
 
-    Distances are computed row-by-row from explicit differences (not the
-    Gram shortcut), so the matrix is exactly symmetric with a zero
-    diagonal, and reduced in fixed chunk order so zero-padding a layout
-    reproduces it bit for bit.
+    Computed by pairwise_distances, so the matrix is exactly symmetric
+    with a zero diagonal, and zero-padding a layout reproduces it bit
+    for bit.
     """
-    X, layout = _stack_checked(features)
+    X, layout, _ = _stack_checked(features)
     n = X.shape[0]
     if ids is None:
         ids = tuple(str(i) for i in range(n))
@@ -97,12 +122,13 @@ def dissimilarity_matrix(features: Sequence[FeatureVector], ids: Sequence[str] |
         ids = tuple(str(i) for i in ids)
         if len(ids) != n:
             raise ConfigError(f"{len(ids)} ids for {n} feature vectors")
-    Xp = _pad_to_chunk(X)
-    D = np.empty((n, n))
-    for i in range(n):
-        D[i] = _distances_to(Xp, Xp[i])
-    np.fill_diagonal(D, 0.0)
-    return DissimilarityMatrix(ids=ids, distances=D, layout_id=layout)
+    return DissimilarityMatrix(ids=ids, distances=pairwise_distances(X, X), layout_id=layout)
+
+
+def embed(probes: Sequence[FeatureVector], gallery: Sequence[FeatureVector]) -> np.ndarray:
+    """Distances from every probe to every gallery vector, (n_probes, n_gallery)."""
+    G, layout, dim = _stack_checked(gallery)
+    return pairwise_distances(_stack_probes(probes, layout, dim), G)
 
 
 @dataclass(frozen=True)
@@ -110,30 +136,18 @@ class TrainedModel:
     """Per-class discriminants over the dissimilarity embedding.
 
     Keeps the gallery features (a probe is embedded as its distances to
-    them), the stored column-mean offset of the training dissimilarity
-    matrix, and the stacked weight matrix, one augmented weight column
-    per class label.
+    them), zero-padded once to the distance kernel's chunk width, the
+    stored column-mean offset of the training dissimilarity matrix, and
+    the stacked weight matrix, one augmented weight column per class
+    label.
     """
 
     layout_id: str
+    feature_dim: int             # unpadded length of a feature vector
     class_labels: tuple
-    gallery: np.ndarray          # (n_train, feature_dim)
+    gallery: np.ndarray          # (n_train, feature_dim padded to a multiple of 64)
     mean_offset: np.ndarray      # (n_train,)
     weights: np.ndarray          # (n_train + 1, n_classes)
-
-
-def embed_probe(probe: FeatureVector, model: TrainedModel) -> np.ndarray:
-    """Distances from a probe to every gallery vector, in gallery order."""
-    if probe.layout_id != model.layout_id:
-        raise ConfigError(
-            f"probe layout {probe.layout_id!r} does not match model {model.layout_id!r}"
-        )
-    if probe.values.size != model.gallery.shape[1]:
-        raise ConfigError(
-            f"probe length {probe.values.size} does not match gallery "
-            f"dimension {model.gallery.shape[1]}"
-        )
-    return _distances_to(_pad_to_chunk(model.gallery), _pad_to_chunk(probe.values))
 
 
 def train_pfld(D: DissimilarityMatrix, subject_of: Mapping[str, object], gallery: Sequence[FeatureVector]) -> TrainedModel:
@@ -151,7 +165,7 @@ def train_pfld(D: DissimilarityMatrix, subject_of: Mapping[str, object], gallery
     missing = [i for i in D.ids if i not in subject_of]
     if missing:
         raise ConfigError(f"no subject label for gallery ids {missing[:5]}")
-    X, layout = _stack_checked(gallery)
+    X, layout, dim = _stack_checked(gallery)
     if layout != D.layout_id or X.shape[0] != len(D.ids):
         raise ConfigError("gallery does not match the dissimilarity matrix")
     labels = [subject_of[i] for i in D.ids]
@@ -170,11 +184,37 @@ def train_pfld(D: DissimilarityMatrix, subject_of: Mapping[str, object], gallery
     weights, _, _, _ = np.linalg.lstsq(design, targets, rcond=_SVD_CUTOFF)
     return TrainedModel(
         layout_id=layout,
+        feature_dim=dim,
         class_labels=class_labels,
         gallery=X,
         mean_offset=mean_offset,
         weights=weights,
     )
+
+
+def _posterior(raw: np.ndarray) -> np.ndarray:
+    # Logistic squash, numerically stable on both tails, then normalized
+    # to sum 1 across the classes of each row.  A row whose every class
+    # underflowed to 0 carries no information and becomes uniform.
+    tail = np.exp(-np.abs(raw))
+    p = np.where(raw >= 0, 1.0 / (1.0 + tail), tail / (1.0 + tail))
+    total = p.sum(axis=-1, keepdims=True)
+    dead = total <= 0.0
+    return np.where(dead, 1.0 / p.shape[-1], p / np.where(dead, 1.0, total))
+
+
+def score(model: TrainedModel, probes: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
+    """Raw discriminant outputs and posteriors of probes, each (n_probes, n_classes).
+
+    Columns follow model.class_labels.
+    """
+    d = pairwise_distances(_stack_probes(probes, model.layout_id, model.feature_dim), model.gallery)
+    augmented = np.hstack([d - model.mean_offset, np.ones((d.shape[0], 1))])
+    # A stack of (1, n+1) @ (n+1, classes) products is one vector-matrix
+    # product per probe, so a probe's scores do not depend on which other
+    # probes share the call, as they would under a blocked matrix product.
+    raw = (augmented[:, None, :] @ model.weights)[:, 0]
+    return raw, _posterior(raw)
 
 
 @dataclass(frozen=True)
@@ -191,148 +231,21 @@ class ClassScores:
         return self.class_labels[int(np.argmax(self.posterior))]
 
 
-def _posterior(raw: np.ndarray) -> np.ndarray:
-    # Logistic squash, numerically stable on both tails, then normalized
-    # to sum 1 across classes.
-    p = np.where(raw >= 0, 1.0 / (1.0 + np.exp(-np.abs(raw))),
-                 np.exp(-np.abs(raw)) / (1.0 + np.exp(-np.abs(raw))))
-    total = p.sum()
-    if total <= 0.0:
-        return np.full_like(p, 1.0 / p.size)
-    return p / total
-
-
 def classify(model: TrainedModel, probe: FeatureVector) -> ClassScores:
-    """Score a probe against every class of a trained model."""
-    d = embed_probe(probe, model)
-    augmented = np.concatenate([d - model.mean_offset, [1.0]])
-    raw = augmented @ model.weights
-    return ClassScores(class_labels=model.class_labels, raw=raw, posterior=_posterior(raw))
+    """Score one probe against every class: one row of score."""
+    raw, posterior = score(model, [probe])
+    return ClassScores(class_labels=model.class_labels, raw=raw[0], posterior=posterior[0])
 
 
-def fuse_max(a: ClassScores, b: ClassScores):
-    """Max-rule fusion: per-class max of posteriors, then argmax.
+def fuse_max(*scored: tuple[tuple, np.ndarray]) -> np.ndarray:
+    """Max-rule fusion of (class_labels, posterior matrix) pairs.
 
-    Ties resolve to the lower class index.  Both score sets must carry
-    the identical class label tuple.
+    Returns the per-class maximum over the posteriors; one pair comes
+    back unchanged.  All pairs must carry the identical class label
+    tuple.  A row-wise np.argmax of the result resolves ties to the
+    lower class index.
     """
-    if a.class_labels != b.class_labels:
+    labels = scored[0][0]
+    if any(other != labels for other, _ in scored[1:]):
         raise ConfigError("cannot fuse scores over different class label sets")
-    fused = np.maximum(a.posterior, b.posterior)
-    return a.class_labels[int(np.argmax(fused))]
-
-
-def fused_posterior(a: ClassScores, b: ClassScores) -> np.ndarray:
-    """The per-class max-rule score vector behind fuse_max."""
-    if a.class_labels != b.class_labels:
-        raise ConfigError("cannot fuse scores over different class label sets")
-    return np.maximum(a.posterior, b.posterior)
-
-
-def nearest_neighbor_single_feature(
-    train: Sequence[FeatureVector],
-    train_labels: Sequence,
-    probe: FeatureVector,
-    feature_index: int,
-):
-    """1-D nearest neighbor on one selected coefficient.
-
-    Ties resolve to the lowest training index.  Used to score how
-    discriminative each spectrum position is on its own.
-    """
-    X, layout = _stack_checked(train)
-    if len(train_labels) != X.shape[0]:
-        raise ConfigError(f"{len(train_labels)} labels for {X.shape[0]} vectors")
-    if probe.layout_id != layout:
-        raise ConfigError(
-            f"probe layout {probe.layout_id!r} does not match training {layout!r}"
-        )
-    if not (0 <= feature_index < X.shape[1]):
-        raise DomainError(
-            f"feature index {feature_index} outside 0..{X.shape[1] - 1}"
-        )
-    gaps = np.abs(X[:, feature_index] - probe.values[feature_index])
-    return train_labels[int(np.argmin(gaps))]
-
-
-def save_model(model: TrainedModel, path) -> None:
-    """Persist a trained model as text, full float64 precision."""
-    lines = [_MODEL_MAGIC, f"layout {model.layout_id}", f"classes {len(model.class_labels)}"]
-    for label in model.class_labels:
-        lines.append(str(label))
-    n, dim = model.gallery.shape
-    lines.append(f"gallery {n} {dim}")
-    for row in model.gallery:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    lines.append("offset")
-    lines.append(",".join(f"{v:.17g}" for v in model.mean_offset))
-    lines.append(f"weights {model.weights.shape[0]} {model.weights.shape[1]}")
-    for row in model.weights:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_model(path) -> TrainedModel:
-    """Load a model written by save_model; labels come back as strings."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    pos = 0
-
-    def take(what: str) -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(f"{path}: truncated model file, expected {what} at line {pos + 1}")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    if take("magic") != _MODEL_MAGIC:
-        raise ParseError(f"{path}: not a {_MODEL_MAGIC} model file")
-    layout_line = take("layout")
-    if not layout_line.startswith("layout "):
-        raise ParseError(f"{path}: expected 'layout <id>' at line 2")
-    layout = layout_line[len("layout "):]
-    classes_line = take("class count")
-    try:
-        n_classes = int(classes_line.split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"{path}: bad classes line {classes_line!r}") from None
-    labels = tuple(take(f"class label {i + 1}") for i in range(n_classes))
-
-    def matrix(name: str) -> np.ndarray:
-        head = take(f"{name} header").split()
-        if len(head) != 3 or head[0] != name:
-            raise ParseError(f"{path}: expected '{name} <rows> <cols>' at line {pos}")
-        try:
-            rows, cols = int(head[1]), int(head[2])
-        except ValueError:
-            raise ParseError(f"{path}: bad {name} dimensions at line {pos}") from None
-        out = []
-        for _ in range(rows):
-            try:
-                out.append([float(v) for v in take(f"{name} row").split(",")])
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad number at line {pos}: {exc}") from None
-        arr = np.array(out)
-        if arr.shape != (rows, cols):
-            raise ParseError(f"{path}: {name} block is {arr.shape}, header says {(rows, cols)}")
-        return arr
-
-    gallery = matrix("gallery")
-    take("offset")  # section header
-    try:
-        offset = np.array([float(v) for v in take("offset row").split(",")])
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad number in offset: {exc}") from None
-    weights = matrix("weights")
-    if offset.size != gallery.shape[0] or weights.shape[0] != gallery.shape[0] + 1:
-        raise ParseError(f"{path}: inconsistent model dimensions")
-    if weights.shape[1] != n_classes:
-        raise ParseError(f"{path}: {weights.shape[1]} weight columns for {n_classes} classes")
-    return TrainedModel(
-        layout_id=layout,
-        class_labels=labels,
-        gallery=gallery,
-        mean_offset=offset,
-        weights=weights,
-    )
+    return np.maximum.reduce([posterior for _, posterior in scored])

@@ -37,6 +37,7 @@ from .dataset import Dataset, load_dataset_dir, normalize_face, save_pgm
 from .errors import ConfigError, PolarFaceError
 from .evaluate import (
     cmc,
+    embedding_matrix,
     equal_error_rate,
     learning_curve,
     per_feature_error_rates,
@@ -204,31 +205,6 @@ def _predictor_factory(cfg: RunConfig, tables):
     return pfld_predictor(tables[cfg.mode])
 
 
-def _embedding_distances(table, train_ids, probe_ids, subject_of):
-    """Min Euclidean distance from each probe to each claimed subject's
-    gallery examples; distance-like by construction."""
-    labels = sorted({str(subject_of[i]) for i in train_ids})
-    gallery = {
-        lab: np.stack([table[i].values for i in train_ids if str(subject_of[i]) == lab])
-        for lab in labels
-    }
-    rows = np.empty((len(probe_ids), len(labels)))
-    for r, pid in enumerate(probe_ids):
-        p = table[pid].values
-        for c, lab in enumerate(labels):
-            diff = gallery[lab] - p
-            rows[r, c] = np.sqrt(np.einsum("ij,ij->i", diff, diff).min())
-    return rows, tuple(labels)
-
-
-def _split_pairs(claim, true_subjects, labels):
-    index_of = {lab: j for j, lab in enumerate(labels)}
-    truth = np.array([index_of[t] for t in true_subjects])
-    mask = np.zeros(claim.shape, dtype=bool)
-    mask[np.arange(len(truth)), truth] = True
-    return claim[mask].ravel(), claim[~mask].ravel()
-
-
 _ORACLE_FBT = FBTConfig(max_order=30, max_root=10, angular_resolution=0.5)
 _ORACLE_SIZE = 131
 
@@ -346,11 +322,11 @@ def cmd_experiment(args) -> int:
         if cfg.verification_score == "embedding":
             if cfg.mode == "fused":
                 raise ConfigError("embedding verification needs a single spectrum mode")
-            dists, labels = _embedding_distances(
-                tables[cfg.mode], train_ids, probe_ids, subject_of
-            )
-            claim = dists if cfg.score_orientation == "distance" else -dists
-            genuine, impostor = _split_pairs(claim, truths, labels)
+            dists, labels = embedding_matrix(tables[cfg.mode], train_ids, probe_ids, subject_of)
+            # -distance is a similarity, which verification_pairs keeps as is
+            genuine, impostor = verification_pairs(-dists, truths, labels, "similarity")
+            if cfg.score_orientation == "distance":
+                genuine, impostor = -genuine, -impostor
         else:
             features_b = tables["dft"] if cfg.mode == "fused" else None
             table = tables["fbt"] if cfg.mode == "fused" else tables[cfg.mode]

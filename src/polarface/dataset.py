@@ -88,6 +88,16 @@ def load_pgm(path) -> np.ndarray:
         pixels = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
         return pixels.reshape(height, width).astype(float)
 
+    # N ASCII pixels take at least 2N - 1 bytes (one digit each, single
+    # separators); bounding by the payload keeps a forged header from
+    # sizing the allocation.
+    need = 2 * width * height - 1
+    avail = len(data) - pos
+    if avail < need:
+        raise ParseError(
+            f"{path}: truncated pixel payload at byte {pos}: {width}x{height} "
+            f"ASCII pixels need at least {need} bytes, found {avail}"
+        )
     values = np.empty(width * height)
     for i in range(width * height):
         values[i] = int_token(f"pixel {i}", 0, 65535)

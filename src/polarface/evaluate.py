@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .classifier import classify, dissimilarity_matrix, fused_posterior, train_pfld
+from .classifier import dissimilarity_matrix, embed, fuse_max, score, train_pfld
 from .errors import ConfigError, DomainError
 from .features import FeatureVector
 from .fileio import atomic_write_text
@@ -133,7 +133,9 @@ class EvalReport:
     feature_errors: np.ndarray | None = None
 
 
-PredictorFactory = Callable[[list[str], Mapping[str, str]], Callable[[str], object]]
+# A factory fits on (train ids, subject_of) and returns a function that
+# predicts the subjects of a list of probe ids.
+PredictorFactory = Callable[[list[str], Mapping[str, str]], Callable[[Sequence[str]], list]]
 
 
 def fit_pfld(features: Mapping[str, FeatureVector], train_ids: Sequence[str], subject_of: Mapping[str, str]):
@@ -143,36 +145,44 @@ def fit_pfld(features: Mapping[str, FeatureVector], train_ids: Sequence[str], su
     return train_pfld(D, subject_of, gallery)
 
 
-def pfld_predictor(features: Mapping[str, FeatureVector]) -> PredictorFactory:
-    """Factory for single-spectrum PFLD prediction."""
+def _fit_posteriors(tables: Sequence[Mapping[str, FeatureVector]], train_ids, subject_of):
+    """Fit one PFLD per feature table on the gallery ids.
 
+    Returns the class label tuple and a function from probe ids to their
+    posterior matrix, max-rule fused across the tables.
+    """
+    models = [fit_pfld(table, train_ids, subject_of) for table in tables]
+
+    def posteriors(probe_ids: Sequence[str]) -> np.ndarray:
+        return fuse_max(*(
+            (model.class_labels, score(model, [table[p] for p in probe_ids])[1])
+            for model, table in zip(models, tables)
+        ))
+
+    return models[0].class_labels, posteriors
+
+
+def _predictor(tables: Sequence[Mapping[str, FeatureVector]]) -> PredictorFactory:
     def factory(train_ids, subject_of):
-        model = fit_pfld(features, train_ids, subject_of)
+        labels, posteriors = _fit_posteriors(tables, train_ids, subject_of)
 
-        def predict(image_id: str):
-            return classify(model, features[image_id]).predicted
+        def predict(probe_ids):
+            # np.argmax takes the first maximum, i.e. the lowest class index.
+            return [labels[j] for j in np.argmax(posteriors(probe_ids), axis=1)]
 
         return predict
 
     return factory
+
+
+def pfld_predictor(features: Mapping[str, FeatureVector]) -> PredictorFactory:
+    """Factory for single-spectrum PFLD prediction."""
+    return _predictor((features,))
 
 
 def fused_predictor(features_a: Mapping[str, FeatureVector], features_b: Mapping[str, FeatureVector]) -> PredictorFactory:
     """Factory fusing two spectra with the max rule."""
-
-    def factory(train_ids, subject_of):
-        model_a = fit_pfld(features_a, train_ids, subject_of)
-        model_b = fit_pfld(features_b, train_ids, subject_of)
-
-        def predict(image_id: str):
-            sa = classify(model_a, features_a[image_id])
-            sb = classify(model_b, features_b[image_id])
-            fused = fused_posterior(sa, sb)
-            return sa.class_labels[int(np.argmax(fused))]
-
-        return predict
-
-    return factory
+    return _predictor((features_a, features_b))
 
 
 def run_error_experiment(entries: Sequence[Entry], spec: SplitSpec, predictor_factory: PredictorFactory) -> EvalReport:
@@ -181,8 +191,8 @@ def run_error_experiment(entries: Sequence[Entry], spec: SplitSpec, predictor_fa
     errors = []
     for rep in range(spec.repetitions):
         train_ids, test_ids = random_split(entries, spec, rep)
-        predict = predictor_factory(train_ids, subject_of)
-        wrong = sum(1 for pid in test_ids if str(predict(pid)) != subject_of[pid])
+        predicted = predictor_factory(train_ids, subject_of)(test_ids)
+        wrong = sum(1 for pid, label in zip(test_ids, predicted) if str(label) != subject_of[pid])
         errors.append(100.0 * wrong / len(test_ids))
     errors = np.array(errors)
     return EvalReport(
@@ -203,16 +213,25 @@ def score_matrix(
 
     With features_b given, scores are max-rule fused posteriors.
     """
-    model = fit_pfld(features, train_ids, subject_of)
-    model_b = fit_pfld(features_b, train_ids, subject_of) if features_b is not None else None
-    rows = []
-    for pid in probe_ids:
-        scores = classify(model, features[pid])
-        if model_b is not None:
-            rows.append(fused_posterior(scores, classify(model_b, features_b[pid])))
-        else:
-            rows.append(scores.posterior)
-    return np.array(rows), model.class_labels
+    tables = (features,) if features_b is None else (features, features_b)
+    labels, posteriors = _fit_posteriors(tables, train_ids, subject_of)
+    return posteriors(probe_ids), labels
+
+
+def embedding_matrix(
+    features: Mapping[str, FeatureVector],
+    train_ids: Sequence[str],
+    probe_ids: Sequence[str],
+    subject_of: Mapping[str, str],
+):
+    """Distance from each probe to the nearest gallery vector of every
+    subject (n_probes x n_classes) plus the sorted label tuple; the
+    scores are distance-like by construction."""
+    d = embed([features[p] for p in probe_ids], [features[i] for i in train_ids])
+    gallery_labels = np.array([str(subject_of[i]) for i in train_ids], dtype=object)
+    labels = tuple(sorted(set(gallery_labels)))
+    nearest = [d[:, gallery_labels == label].min(axis=1) for label in labels]
+    return np.stack(nearest, axis=1), labels
 
 
 def cmc(scores: np.ndarray, true_subjects: Sequence[str], class_labels: Sequence) -> CMCCurve:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import BesselRootTable, bessel_j, build_root_table
+from .bessel import bessel_j, build_root_table
 from .errors import ConfigError, DomainError, ParseError
 from .fileio import atomic_write_text
 from .polar import PolarGrid, to_polar
@@ -128,19 +128,13 @@ def _radial_tables(max_order: int, max_root: int, n_rings: int, R: float):
     return basis, pref
 
 
-def fbt(grid: PolarGrid, config: FBTConfig, roots: BesselRootTable | None = None) -> FBSpectrum:
+def fbt(grid: PolarGrid, config: FBTConfig) -> FBSpectrum:
     """Fourier-Bessel transform of a polar grid.
 
     Coefficients are Riemann sums over the (ring, ray) grid of
     f * r * J_n(alpha_{n,i} r / R) * {cos, sin}(n theta) * dr * dtheta,
     scaled by the disk orthogonality prefactors (1 or 2)/(pi R^2 J_{n+1}^2).
     """
-    if roots is not None:
-        if roots.max_order < config.max_order or roots.max_root < config.max_root:
-            raise ConfigError(
-                f"root table covers ({roots.max_order}, {roots.max_root}), "
-                f"config needs ({config.max_order}, {config.max_root})"
-            )
     if abs(grid.angular_resolution - config.angular_resolution) > 1e-12:
         raise ConfigError(
             f"grid angular resolution {grid.angular_resolution} differs from "

@@ -1,9 +1,11 @@
 """Independent reference computations used across the test suite.
 
-Nothing here may import package internals beyond the public API, and
-nothing here shares an algorithm with the implementation under test:
-Bessel references come from mpmath, least-squares references from an
-eigendecomposition of the Gram matrix.
+Nothing here may import package internals beyond the public API.
+Bessel references come from mpmath and least-squares references from an
+eigendecomposition of the Gram matrix, so they share no algorithm with
+the implementation under test.  The remaining functions are the plain
+one-row-at-a-time forms of vectorized package code, kept as references
+that the fast paths must match.
 """
 
 import csv
@@ -85,3 +87,30 @@ def row_space_projector(A: np.ndarray) -> np.ndarray:
     cut = max(A.shape) * np.finfo(float).eps * (evals.max() if evals.size else 0.0)
     keep = evecs[:, evals > cut]
     return keep @ keep.T
+
+
+def distances_to(X: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every row of X to `row`, one row at a time.
+
+    Both operands are zero-padded to a multiple of 64 columns; squares
+    are summed within 64-wide chunks and the chunk sums added in order,
+    the reduction pairwise_distances must reproduce bit for bit.
+    """
+    diff = X - row
+    parts = diff.reshape(X.shape[0], -1, 64)
+    chunks = np.einsum("ijk,ijk->ij", parts, parts)
+    acc = chunks[:, 0].copy()
+    for k in range(1, chunks.shape[1]):
+        acc += chunks[:, k]
+    return np.sqrt(acc)
+
+
+def nearest_neighbor_single_feature(train, train_labels, probe, feature_index: int):
+    """1-D nearest neighbor of a probe on one selected coefficient.
+
+    `train` and `probe` are FeatureVectors.  Ties resolve to the lowest
+    training index.
+    """
+    column = np.array([f.values[feature_index] for f in train])
+    gaps = np.abs(column - probe.values[feature_index])
+    return train_labels[int(np.argmin(gaps))]

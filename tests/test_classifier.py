@@ -2,24 +2,27 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarface import (
     FeatureVector,
     classify,
     dissimilarity_matrix,
-    embed_probe,
+    embed,
     fuse_max,
-    fused_posterior,
-    load_model,
-    nearest_neighbor_single_feature,
-    save_model,
+    pairwise_distances,
+    score,
     train_pfld,
 )
-from polarface.errors import ConfigError, ParseError
+from polarface.errors import ConfigError, DomainError
 
-from oracles import min_norm_lstsq, row_space_projector
+from oracles import (
+    distances_to,
+    min_norm_lstsq,
+    nearest_neighbor_single_feature,
+    row_space_projector,
+)
 
 
 def vectors(matrix, layout="toy"):
@@ -61,6 +64,29 @@ def test_distance_matrix_against_brute_force(n, d, seed):
     assert np.allclose(D, D.T)
 
 
+def padded(X):
+    return np.pad(X, ((0, 0), (0, (-X.shape[1]) % 64)))
+
+
+@given(st.integers(1, 4), st.integers(1, 600), st.integers(1, 1300), st.integers(0, 2**32 - 1))
+@example(n_a=1, n_b=600, d=100, seed=0)  # 600 rows of width 128 span three tiles
+@example(n_a=3, n_b=100, d=1201, seed=1)  # the DFT layout: 19 chunks, four tiles
+@settings(max_examples=40, deadline=None)
+def test_pairwise_distances_match_row_loop_oracle(n_a, n_b, d, seed):
+    rng = np.random.default_rng(seed)
+    A = padded(rng.normal(size=(n_a, d)) * 100.0)
+    B = padded(rng.normal(size=(n_b, d)) * 100.0)
+    want = np.array([distances_to(B, row) for row in A])
+    assert np.array_equal(pairwise_distances(A, B), want)
+
+
+def test_pairwise_distances_rejects_unpadded_operands():
+    with pytest.raises(DomainError):
+        pairwise_distances(np.zeros((2, 60)), np.zeros((3, 60)))
+    with pytest.raises(DomainError):
+        pairwise_distances(np.zeros((2, 64)), np.zeros((3, 128)))
+
+
 def test_distance_matrix_rejects_mixed_layouts():
     feats = [FeatureVector(np.zeros(2), "a"), FeatureVector(np.zeros(2), "b")]
     with pytest.raises(ConfigError):
@@ -75,12 +101,29 @@ def test_training_set_is_classified_perfectly():
 
 
 def test_embed_probe_distances():
-    model, gallery, ids, _ = toy_model()
-    probe = gallery[2]
-    emb = embed_probe(probe, model)
-    assert emb.shape == (len(ids),)
-    assert emb[2] == 0.0
+    _, gallery, ids, _ = toy_model()
+    emb = embed(gallery[2:4], gallery)
+    assert emb.shape == (2, len(ids))
+    assert emb[0, 2] == 0.0 and emb[1, 3] == 0.0
     assert np.all(emb >= 0.0)
+    with pytest.raises(ConfigError):
+        embed([FeatureVector(np.zeros(4), "other")], gallery)
+    with pytest.raises(ConfigError):
+        embed([FeatureVector(np.zeros(5), "toy")], gallery)
+
+
+def test_score_rows_match_the_one_row_view():
+    model, gallery, _, _ = toy_model(n_per=5, classes=("a", "b", "c"), dim=70)
+    raw, posterior = score(model, gallery)
+    assert raw.shape == posterior.shape == (15, 3)
+    for k, vec in enumerate(gallery):
+        one = classify(model, vec)
+        assert np.array_equal(one.raw, raw[k])
+        assert np.array_equal(one.posterior, posterior[k])
+    with pytest.raises(ConfigError):
+        score(model, [FeatureVector(np.zeros(70), "other")])
+    with pytest.raises(ConfigError):
+        score(model, [FeatureVector(np.zeros(71), "toy")])
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -147,17 +190,19 @@ def test_fusion_prefers_the_more_confident_classifier():
     model, gallery, _, _ = toy_model(classes=("a", "b"))
     sa = classify(model, gallery[0])   # confident "a"
     sb = classify(model, gallery[-1])  # confident "b"
-    fused = fused_posterior(sa, sb)
-    assert np.array_equal(fused, np.maximum(sa.posterior, sb.posterior))
+    labels = model.class_labels
+    fused = fuse_max((labels, sa.posterior[None]), (labels, sb.posterior[None]))
+    assert np.array_equal(fused[0], np.maximum(sa.posterior, sb.posterior))
     stronger = sa if np.max(sa.posterior) >= np.max(sb.posterior) else sb
-    assert fuse_max(sa, sb) == stronger.predicted
+    assert labels[int(np.argmax(fused[0]))] == stronger.predicted
+    assert np.array_equal(fuse_max((labels, fused)), fused)
 
 
 def test_fusion_rejects_different_label_sets():
     m1, g1, _, _ = toy_model(classes=("a", "b"))
     m2, g2, _, _ = toy_model(classes=("a", "c"))
     with pytest.raises(ConfigError):
-        fuse_max(classify(m1, g1[0]), classify(m2, g2[0]))
+        fuse_max((m1.class_labels, score(m1, g1)[1]), (m2.class_labels, score(m2, g2)[1]))
 
 
 def test_appending_zero_features_changes_nothing():
@@ -188,30 +233,6 @@ def test_single_feature_nearest_neighbor_and_ties():
     assert nearest_neighbor_single_feature(train, labels, probe, 1) == "b"
     with pytest.raises(Exception):
         nearest_neighbor_single_feature(train, labels, probe, 2)
-
-
-def test_model_save_load_round_trip(tmp_path):
-    model, gallery, _, _ = toy_model(classes=("a", "b", "c"), n_per=3)
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.class_labels == model.class_labels
-    assert back.layout_id == model.layout_id
-    assert np.array_equal(back.gallery, model.gallery)
-    assert np.array_equal(back.mean_offset, model.mean_offset)
-    assert np.array_equal(back.weights, model.weights)
-    probe = gallery[4]
-    assert np.array_equal(classify(back, probe).posterior, classify(model, probe).posterior)
-
-
-def test_model_file_errors(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("NOTMAGIC\n")
-    with pytest.raises(ParseError):
-        load_model(path)
-    path.write_text("PFLD1\nlayout toy\nclasses 2\na\nb\ngallery 1 2\n1 2\noffset\n")
-    with pytest.raises(ParseError):
-        load_model(path)
 
 
 def test_train_validation_errors():

@@ -139,3 +139,47 @@ def test_feature_map_rejects_fused_mode(toy_faces, tmp_path, capsys):
     )
     assert code == 2
     assert "single spectrum mode" in capsys.readouterr().err
+
+
+def embedding_roc(dataset, out, orientation, mode="dft"):
+    cfg = out.parent / "embedding.ini"
+    cfg.write_text("[experiment]\ntype = roc\nverification_score = embedding\n")
+    return run_cli(
+        "experiment", "--config", cfg,
+        "--dataset", dataset, "--mode", mode, "--score-orientation", orientation,
+        "--k-train", "3", "--reps", "1", "--out", out,
+    )
+
+
+@pytest.mark.parametrize("orientation", ["distance", "similarity"])
+def test_embedding_roc_in_both_orientations(noisy_faces, tmp_path, orientation):
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out in outs:
+        assert embedding_roc(noisy_faces, out, orientation) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    summary = next(outs[0].glob("summary_*.csv")).read_text().splitlines()
+    eer = float(summary[1].split(",")[3])
+    assert 0.0 < eer < 0.5
+
+
+def test_embedding_roc_rejects_fused_mode(noisy_faces, tmp_path, capsys):
+    assert embedding_roc(noisy_faces, tmp_path / "r", "distance", mode="fused") == 2
+    assert "single spectrum mode" in capsys.readouterr().err
+
+
+def test_oversized_ascii_pgm_header_exits_two(tmp_path, capsys):
+    # 2^30 x 2^30 declared pixels must be refused before any allocation
+    for subject in ("s1", "s2"):
+        (tmp_path / "faces" / subject).mkdir(parents=True)
+        (tmp_path / "faces" / subject / "1.pgm").write_bytes(
+            b"P2\n1073741824 1073741824\n255\n1 2 3\n"
+        )
+    code = run_cli(
+        "extract", "--dataset", tmp_path / "faces", "--mode", "dft", "--out", tmp_path / "out",
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polarface: error:")

@@ -64,6 +64,8 @@ def test_parse_errors_name_byte_offsets(tmp_path):
         (b"P5\nab 2\n255\n", "bad width b'ab' at byte 3"),
         (b"P5\n2 2\n0\n", "maxval 0 at byte 7 outside [1, 65535]"),
         (b"P5\n2 2\n255\nXY", "expected 4 bytes, found 2"),
+        (b"P2\n3 2\n255\n1 2 3 4", "need at least 11 bytes, found 8"),
+        (b"P2\n1073741824 1073741824\n255\n1 2 3\n", "need at least 2305843009213693951 bytes"),
     ]
     for blob, fragment in cases:
         path = tmp_path / "bad.pgm"

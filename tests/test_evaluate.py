@@ -29,6 +29,8 @@ from polarface.evaluate import (
     sem_value,
 )
 
+from oracles import nearest_neighbor_single_feature
+
 
 def toy_entries(n_subjects=4, per_subject=8):
     return [
@@ -248,6 +250,32 @@ def test_per_feature_chunking_matches_direct():
     for col in (0, 64, 127, 128, 129):
         single = per_feature_error_rates(entries, values[:, [col]], spec)
         assert full[col] == pytest.approx(single[0], abs=1e-12)
+
+
+def test_per_feature_error_rates_match_single_feature_oracle():
+    # small integers make many exact ties, which the lowest training
+    # index must break in both implementations
+    rng = np.random.default_rng(9)
+    entries = toy_entries(n_subjects=4, per_subject=5)
+    values = rng.integers(0, 4, size=(len(entries), 7)).astype(float)
+    spec = SplitSpec(k_train=2, repetitions=3, seed=1)
+    got = per_feature_error_rates(entries, values, spec)
+    row_of = {image_id: r for r, (image_id, _) in enumerate(entries)}
+    subject_of = dict(entries)
+    want = np.zeros(values.shape[1])
+    for rep in range(spec.repetitions):
+        train_ids, test_ids = random_split(entries, spec, rep)
+        train = [FeatureVector(values[row_of[i]], "toy") for i in train_ids]
+        labels = [subject_of[i] for i in train_ids]
+        for f in range(values.shape[1]):
+            wrong = sum(
+                nearest_neighbor_single_feature(
+                    train, labels, FeatureVector(values[row_of[p]], "toy"), f
+                ) != subject_of[p]
+                for p in test_ids
+            )
+            want[f] += 100.0 * wrong / len(test_ids)
+    assert np.allclose(got, want / spec.repetitions, rtol=0.0, atol=1e-12)
 
 
 def test_learning_and_subject_curves():

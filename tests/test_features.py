@@ -76,14 +76,6 @@ def test_fbt_rejects_mismatched_grid_resolution():
         fbt(grid, SMALL)
 
 
-def test_fbt_rejects_undersized_root_table():
-    from polarface import build_root_table
-
-    grid = to_polar(np.zeros((21, 21)), 5.0)
-    with pytest.raises(ConfigError):
-        fbt(grid, SMALL, roots=build_root_table(2, 3))
-
-
 def test_constant_disk_concentrates_in_order_zero():
     # a constant square image is NOT angularly flat (its corners carry
     # 4-fold structure), so build the constant directly on the disk
