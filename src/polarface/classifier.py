@@ -32,7 +32,8 @@ _TILE_FLOATS = 1 << 15  # one difference block: 256 KB of float64, small enough 
 def pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Euclidean distances between every row of A and every row of B.
 
-    Both operands are (rows, dim) with the same dim, a multiple of 64;
+    Both operands are (rows, dim) with the same dim, a positive multiple
+    of 64;
     feature vectors are zero-padded to it when stacked.  Each distance
     comes from explicit differences, not the Gram shortcut, so
     d(a, b) == d(b, a) and d(a, a) == 0 exactly.  Squares are summed
@@ -42,23 +43,22 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B is walked in tiles of rows holding about _TILE_FLOATS values; a
     distance does not depend on the tile it falls in.
     """
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1] or A.shape[1] % _DIST_CHUNK:
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1] or not A.shape[1] or A.shape[1] % _DIST_CHUNK:
         raise DomainError(
-            f"operands must be 2-D with one width, a multiple of {_DIST_CHUNK}; "
+            f"operands must be 2-D with one width, a positive multiple of {_DIST_CHUNK}; "
             f"got {A.shape} and {B.shape}"
         )
     n_b, dim = B.shape
     tile = max(1, _TILE_FLOATS // dim)
     out = np.empty((A.shape[0], n_b))
-    for start in range(0, n_b, tile):
-        block = B[start:start + tile]
-        for i, row in enumerate(A):
-            parts = (block - row).reshape(block.shape[0], -1, _DIST_CHUNK)
-            chunks = np.einsum("ijk,ijk->ij", parts, parts)
-            acc = chunks[:, 0].copy()
-            for k in range(1, chunks.shape[1]):
-                acc += chunks[:, k]
-            out[i, start:start + block.shape[0]] = acc
+    chunks = np.empty((n_b, dim // _DIST_CHUNK))
+    for acc, row in zip(out, A):
+        for start in range(0, n_b, tile):
+            parts = (B[start:start + tile] - row).reshape(-1, dim // _DIST_CHUNK, _DIST_CHUNK)
+            np.einsum("ijk,ijk->ij", parts, parts, out=chunks[start:start + tile])
+        acc[:] = chunks[:, 0]
+        for k in range(1, chunks.shape[1]):
+            acc += chunks[:, k]
     return np.sqrt(out, out=out)
 
 
@@ -203,20 +203,6 @@ def _posterior(raw: np.ndarray) -> np.ndarray:
     return np.where(dead, 1.0 / p.shape[-1], p / np.where(dead, 1.0, total))
 
 
-def score(model: TrainedModel, probes: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Raw discriminant outputs and posteriors of probes, each (n_probes, n_classes).
-
-    Columns follow model.class_labels.
-    """
-    d = pairwise_distances(_stack_probes(probes, model.layout_id, model.feature_dim), model.gallery)
-    augmented = np.hstack([d - model.mean_offset, np.ones((d.shape[0], 1))])
-    # A stack of (1, n+1) @ (n+1, classes) products is one vector-matrix
-    # product per probe, so a probe's scores do not depend on which other
-    # probes share the call, as they would under a blocked matrix product.
-    raw = (augmented[:, None, :] @ model.weights)[:, 0]
-    return raw, _posterior(raw)
-
-
 @dataclass(frozen=True)
 class ClassScores:
     """Raw discriminant outputs and normalized posteriors per class."""
@@ -232,9 +218,26 @@ class ClassScores:
 
 
 def classify(model: TrainedModel, probe: FeatureVector) -> ClassScores:
-    """Score one probe against every class: one row of score."""
-    raw, posterior = score(model, [probe])
-    return ClassScores(class_labels=model.class_labels, raw=raw[0], posterior=posterior[0])
+    """Score one probe against every class of a trained model.
+
+    The probe is embedded as its distances to the stored gallery, so its
+    scores never depend on any other probe.
+    """
+    row = _stack_probes([probe], model.layout_id, model.feature_dim)
+    d = pairwise_distances(row, model.gallery)[0]
+    raw = np.concatenate([d - model.mean_offset, [1.0]]) @ model.weights
+    return ClassScores(class_labels=model.class_labels, raw=raw, posterior=_posterior(raw))
+
+
+def score(model: TrainedModel, probes: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
+    """Raw discriminant outputs and posteriors of probes, each (n_probes, n_classes).
+
+    Row r is classify(model, probes[r]); columns follow model.class_labels.
+    """
+    if len(probes) == 0:
+        raise ConfigError("need at least one probe")
+    rows = [classify(model, probe) for probe in probes]
+    return np.array([r.raw for r in rows]), np.array([r.posterior for r in rows])
 
 
 def fuse_max(*scored: tuple[tuple, np.ndarray]) -> np.ndarray:

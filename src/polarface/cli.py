@@ -323,10 +323,8 @@ def cmd_experiment(args) -> int:
             if cfg.mode == "fused":
                 raise ConfigError("embedding verification needs a single spectrum mode")
             dists, labels = embedding_matrix(tables[cfg.mode], train_ids, probe_ids, subject_of)
-            # -distance is a similarity, which verification_pairs keeps as is
-            genuine, impostor = verification_pairs(-dists, truths, labels, "similarity")
-            if cfg.score_orientation == "distance":
-                genuine, impostor = -genuine, -impostor
+            claim = dists if cfg.score_orientation == "distance" else -dists
+            genuine, impostor = verification_pairs(claim, truths, labels, "similarity")
         else:
             features_b = tables["dft"] if cfg.mode == "fused" else None
             table = tables["fbt"] if cfg.mode == "fused" else tables[cfg.mode]

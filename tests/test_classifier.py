@@ -112,7 +112,7 @@ def test_embed_probe_distances():
         embed([FeatureVector(np.zeros(5), "toy")], gallery)
 
 
-def test_score_rows_match_the_one_row_view():
+def test_score_rows_are_classify_rows():
     model, gallery, _, _ = toy_model(n_per=5, classes=("a", "b", "c"), dim=70)
     raw, posterior = score(model, gallery)
     assert raw.shape == posterior.shape == (15, 3)
