@@ -85,6 +85,8 @@ def test_pairwise_distances_rejects_unpadded_operands():
         pairwise_distances(np.zeros((2, 60)), np.zeros((3, 60)))
     with pytest.raises(DomainError):
         pairwise_distances(np.zeros((2, 64)), np.zeros((3, 128)))
+    with pytest.raises(DomainError):
+        pairwise_distances(np.zeros((2, 0)), np.zeros((3, 0)))
 
 
 def test_distance_matrix_rejects_mixed_layouts():
