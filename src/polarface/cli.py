@@ -258,6 +258,11 @@ def _curve_csv(path, column: str, points) -> None:
 
 def cmd_experiment(args) -> int:
     cfg = _resolve(args)
+    if cfg.mode == "fused":  # refused before any image is read
+        if cfg.experiment == "feature-map":
+            raise ConfigError("feature-map needs a single spectrum mode (fbt or dft)")
+        if cfg.experiment == "roc" and cfg.verification_score == "embedding":
+            raise ConfigError("embedding verification needs a single spectrum mode")
     out = _out_dir(cfg)
     tag = config_hash(cfg)
     _write_config_copy(cfg, out, tag)
@@ -320,8 +325,6 @@ def cmd_experiment(args) -> int:
         train_ids, probe_ids = random_split(entries, cfg.split, 0)
         truths = [subject_of[p] for p in probe_ids]
         if cfg.verification_score == "embedding":
-            if cfg.mode == "fused":
-                raise ConfigError("embedding verification needs a single spectrum mode")
             dists, labels = embedding_matrix(tables[cfg.mode], train_ids, probe_ids, subject_of)
             claim = dists if cfg.score_orientation == "distance" else -dists
             genuine, impostor = verification_pairs(claim, truths, labels, "similarity")
@@ -340,8 +343,6 @@ def cmd_experiment(args) -> int:
         )
 
     elif cfg.experiment == "feature-map":
-        if cfg.mode == "fused":
-            raise ConfigError("feature-map needs a single spectrum mode (fbt or dft)")
         table = tables[cfg.mode]
         values = np.stack([table[i].values for i, _ in entries])
         errors = per_feature_error_rates(entries, values, cfg.split)

@@ -23,6 +23,10 @@ from .fileio import atomic_write_text
 
 Entry = tuple[str, str]  # (image id, subject id)
 
+# Features per (probes, gallery, block) gap array in per_feature_error_rates:
+# 200 probes x 200 gallery images x 16 features is 5 MB.
+_FEATURE_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -344,8 +348,8 @@ def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, spec: 
         tr_labels = subjects[tr]
         te_labels = subjects[te]
         wrong = np.zeros(n_features)
-        for start in range(0, n_features, 128):
-            stop = min(start + 128, n_features)
+        for start in range(0, n_features, _FEATURE_BLOCK):
+            stop = min(start + _FEATURE_BLOCK, n_features)
             gaps = np.abs(
                 values[te, start:stop][:, None, :] - values[tr, start:stop][None, :, :]
             )

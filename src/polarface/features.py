@@ -112,17 +112,13 @@ def _trig_tables(max_order: int, n_rays: int, angular_resolution: float):
 def _radial_tables(max_order: int, max_root: int, n_rings: int, R: float):
     # J basis and orthogonality prefactors; shared across images with the
     # same grid geometry, which is what makes batch extraction cheap.
-    roots = build_root_table(max_order, max_root)
+    alpha = build_root_table(max_order, max_root).roots
+    orders = np.arange(max_order + 1)[:, None]
     radii = np.arange(n_rings, dtype=float)
-    basis = np.empty((max_order + 1, max_root, n_rings))
-    pref = np.empty((max_order + 1, max_root))
-    for n in range(max_order + 1):
-        for i in range(max_root):
-            alpha = roots.roots[n, i]
-            basis[n, i] = bessel_j(n, alpha * radii / R)
-            edge = bessel_j(n + 1, alpha)
-            scale = 1.0 if n == 0 else 2.0
-            pref[n, i] = scale / (math.pi * R * R * edge * edge)
+    basis = bessel_j(orders[:, :, None], alpha[:, :, None] * radii / R)
+    edge = bessel_j(orders + 1, alpha)
+    scale = np.where(orders == 0, 1.0, 2.0)
+    pref = scale / (math.pi * R * R * edge * edge)
     basis.setflags(write=False)
     pref.setflags(write=False)
     return basis, pref

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,12 +88,6 @@ class PolarGrid:
         """Ring radii in pixels (0, 1, 2, ...)."""
         return np.arange(self.n_rings, dtype=float)
 
-    def to_csv(self, path) -> None:
-        """Write samples as comma-separated text, one row per ray."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in self.samples:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 def to_polar(image, angular_resolution: float = 0.5) -> PolarGrid:
     """Resample `image` onto a polar grid around the image center.
@@ -111,6 +106,31 @@ def to_polar(image, angular_resolution: float = 0.5) -> PolarGrid:
             f"angular_resolution {angular_resolution} does not divide 360 evenly"
         )
     h, w = img.shape
+    inside, corner, fx, fy, max_radius = _polar_plan(h, w, n_rays, float(angular_resolution))
+    flat = img.ravel()
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    samples = np.zeros(inside.shape)
+    # bilinear_sample's terms in its order, so samples match it bit for bit
+    samples[inside] = (
+        gx * gy * flat[corner]
+        + fx * gy * flat[1:][corner]
+        + gx * fy * flat[w:][corner]
+        + fx * fy * flat[w + 1:][corner]
+    )
+    return PolarGrid(
+        samples=samples,
+        center=((w - 1) / 2.0, (h - 1) / 2.0),
+        max_radius=max_radius,
+        angular_resolution=float(angular_resolution),
+    )
+
+
+@lru_cache(maxsize=8)
+def _polar_plan(h: int, w: int, n_rays: int, angular_resolution: float):
+    # Sampling geometry of one image shape: which grid points fall inside
+    # the image, and for those only the flat index of the top-left pixel
+    # and the fractional offsets (fx, fy) from it.
     x0 = (w - 1) / 2.0
     y0 = (h - 1) / 2.0
     max_radius = math.hypot(x0, y0)  # center to farthest corner
@@ -119,10 +139,13 @@ def to_polar(image, angular_resolution: float = 0.5) -> PolarGrid:
     radii = np.arange(n_rings, dtype=float)
     xs = x0 + radii[None, :] * np.cos(theta)[:, None]
     ys = y0 + radii[None, :] * np.sin(theta)[:, None]
-    samples = bilinear_sample(img, xs, ys)
-    return PolarGrid(
-        samples=samples,
-        center=(x0, y0),
-        max_radius=max_radius,
-        angular_resolution=float(angular_resolution),
-    )
+    inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
+    xs = xs[inside]
+    ys = ys[inside]
+    col = np.clip(np.floor(xs).astype(int), 0, w - 2)
+    row = np.clip(np.floor(ys).astype(int), 0, h - 2)
+    corner = (row * w + col).astype(np.int32)
+    plan = (inside, corner, xs - col, ys - row)
+    for arr in plan:
+        arr.setflags(write=False)
+    return (*plan, max_radius)

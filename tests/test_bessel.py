@@ -45,15 +45,38 @@ def test_bessel_j_against_mpmath_grid():
             assert np.max(np.abs(mine - ref)) < 1e-12
 
 
+def test_bessel_j_array_orders_against_mpmath():
+    # every order meets arguments across [0, 200], both sides of the
+    # series/recurrence crossover and the turning point x ~ n
+    rng = np.random.default_rng(2718)
+    orders, xs = [], []
+    for n in range(61):
+        pts = [0.0, 7.0 - 1e-9, 7.0, 7.0 + 1e-9, 200.0, max(n - 0.5, 0.0), float(n), n + 0.5]
+        pts += list(rng.uniform(0.0, 200.0, size=8))
+        orders += [n] * len(pts)
+        xs += pts
+    orders, xs = np.array(orders), np.array(xs)
+    mine = bessel_j(orders, xs)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(int(n), float(x))) for n, x in zip(orders, xs)])
+    assert np.max(np.abs(mine - ref)) < 1e-12
+
+
 def test_bessel_j_scalar_and_array_forms_agree():
-    # batching changes the recurrence start offset, so agreement is to
-    # rounding, not bitwise
-    xs = np.array([0.0, 0.5, 6.9, 7.1, 42.0])
+    # every element starts its recurrence from its own index, so a value
+    # does not depend on the batch it is computed in
+    xs = np.array([0.0, 0.5, 6.9, 7.0, 7.0 + 1e-9, 7.1, 42.0, 199.5])
     arr = bessel_j(3, xs)
     for x, v in zip(xs, arr):
         scalar = bessel_j(3, float(x))
         assert isinstance(scalar, float)
-        assert abs(scalar - v) < 1e-14
+        assert scalar == v
+    orders = np.arange(12)
+    grid = bessel_j(orders[:, None], xs[None, :])
+    assert grid.shape == (12, xs.size)
+    for n in orders:
+        assert np.array_equal(grid[n], bessel_j(int(n), xs))
+    assert np.array_equal(bessel_j(orders, 42.0), grid[:, 6])
 
 
 def test_bessel_j_at_zero():
@@ -83,13 +106,23 @@ def test_root_residuals_and_spacing():
         assert roots[0] > 0.0
 
 
+def test_roots_for_an_array_of_orders_equal_per_order_calls():
+    orders = np.array([0, 1, 2, 5, 10, 30])
+    batch = bessel_roots(orders, 30)
+    assert batch.shape == (6, 30)
+    for n, row in zip(orders, batch):
+        assert np.array_equal(row, bessel_roots(int(n), 30))
+    table = build_root_table(30, 3)
+    assert np.array_equal(table.roots, bessel_roots(np.arange(31), 3))
+
+
 def test_root_table_interlacing():
     table = build_root_table(6, 8)
     for n in range(6):
-        for i in range(1, 9):
-            assert table.root(n, i) < table.root(n + 1, i)
-            if i < 8:
-                assert table.root(n + 1, i) < table.root(n, i + 1)
+        for i in range(8):
+            assert table.roots[n, i] < table.roots[n + 1, i]
+            if i < 7:
+                assert table.roots[n + 1, i] < table.roots[n, i + 1]
 
 
 def test_root_table_is_cached_and_read_only():
@@ -97,26 +130,6 @@ def test_root_table_is_cached_and_read_only():
     assert a is build_root_table(10, 4)
     with pytest.raises(ValueError):
         a.roots[0, 0] = 0.0
-
-
-def test_root_table_index_bounds():
-    table = build_root_table(4, 3)
-    with pytest.raises(DomainError):
-        table.root(5, 1)
-    with pytest.raises(DomainError):
-        table.root(0, 0)
-    with pytest.raises(DomainError):
-        table.root(0, 4)
-
-
-def test_root_table_csv_dump(tmp_path):
-    table = build_root_table(2, 2)
-    path = tmp_path / "roots.csv"
-    table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3  # one row per order
-    first = float(lines[0].split(",")[0])
-    assert first == pytest.approx(table.root(0, 1), abs=1e-14)
 
 
 def test_domain_errors():
@@ -129,4 +142,10 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         bessel_j(0, np.nan)
     with pytest.raises(DomainError):
+        bessel_j(np.array([1, -1]), 1.0)
+    with pytest.raises(DomainError):
+        bessel_j(np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(DomainError):
         bessel_roots(0, 0)
+    with pytest.raises(DomainError):
+        bessel_roots(np.array([0, -2]), 3)

@@ -132,13 +132,31 @@ def test_learning_curve_and_feature_map_runs(toy_faces, tmp_path, capsys):
     assert list(out.glob("feature_map_fbt_b_*.csv"))
 
 
-def test_feature_map_rejects_fused_mode(toy_faces, tmp_path, capsys):
-    code = run_cli(
-        "experiment", "feature-map",
-        "--dataset", toy_faces, "--mode", "fused", "--out", tmp_path / "r",
-    )
+@pytest.fixture
+def truncated_faces(tmp_path):
+    """Two subjects whose only images stop short of their pixel data."""
+    for subject in ("s1", "s2"):
+        (tmp_path / "faces" / subject).mkdir(parents=True)
+        (tmp_path / "faces" / subject / "1.pgm").write_bytes(b"P5\n48 48\n255\n" + bytes(100))
+    return tmp_path / "faces"
+
+
+def assert_fused_refusal(code, capsys):
     assert code == 2
-    assert "single spectrum mode" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polarface: error:")
+    assert "single spectrum mode" in err[0]
+
+
+def test_feature_map_rejects_fused_mode(toy_faces, truncated_faces, tmp_path, capsys):
+    # the mode is refused before any image is read, so a broken tree
+    # gets the same error
+    for k, faces in enumerate((toy_faces, truncated_faces)):
+        code = run_cli(
+            "experiment", "feature-map",
+            "--dataset", faces, "--mode", "fused", "--out", tmp_path / f"r{k}",
+        )
+        assert_fused_refusal(code, capsys)
 
 
 def embedding_roc(dataset, out, orientation, mode="dft"):
@@ -165,9 +183,9 @@ def test_embedding_roc_in_both_orientations(noisy_faces, tmp_path, orientation):
     assert 0.0 < eer < 0.5
 
 
-def test_embedding_roc_rejects_fused_mode(noisy_faces, tmp_path, capsys):
-    assert embedding_roc(noisy_faces, tmp_path / "r", "distance", mode="fused") == 2
-    assert "single spectrum mode" in capsys.readouterr().err
+def test_embedding_roc_rejects_fused_mode(noisy_faces, truncated_faces, tmp_path, capsys):
+    for k, faces in enumerate((noisy_faces, truncated_faces)):
+        assert_fused_refusal(embedding_roc(faces, tmp_path / f"r{k}", "distance", mode="fused"), capsys)
 
 
 def test_oversized_ascii_pgm_header_exits_two(tmp_path, capsys):

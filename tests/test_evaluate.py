@@ -241,13 +241,13 @@ def test_per_feature_error_rates_informative_vs_constant():
 
 
 def test_per_feature_chunking_matches_direct():
-    # >128 features exercises the chunked path; compare with per-column calls
+    # 40 features span three 16-wide blocks; compare with per-column calls
     rng = np.random.default_rng(6)
     entries = toy_entries(n_subjects=3, per_subject=4)
-    values = rng.normal(size=(len(entries), 130))
+    values = rng.normal(size=(len(entries), 40))
     spec = SplitSpec(k_train=2, repetitions=2, seed=0)
     full = per_feature_error_rates(entries, values, spec)
-    for col in (0, 64, 127, 128, 129):
+    for col in (0, 15, 16, 17, 39):
         single = per_feature_error_rates(entries, values[:, [col]], spec)
         assert full[col] == pytest.approx(single[0], abs=1e-12)
 

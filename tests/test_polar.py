@@ -101,9 +101,20 @@ def test_image_validation():
         to_polar(bad)
 
 
-def test_grid_csv_round_trip(tmp_path):
-    grid = to_polar(np.arange(25, dtype=float).reshape(5, 5), angular_resolution=90.0)
-    path = tmp_path / "grid.csv"
-    grid.to_csv(path)
-    data = np.loadtxt(path, delimiter=",").reshape(grid.samples.shape)
-    assert np.array_equal(data, grid.samples)
+@pytest.mark.parametrize("shape", [(2, 2), (8, 6), (9, 7), (12, 9), (140, 118)])
+def test_to_polar_equals_bilinear_sample_bit_for_bit(shape):
+    # to_polar reuses a cached sampling geometry per image shape; each
+    # image must still sample exactly as bilinear_sample does
+    rng = np.random.default_rng(sum(shape))
+    h, w = shape
+    x0, y0 = (w - 1) / 2.0, (h - 1) / 2.0
+    for res in (0.5, 7.5):
+        theta = np.deg2rad(res) * np.arange(round(360.0 / res))
+        radii = np.arange(int(math.floor(math.hypot(x0, y0))) + 1, dtype=float)
+        xs = x0 + radii[None, :] * np.cos(theta)[:, None]
+        ys = y0 + radii[None, :] * np.sin(theta)[:, None]
+        for img in (rng.normal(size=shape), rng.uniform(0.0, 255.0, size=(w, h)).T):
+            want = bilinear_sample(img, xs, ys)
+            got = to_polar(img, res).samples
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
