@@ -258,7 +258,10 @@ def _curve_csv(path, column: str, points) -> None:
 
 def cmd_experiment(args) -> int:
     cfg = _resolve(args)
-    if cfg.mode == "fused":  # refused before any image is read
+    # refused before any image is read
+    if cfg.experiment == "subject-curve" and not cfg.subject_counts:
+        raise ConfigError("subject-curve needs experiment.subject_counts")
+    if cfg.mode == "fused":
         if cfg.experiment == "feature-map":
             raise ConfigError("feature-map needs a single spectrum mode (fbt or dft)")
         if cfg.experiment == "roc" and cfg.verification_score == "embedding":
@@ -293,8 +296,6 @@ def cmd_experiment(args) -> int:
             )
 
     elif cfg.experiment == "subject-curve":
-        if not cfg.subject_counts:
-            raise ConfigError("subject-curve needs experiment.subject_counts")
         points = subject_count_curve(
             entries, cfg.split, _predictor_factory(cfg, tables), cfg.subject_counts
         )

@@ -23,9 +23,9 @@ from .fileio import atomic_write_text
 
 Entry = tuple[str, str]  # (image id, subject id)
 
-# Features per (probes, gallery, block) gap array in per_feature_error_rates:
-# 200 probes x 200 gallery images x 16 features is 5 MB.
-_FEATURE_BLOCK = 16
+# Features sorted together in per_feature_error_rates; every intermediate
+# is (block, n_images), 100 KB at 32 x 400.
+_FEATURE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -327,36 +327,150 @@ def equal_error_rate(roc: ROCCurve) -> EERResult:
     return EERResult(eer=float(eer), threshold_low=float(lo), threshold_high=float(hi))
 
 
+def _canonical_rows(entries: Sequence[Entry], spec: SplitSpec):
+    """Rows of the experiment's images in the order random_split lists
+    them (sorted subject, then sorted image id), their integer subject
+    codes, and the boolean train mask of every repetition over them."""
+    row_of = {str(i): r for r, (i, _) in enumerate(entries)}
+    ids = [i for _, images in _grouped(entries, spec) for i in images]
+    rows = np.array([row_of[i] for i in ids], dtype=np.intp)
+    code_of: dict[str, int] = {}
+    codes = np.array([code_of.setdefault(str(entries[r][1]), len(code_of)) for r in rows])
+    train = np.zeros((spec.repetitions, rows.size), dtype=bool)
+    for rep in range(spec.repetitions):
+        chosen = set(random_split(entries, spec, rep)[0])
+        train[rep] = [i in chosen for i in ids]
+    return rows, codes, train
+
+
+def _first_set(mask: np.ndarray, pos: np.ndarray, row_end: np.ndarray) -> np.ndarray:
+    """out[k] = first position >= k in k's row where mask is set, or
+    some value >= row_end[k] if none; out[mask.size] = mask.size."""
+    first = np.minimum.accumulate(np.where(mask, pos, row_end)[::-1])[::-1]
+    return np.append(first, mask.size)
+
+
+def _last_set_before(mask: np.ndarray, pos: np.ndarray, row_start: np.ndarray) -> np.ndarray:
+    """out[k] = last position < k in k's row where mask is set, or some
+    value < row_start[k] if none; out[0] = -1."""
+    last = np.maximum.accumulate(np.where(mask, pos, row_start - 1))
+    return np.concatenate([[-1], last])
+
+
+class _SortedBlock:
+    """The columns of a (features, images) block, each stably sorted and
+    laid end to end in one flat array of rows of length n.
+
+    Equal values form runs; within a run the images keep canonical
+    order.  Arrays indexed by a flat position carry one pad element, so
+    the out-of-row positions -1 and size land on it and are masked out.
+    """
+
+    def __init__(self, block: np.ndarray):
+        n = block.shape[1]
+        canon = np.argsort(block, axis=1, kind="stable").ravel()
+        size = canon.size
+        self.pos = np.arange(size)
+        self.row_start = self.pos - self.pos % n
+        self.row_end = self.row_start + n
+        self.canon = np.append(canon, 0)  # canonical index of each value
+        self.values = np.append(block.ravel()[canon + self.row_start], 0.0)
+        new_run = np.ones(size, dtype=bool)
+        new_run[1:] = self.values[1:size] != self.values[: size - 1]
+        new_run[::n] = True
+        self.run_start = np.maximum.accumulate(np.where(new_run, self.pos, 0))
+        self.run_end = np.append(_first_set(new_run, self.pos, self.row_end)[1:], size)
+
+    def nearest_train(self, train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat position of every value's nearest train value, the lowest
+        canonical index among ties, given the train mask in sorted order.
+
+        Returns the positions and a mask of the values whose answer is
+        not settled: a train value beyond the winning run rounds to the
+        same gap, so the lowest index may lie farther out.
+        """
+        v, canon = self.values, self.canon
+        row_start, row_end = self.row_start, self.row_end
+        run_start, run_end = self.run_start, self.run_end[:-1]
+        p = v[:-1]
+        first = _first_set(train, self.pos, row_end)
+        last = _last_set_before(train, self.pos, row_start)
+        own = first[run_start]
+        below = last[run_start]
+        above = first[run_end]
+        has_below, has_above = below >= row_start, above < row_end
+        below_run = run_start[below]
+        below = first[below_run]  # the run's first train value: lowest index
+        beyond_below = last[below_run]
+        beyond_above = first[self.run_end[above]]
+        gap_below = np.abs(p - v[below])
+        gap_above = np.abs(p - v[above])
+        below_wins = has_below & (~has_above | (gap_below <= gap_above))
+        above_wins = has_above & (~has_below | (gap_above <= gap_below))
+        take_above = above_wins & ~(below_wins & (canon[below] < canon[above]))
+        in_own_run = own < run_end
+        pick = np.where(in_own_run, own, np.where(take_above, above, below))
+        unresolved = ~in_own_run & (
+            (below_wins & (beyond_below >= row_start)
+             & (np.abs(p - v[beyond_below]) == gap_below))
+            | (above_wins & (beyond_above < row_end)
+               & (np.abs(p - v[beyond_above]) == gap_above))
+        )
+        return pick, unresolved
+
+
 def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, spec: SplitSpec) -> np.ndarray:
     """Mean 1-NN percent error of every single feature over the splits.
 
-    `values` rows align with `entries`.  Nearest-neighbor ties take the
-    lowest training index (train ids in sorted order).
+    `values` is (n_images, n_features) with rows aligned with `entries`
+    and must be finite.  A probe takes the subject of the training image
+    with the smallest gap |probe - train| in float arithmetic; equal
+    gaps go to the lowest training index, train ids in the order
+    random_split lists them.  The result equals the brute-force argmin
+    over every (probe, train) gap exactly.
+
+    Rows are permuted once into that canonical order (sorted subject,
+    then sorted image id), so training index order is row order.  Each
+    column is sorted once, stably, in blocks of _FEATURE_BLOCK features:
+    equal values form runs whose members keep canonical order, and the
+    first train row of a run has its lowest index.  Per repetition,
+    running minima and maxima over the train mask in sorted order give
+    every probe its nearest train run below and above.  A probe whose
+    own run holds a train row takes that row (gap 0).  Otherwise the
+    smaller gap wins, and equal gaps go to the lower of the two runs'
+    first indices.  Rounding is monotone, so a farther train value can
+    never have a smaller gap, but it can round to the same gap; where
+    the next train value beyond the winning run does, the probe is
+    resolved by a direct argmin over all train rows.
     """
     values = np.asarray(values, dtype=float)
-    ids = [str(i) for i, _ in entries]
-    subjects = np.array([str(s) for _, s in entries], dtype=object)
-    if values.shape[0] != len(ids):
+    if values.ndim != 2:
+        raise ConfigError(f"values must be (n_images, n_features), got shape {values.shape}")
+    if values.shape[0] != len(entries):
         raise ConfigError("value matrix rows and entries do not align")
-    row_of = {i: r for r, i in enumerate(ids)}
-    n_features = values.shape[1]
+    if not np.isfinite(values).all():
+        raise DomainError("feature values must be finite")
+    rows, codes, train = _canonical_rows(entries, spec)
+    n, n_features = rows.size, values.shape[1]
+    n_probes = (~train).sum(axis=1)
     total = np.zeros(n_features)
-    for rep in range(spec.repetitions):
-        train_ids, test_ids = random_split(entries, spec, rep)
-        tr = np.array([row_of[i] for i in train_ids])
-        te = np.array([row_of[i] for i in test_ids])
-        tr_labels = subjects[tr]
-        te_labels = subjects[te]
-        wrong = np.zeros(n_features)
-        for start in range(0, n_features, _FEATURE_BLOCK):
-            stop = min(start + _FEATURE_BLOCK, n_features)
-            gaps = np.abs(
-                values[te, start:stop][:, None, :] - values[tr, start:stop][None, :, :]
-            )
-            nn = np.argmin(gaps, axis=1)  # first minimum = lowest train index
-            predicted = tr_labels[nn]
-            wrong[start:stop] = (predicted != te_labels[:, None]).mean(axis=0)
-        total += 100.0 * wrong
+    for start in range(0, n_features, _FEATURE_BLOCK):
+        stop = min(start + _FEATURE_BLOCK, n_features)
+        block = values[rows, start:stop].T
+        sorted_block = _SortedBlock(block)
+        canon = sorted_block.canon[:-1]
+        labels = codes[canon]
+        for rep in range(spec.repetitions):
+            in_train = train[rep][canon]
+            pick, unresolved = sorted_block.nearest_train(in_train)
+            predicted = labels[pick]
+            if unresolved.any():
+                train_rows = np.flatnonzero(train[rep])
+                for k in np.flatnonzero(unresolved):
+                    gaps = np.abs(sorted_block.values[k] - block[k // n, train_rows])
+                    predicted[k] = codes[train_rows[np.argmin(gaps)]]
+            wrong = ((predicted != labels) & ~in_train).reshape(-1, n).sum(axis=1)
+            total[start:stop] += 100.0 * (wrong / n_probes[rep])
     return total / spec.repetitions
 
 

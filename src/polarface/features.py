@@ -234,6 +234,14 @@ def dft_feature_frequencies(max_cycles: float) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for _, _, u, v in pts)
 
 
+@lru_cache(maxsize=32)
+def _dft_lattice(max_cycles: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only u and v index arrays of dft_feature_frequencies."""
+    lattice = np.array(dft_feature_frequencies(max_cycles))
+    lattice.setflags(write=False)
+    return lattice[:, 0], lattice[:, 1]
+
+
 def dft_features(magnitudes: np.ndarray, config: DFTConfig = DFTConfig()) -> FeatureVector:
     """Select centered-DFT magnitudes on the lattice disk as features."""
     mag = np.asarray(magnitudes, dtype=float)
@@ -241,9 +249,7 @@ def dft_features(magnitudes: np.ndarray, config: DFTConfig = DFTConfig()) -> Fea
         raise DomainError(f"magnitude plane must be 2-D, got shape {mag.shape}")
     h, w = mag.shape
     cy, cx = h // 2, w // 2
-    freqs = dft_feature_frequencies(config.max_cycles)
-    us = np.array([u for u, _ in freqs])
-    vs = np.array([v for _, v in freqs])
+    us, vs = _dft_lattice(config.max_cycles)
     if (cx + us.min() < 0 or cx + us.max() >= w
             or cy + vs.min() < 0 or cy + vs.max() >= h):
         raise ConfigError(
@@ -306,17 +312,16 @@ def dft_error_map(errors: np.ndarray, config: DFTConfig = DFTConfig()) -> np.nda
     Returns a (2r+1) x (2r+1) plane, r = floor(max_cycles), NaN where no
     feature was selected.
     """
-    freqs = dft_feature_frequencies(config.max_cycles)
+    us, vs = _dft_lattice(config.max_cycles)
     errors = np.asarray(errors, dtype=float)
-    if errors.size != len(freqs):
+    if errors.size != us.size:
         raise ConfigError(
-            f"{errors.size} per-feature values for {len(freqs)} selected frequencies"
+            f"{errors.size} per-feature values for {us.size} selected frequencies"
         )
     rmax = int(math.floor(config.max_cycles))
     side = 2 * rmax + 1
     plane = np.full((side, side), np.nan)
-    for (u, v), e in zip(freqs, errors):
-        plane[v + rmax, u + rmax] = e
+    plane[vs + rmax, us + rmax] = errors.ravel()
     return plane
 
 

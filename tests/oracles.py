@@ -14,6 +14,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
+from polarface import random_split
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -114,3 +116,35 @@ def nearest_neighbor_single_feature(train, train_labels, probe, feature_index: i
     column = np.array([f.values[feature_index] for f in train])
     gaps = np.abs(column - probe.values[feature_index])
     return train_labels[int(np.argmin(gaps))]
+
+
+def per_feature_error_rates_broadcast(entries, values, spec, block: int = 16) -> np.ndarray:
+    """Mean 1-NN percent error of every single feature, by brute force.
+
+    For each repetition and block of features, the full (probes x train
+    x block) gap array is built and np.argmin takes the first minimum,
+    i.e. the lowest training index with train ids in random_split order.
+    """
+    values = np.asarray(values, dtype=float)
+    ids = [str(i) for i, _ in entries]
+    subjects = np.array([str(s) for _, s in entries], dtype=object)
+    row_of = {i: r for r, i in enumerate(ids)}
+    n_features = values.shape[1]
+    total = np.zeros(n_features)
+    for rep in range(spec.repetitions):
+        train_ids, test_ids = random_split(entries, spec, rep)
+        tr = np.array([row_of[i] for i in train_ids])
+        te = np.array([row_of[i] for i in test_ids])
+        tr_labels = subjects[tr]
+        te_labels = subjects[te]
+        wrong = np.zeros(n_features)
+        for start in range(0, n_features, block):
+            stop = min(start + block, n_features)
+            gaps = np.abs(
+                values[te, start:stop][:, None, :] - values[tr, start:stop][None, :, :]
+            )
+            nn = np.argmin(gaps, axis=1)
+            predicted = tr_labels[nn]
+            wrong[start:stop] = (predicted != te_labels[:, None]).mean(axis=0)
+        total += 100.0 * wrong
+    return total / spec.repetitions

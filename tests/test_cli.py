@@ -141,11 +141,11 @@ def truncated_faces(tmp_path):
     return tmp_path / "faces"
 
 
-def assert_fused_refusal(code, capsys):
+def assert_refusal(code, capsys, phrase="single spectrum mode"):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("polarface: error:")
-    assert "single spectrum mode" in err[0]
+    assert phrase in err[0]
 
 
 def test_feature_map_rejects_fused_mode(toy_faces, truncated_faces, tmp_path, capsys):
@@ -156,7 +156,16 @@ def test_feature_map_rejects_fused_mode(toy_faces, truncated_faces, tmp_path, ca
             "experiment", "feature-map",
             "--dataset", faces, "--mode", "fused", "--out", tmp_path / f"r{k}",
         )
-        assert_fused_refusal(code, capsys)
+        assert_refusal(code, capsys)
+
+
+def test_subject_curve_without_counts_fails_before_reading(toy_faces, truncated_faces, tmp_path, capsys):
+    for k, faces in enumerate((toy_faces, truncated_faces)):
+        code = run_cli(
+            "experiment", "subject-curve",
+            "--dataset", faces, "--mode", "dft", "--out", tmp_path / f"r{k}",
+        )
+        assert_refusal(code, capsys, "subject_counts")
 
 
 def embedding_roc(dataset, out, orientation, mode="dft"):
@@ -185,7 +194,7 @@ def test_embedding_roc_in_both_orientations(noisy_faces, tmp_path, orientation):
 
 def test_embedding_roc_rejects_fused_mode(noisy_faces, truncated_faces, tmp_path, capsys):
     for k, faces in enumerate((noisy_faces, truncated_faces)):
-        assert_fused_refusal(embedding_roc(faces, tmp_path / f"r{k}", "distance", mode="fused"), capsys)
+        assert_refusal(embedding_roc(faces, tmp_path / f"r{k}", "distance", mode="fused"), capsys)
 
 
 def test_oversized_ascii_pgm_header_exits_two(tmp_path, capsys):

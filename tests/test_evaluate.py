@@ -29,7 +29,7 @@ from polarface.evaluate import (
     sem_value,
 )
 
-from oracles import nearest_neighbor_single_feature
+from oracles import nearest_neighbor_single_feature, per_feature_error_rates_broadcast
 
 
 def toy_entries(n_subjects=4, per_subject=8):
@@ -241,13 +241,13 @@ def test_per_feature_error_rates_informative_vs_constant():
 
 
 def test_per_feature_chunking_matches_direct():
-    # 40 features span three 16-wide blocks; compare with per-column calls
+    # 70 features span three 32-wide blocks; compare with per-column calls
     rng = np.random.default_rng(6)
     entries = toy_entries(n_subjects=3, per_subject=4)
-    values = rng.normal(size=(len(entries), 40))
+    values = rng.normal(size=(len(entries), 70))
     spec = SplitSpec(k_train=2, repetitions=2, seed=0)
     full = per_feature_error_rates(entries, values, spec)
-    for col in (0, 15, 16, 17, 39):
+    for col in (0, 31, 32, 33, 63, 64, 69):
         single = per_feature_error_rates(entries, values[:, [col]], spec)
         assert full[col] == pytest.approx(single[0], abs=1e-12)
 
@@ -276,6 +276,78 @@ def test_per_feature_error_rates_match_single_feature_oracle():
             )
             want[f] += 100.0 * wrong / len(test_ids)
     assert np.allclose(got, want / spec.repetitions, rtol=0.0, atol=1e-12)
+
+
+# Value pools whose columns are full of exact ties: duplicates,
+# equidistant neighbours, and gaps to different train values that round
+# to the same float (1e3 - 1e-14 == 1e3 - 2e-14; 1e16 - 1 == 1e16 - 2).
+TIE_POOLS = (
+    (0.0, 1.0, 2.0, 3.0),
+    (1e3, 1e-14, 2e-14, 3e-14, -1e-14, 0.0),
+    (1e16, 1e16 + 2, 1e16 + 4, 1e16 - 2, 0.5, 1.0, 2.0),
+    (5e-324, 1e-323, 1.5e-323, 0.0, -5e-324, 1e-310),
+    (-1e300, 1e300, 1e-300, 0.0),
+)
+
+
+@st.composite
+def feature_map_cases(draw):
+    n_subjects = draw(st.integers(2, 5))
+    k_train = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(k_train + 1, k_train + 4), min_size=n_subjects, max_size=n_subjects))
+    entries = [(f"s{s}/{k}", f"s{s}") for s in range(n_subjects) for k in range(sizes[s])]
+    entries = draw(st.permutations(entries))  # not in canonical order
+    cap = draw(st.one_of(st.none(), st.integers(2, n_subjects)))
+    spec = SplitSpec(k_train=k_train, n_subjects=cap, repetitions=draw(st.integers(1, 3)),
+                     seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_features = draw(st.integers(1, 70))
+    columns = []
+    for _ in range(n_features):
+        pool = draw(st.one_of(st.none(), st.sampled_from(TIE_POOLS)))
+        if pool is None:
+            columns.append(rng.normal(size=len(entries)))
+        else:
+            columns.append(rng.choice(pool, size=len(entries)))
+    return entries, np.stack(columns, axis=1), spec
+
+
+@given(feature_map_cases())
+@settings(max_examples=150, deadline=None)
+def test_per_feature_error_rates_equal_broadcast_oracle(case):
+    entries, values, spec = case
+    got = per_feature_error_rates(entries, values, spec)
+    assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
+
+
+def test_per_feature_error_rates_rounding_ties_take_lowest_index():
+    # a probe of 1e3 is 1e3 away from both train values once rounded, so
+    # the lower training index (s0/0, value 1e-14) wins, not the nearer
+    # value 2e-14
+    entries = [("s0/0", "s0"), ("s0/1", "s0"), ("s1/0", "s1"), ("s1/1", "s1")]
+    values = np.array([[1e-14], [1e3], [2e-14], [5.0]])
+    spec = SplitSpec(k_train=1, repetitions=4, seed=0)
+    got = per_feature_error_rates(entries, values, spec)
+    # reps 0 and 1 train on s0/0 and s1/0 (0% wrong), rep 2 on s0/0 and
+    # s1/1 (100%), rep 3 on s0/1 and s1/0 (50%)
+    assert got[0] == 37.5
+    assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
+
+
+def test_per_feature_error_rates_input_contract():
+    entries = toy_entries(n_subjects=2, per_subject=3)
+    spec = SplitSpec(k_train=1, repetitions=1)
+    with pytest.raises(ConfigError):
+        per_feature_error_rates(entries, np.zeros(len(entries)), spec)
+    with pytest.raises(ConfigError):
+        per_feature_error_rates(entries, np.zeros((len(entries), 2, 2)), spec)
+    with pytest.raises(ConfigError):
+        per_feature_error_rates(entries, np.zeros((len(entries) + 1, 2)), spec)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((len(entries), 3))
+        values[2, 1] = bad
+        with pytest.raises(DomainError):
+            per_feature_error_rates(entries, values, spec)
 
 
 def test_learning_and_subject_curves():

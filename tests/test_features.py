@@ -222,6 +222,15 @@ def test_dft_features_select_plane_values():
         assert value == mag[16 + v, 16 + u]
 
 
+def test_dft_lattice_cache_is_read_only():
+    from polarface.features import _dft_lattice
+
+    us, vs = _dft_lattice(19.5)
+    assert list(zip(us.tolist(), vs.tolist())) == list(dft_feature_frequencies(19.5))
+    with pytest.raises(ValueError):
+        us[0] = 1
+
+
 def test_dft_features_plane_bound():
     with pytest.raises(ConfigError):
         extract_dft(np.zeros((24, 24)))  # default 19.5 cycles cannot fit
