@@ -327,7 +327,7 @@ def equal_error_rate(roc: ROCCurve) -> EERResult:
     return EERResult(eer=float(eer), threshold_low=float(lo), threshold_high=float(hi))
 
 
-def _canonical_rows(entries: Sequence[Entry], spec: SplitSpec):
+def _canonical_rows(entries: Sequence[Entry], spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of the experiment's images in the order random_split lists
     them (sorted subject, then sorted image id), their integer subject
     codes, and the boolean train mask of every repetition over them."""

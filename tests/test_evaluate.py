@@ -280,7 +280,7 @@ def test_per_feature_error_rates_match_single_feature_oracle():
 
 # Value pools whose columns are full of exact ties: duplicates,
 # equidistant neighbours, and gaps to different train values that round
-# to the same float (1e3 - 1e-14 == 1e3 - 2e-14; 1e16 - 1 == 1e16 - 2).
+# to the same float (1e3 - 1e-14 == 1e3 - 2e-14; 1e16 - 0.5 == 1e16 - 1).
 TIE_POOLS = (
     (0.0, 1.0, 2.0, 3.0),
     (1e3, 1e-14, 2e-14, 3e-14, -1e-14, 0.0),
