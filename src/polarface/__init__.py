@@ -11,11 +11,9 @@ two spectra.
 from .bessel import BesselRootTable, bessel_j, bessel_roots, build_root_table
 from .classifier import (
     ClassScores,
-    DissimilarityMatrix,
     TrainedModel,
     classify,
     dissimilarity_matrix,
-    embed,
     fuse_max,
     pairwise_distances,
     score,
@@ -41,7 +39,6 @@ from .evaluate import (
     cmc,
     embedding_matrix,
     equal_error_rate,
-    fit_pfld,
     fused_predictor,
     learning_curve,
     per_feature_error_rates,
@@ -49,6 +46,7 @@ from .evaluate import (
     random_split,
     run_error_experiment,
     score_matrix,
+    split_rows,
     subject_count_curve,
     verification_pairs,
     verification_roc,
@@ -57,6 +55,7 @@ from .features import (
     DFTConfig,
     FBSpectrum,
     FBTConfig,
+    FeatureTable,
     FeatureVector,
     dft_feature_frequencies,
     dft_features,

@@ -33,21 +33,21 @@ from .config import (
     load_run_config,
     resolved_text,
 )
+from .classifier import dissimilarity_matrix
 from .dataset import Dataset, load_dataset_dir, normalize_face, save_pgm
-from .errors import ConfigError, PolarFaceError
+from .errors import ConfigError, DatasetError, PolarFaceError
 from .evaluate import (
     cmc,
     embedding_matrix,
     equal_error_rate,
     learning_curve,
     per_feature_error_rates,
-    random_split,
     run_error_experiment,
     score_matrix,
+    split_rows,
     subject_count_curve,
     verification_pairs,
     verification_roc,
-    fused_predictor,
     pfld_predictor,
     write_cmc_csv,
     write_matrix_csv,
@@ -56,7 +56,7 @@ from .evaluate import (
 )
 from .features import (
     FBTConfig,
-    FeatureVector,
+    FeatureTable,
     dft_error_map,
     extract_dft,
     extract_fbt,
@@ -138,11 +138,22 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return load_dataset_dir(cfg.dataset, layout=cfg.layout)
 
 
-def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, dict[str, FeatureVector]]:
-    """Per-mode {image_id: FeatureVector} maps, dataset order preserved."""
+def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]:
+    """One FeatureTable per mode, rows in dataset order, filled as the
+    images are extracted; images of another geometry than the first are
+    refused."""
     modes = ("fbt", "dft") if cfg.mode == "fused" else (cfg.mode,)
+    recipes = {m: {"fbt": (extract_fbt, cfg.fbt), "dft": (extract_dft, cfg.dft)}[m] for m in modes}
+    entries = list(dataset)
+    ids = [e.image_id for e in entries]
+    # Allocated before any image is read, a table gets a mapping of its own,
+    # not a place on the malloc heap, whose top every image's temporaries
+    # would then trim and regrow (a quarter more page faults in a fused run).
+    tables = {m: FeatureTable.allocate(ids, f"{m}-{c.n_features}", c.n_features) for m, (_, c) in recipes.items()}
+    first_shape = []
 
-    def work(entry):
+    def work(row: int) -> None:
+        entry = entries[row]
         img = entry.load()
         if cfg.normalize:
             if entry.eyes is None:
@@ -151,25 +162,26 @@ def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, dict[str, Fea
                     "has none (provide a 6-field flat manifest)"
                 )
             img = normalize_face(img, entry.eyes[0], entry.eyes[1], cfg.normalization)
-        row = {}
-        if "fbt" in modes:
-            row["fbt"] = extract_fbt(img, cfg.fbt)
-        if "dft" in modes:
-            row["dft"] = extract_dft(img, cfg.dft)
-        return row
+        if not first_shape:
+            first_shape.append(img.shape)
+        elif img.shape != first_shape[0]:
+            raise DatasetError(
+                f"image {entry.image_id!r} is {img.shape} but {entries[0].image_id!r} "
+                f"is {first_shape[0]}; all images must share one geometry"
+            )
+        for m, (extract, config) in recipes.items():
+            tables[m].put(row, extract(img, config))
 
-    entries = list(dataset)
+    # first image serially: it fixes the geometry, and builds the cached
+    # basis tables once
+    work(0)
+    rest = range(1, len(entries))
     if cfg.workers > 1 and len(entries) > 1:
-        # first image serially so the cached basis tables are built once
-        first = work(entries[0])
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = [first, *pool.map(work, entries[1:])]
+            list(pool.map(work, rest))
     else:
-        rows = [work(e) for e in entries]
-    tables: dict[str, dict[str, FeatureVector]] = {m: {} for m in modes}
-    for entry, row in zip(entries, rows):
-        for m in modes:
-            tables[m][entry.image_id] = row[m]
+        for row in rest:
+            work(row)
     return tables
 
 
@@ -192,17 +204,9 @@ def cmd_extract(args) -> int:
     _write_config_copy(cfg, out, tag)
     for mode, table in tables.items():
         path = out / f"features_{mode}_{tag}.csv"
-        rows = [(e.image_id, e.subject_id, table[e.image_id]) for e in dataset]
-        write_feature_file(path, rows)
-        dim = next(iter(table.values())).values.size
-        print(f"extract[{mode}]: {len(rows)} images, {dim} features -> {path}")
+        write_feature_file(path, [(e.image_id, e.subject_id, table[r]) for r, e in enumerate(dataset)])
+        print(f"extract[{mode}]: {len(table)} images, {table.dim} features -> {path}")
     return 0
-
-
-def _predictor_factory(cfg: RunConfig, tables):
-    if cfg.mode == "fused":
-        return fused_predictor(tables["fbt"], tables["dft"])
-    return pfld_predictor(tables[cfg.mode])
 
 
 _ORACLE_FBT = FBTConfig(max_order=30, max_root=10, angular_resolution=0.5)
@@ -277,16 +281,18 @@ def cmd_experiment(args) -> int:
     dataset = _load_dataset(cfg)
     tables = _feature_tables(dataset, cfg)
     entries = dataset.id_subject_pairs()
-    subject_of = {i: s for i, s in entries}
+    subjects = [s for _, s in entries]
+    # every distance an experiment reads is a cell of its table's matrix
+    matrices = [] if cfg.experiment == "feature-map" else [dissimilarity_matrix(t) for t in tables.values()]
     summary = []
 
     if cfg.experiment == "error-rate":
-        report = run_error_experiment(entries, cfg.split, _predictor_factory(cfg, tables))
+        report = run_error_experiment(entries, cfg.split, pfld_predictor(*matrices))
         summary.append((f"error-rate-{cfg.mode}", report.mean_error, report.sem, None))
         print(f"error-rate[{cfg.mode}]: error {report.mean_error:.3f} sem {report.sem:.3f}")
 
     elif cfg.experiment == "learning-curve":
-        points = learning_curve(entries, cfg.split, _predictor_factory(cfg, tables), cfg.k_values)
+        points = learning_curve(entries, cfg.split, pfld_predictor(*matrices), cfg.k_values)
         _curve_csv(out / f"learning_curve_{cfg.mode}_{tag}.csv", "k_train", points)
         for k, report in points:
             summary.append((f"learning-curve-k{k}-{cfg.mode}", report.mean_error, report.sem, None))
@@ -297,7 +303,7 @@ def cmd_experiment(args) -> int:
 
     elif cfg.experiment == "subject-curve":
         points = subject_count_curve(
-            entries, cfg.split, _predictor_factory(cfg, tables), cfg.subject_counts
+            entries, cfg.split, pfld_predictor(*matrices), cfg.subject_counts
         )
         _curve_csv(out / f"subject_curve_{cfg.mode}_{tag}.csv", "n_subjects", points)
         for c, report in points:
@@ -308,31 +314,28 @@ def cmd_experiment(args) -> int:
             )
 
     elif cfg.experiment == "cmc":
-        train_ids, probe_ids = random_split(entries, cfg.split, 0)
-        features_b = tables["dft"] if cfg.mode == "fused" else None
-        table = tables["fbt"] if cfg.mode == "fused" else tables[cfg.mode]
-        scores, labels = score_matrix(table, train_ids, probe_ids, subject_of, features_b)
-        truths = [subject_of[p] for p in probe_ids]
+        train, probe = split_rows(entries, cfg.split, 0)
+        scores, labels = score_matrix(matrices[0], train, probe, [subjects[r] for r in train], *matrices[1:])
+        truths = [subjects[r] for r in probe]
         curve = cmc(scores, truths, labels)
         write_cmc_csv(out / f"cmc_{cfg.mode}_{tag}.csv", curve)
         rank1_error = 100.0 * (1.0 - float(curve.proportions[0]))
         summary.append((f"cmc-{cfg.mode}", rank1_error, 0.0, None))
         print(
             f"cmc[{cfg.mode}]: rank-1 error {rank1_error:.3f} "
-            f"over {len(probe_ids)} probes"
+            f"over {len(probe)} probes"
         )
 
     elif cfg.experiment == "roc":
-        train_ids, probe_ids = random_split(entries, cfg.split, 0)
-        truths = [subject_of[p] for p in probe_ids]
+        train, probe = split_rows(entries, cfg.split, 0)
+        train_labels = [subjects[r] for r in train]
+        truths = [subjects[r] for r in probe]
         if cfg.verification_score == "embedding":
-            dists, labels = embedding_matrix(tables[cfg.mode], train_ids, probe_ids, subject_of)
+            dists, labels = embedding_matrix(matrices[0], train, probe, train_labels)
             claim = dists if cfg.score_orientation == "distance" else -dists
             genuine, impostor = verification_pairs(claim, truths, labels, "similarity")
         else:
-            features_b = tables["dft"] if cfg.mode == "fused" else None
-            table = tables["fbt"] if cfg.mode == "fused" else tables[cfg.mode]
-            scores, labels = score_matrix(table, train_ids, probe_ids, subject_of, features_b)
+            scores, labels = score_matrix(matrices[0], train, probe, train_labels, *matrices[1:])
             genuine, impostor = verification_pairs(scores, truths, labels, cfg.score_orientation)
         roc = verification_roc(genuine, impostor, cfg.score_orientation)
         eer = equal_error_rate(roc)
@@ -345,8 +348,7 @@ def cmd_experiment(args) -> int:
 
     elif cfg.experiment == "feature-map":
         table = tables[cfg.mode]
-        values = np.stack([table[i].values for i, _ in entries])
-        errors = per_feature_error_rates(entries, values, cfg.split)
+        errors = per_feature_error_rates(entries, table.values[:, : table.dim], cfg.split)
         if cfg.mode == "fbt":
             planes = fbt_error_map(errors, cfg.fbt.max_order, cfg.fbt.max_root)
             write_matrix_csv(out / f"feature_map_fbt_a_{tag}.csv", planes[0])

@@ -12,13 +12,12 @@ or below the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .classifier import dissimilarity_matrix, embed, fuse_max, score, train_pfld
+from .classifier import fuse_max, score, train_pfld
 from .errors import ConfigError, DomainError
-from .features import FeatureVector
 from .fileio import atomic_write_text
 
 Entry = tuple[str, str]  # (image id, subject id)
@@ -137,67 +136,66 @@ class EvalReport:
     feature_errors: np.ndarray | None = None
 
 
-# A factory fits on (train ids, subject_of) and returns a function that
-# predicts the subjects of a list of probe ids.
-PredictorFactory = Callable[[list[str], Mapping[str, str]], Callable[[Sequence[str]], list]]
+# A factory fits on the training rows and their subject labels and returns
+# a function that predicts the subjects of probe rows.  Rows index the
+# experiment's entries, which list the distance matrices' images in order.
+PredictorFactory = Callable[[np.ndarray, list], Callable[[np.ndarray], list]]
 
 
-def fit_pfld(features: Mapping[str, FeatureVector], train_ids: Sequence[str], subject_of: Mapping[str, str]):
-    """Train a PFLD on the listed gallery ids of one feature table."""
-    gallery = [features[i] for i in train_ids]
-    D = dissimilarity_matrix(gallery, ids=train_ids)
-    return train_pfld(D, subject_of, gallery)
+def split_rows(entries: Sequence[Entry], spec: SplitSpec, repetition_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """random_split as row indices into entries, in the same order."""
+    row_of = {str(i): r for r, (i, _) in enumerate(entries)}
+    train, test = random_split(entries, spec, repetition_index)
+    return np.array([row_of[i] for i in train]), np.array([row_of[i] for i in test])
 
 
-def _fit_posteriors(tables: Sequence[Mapping[str, FeatureVector]], train_ids, subject_of):
-    """Fit one PFLD per feature table on the gallery ids.
+def _fit_posteriors(matrices: Sequence[np.ndarray], train_rows: np.ndarray, train_labels: Sequence):
+    """Fit one PFLD per distance matrix on its gallery block.
 
-    Returns the class label tuple and a function from probe ids to their
-    posterior matrix, max-rule fused across the tables.
+    Returns the class label tuple and a function from probe rows to their
+    posterior matrix, max-rule fused across the matrices.
     """
-    models = [fit_pfld(table, train_ids, subject_of) for table in tables]
+    models = [train_pfld(D[np.ix_(train_rows, train_rows)], train_labels) for D in matrices]
 
-    def posteriors(probe_ids: Sequence[str]) -> np.ndarray:
+    def posteriors(probe_rows: np.ndarray) -> np.ndarray:
         return fuse_max(*(
-            (model.class_labels, score(model, [table[p] for p in probe_ids])[1])
-            for model, table in zip(models, tables)
+            (model.class_labels, score(model, D[np.ix_(probe_rows, train_rows)])[1])
+            for model, D in zip(models, matrices)
         ))
 
     return models[0].class_labels, posteriors
 
 
-def _predictor(tables: Sequence[Mapping[str, FeatureVector]]) -> PredictorFactory:
-    def factory(train_ids, subject_of):
-        labels, posteriors = _fit_posteriors(tables, train_ids, subject_of)
+def pfld_predictor(*matrices: np.ndarray) -> PredictorFactory:
+    """Factory for PFLD prediction on one table's dissimilarity matrix,
+    max-rule fused across the tables when given several."""
 
-        def predict(probe_ids):
+    def factory(train_rows, train_labels):
+        labels, posteriors = _fit_posteriors(matrices, train_rows, train_labels)
+
+        def predict(probe_rows):
             # np.argmax takes the first maximum, i.e. the lowest class index.
-            return [labels[j] for j in np.argmax(posteriors(probe_ids), axis=1)]
+            return [labels[j] for j in np.argmax(posteriors(probe_rows), axis=1)]
 
         return predict
 
     return factory
 
 
-def pfld_predictor(features: Mapping[str, FeatureVector]) -> PredictorFactory:
-    """Factory for single-spectrum PFLD prediction."""
-    return _predictor((features,))
-
-
-def fused_predictor(features_a: Mapping[str, FeatureVector], features_b: Mapping[str, FeatureVector]) -> PredictorFactory:
-    """Factory fusing two spectra with the max rule."""
-    return _predictor((features_a, features_b))
+def fused_predictor(distances_a: np.ndarray, distances_b: np.ndarray) -> PredictorFactory:
+    """Factory fusing two spectra's dissimilarity matrices with the max rule."""
+    return pfld_predictor(distances_a, distances_b)
 
 
 def run_error_experiment(entries: Sequence[Entry], spec: SplitSpec, predictor_factory: PredictorFactory) -> EvalReport:
     """Mean percent misclassified over repeated random splits."""
-    subject_of = {str(i): str(s) for i, s in entries}
+    subjects = [str(s) for _, s in entries]
     errors = []
     for rep in range(spec.repetitions):
-        train_ids, test_ids = random_split(entries, spec, rep)
-        predicted = predictor_factory(train_ids, subject_of)(test_ids)
-        wrong = sum(1 for pid, label in zip(test_ids, predicted) if str(label) != subject_of[pid])
-        errors.append(100.0 * wrong / len(test_ids))
+        train, test = split_rows(entries, spec, rep)
+        predicted = predictor_factory(train, [subjects[r] for r in train])(test)
+        wrong = sum(1 for r, label in zip(test, predicted) if str(label) != subjects[r])
+        errors.append(100.0 * wrong / len(test))
     errors = np.array(errors)
     return EvalReport(
         mean_error=float(errors.mean()),
@@ -207,32 +205,33 @@ def run_error_experiment(entries: Sequence[Entry], spec: SplitSpec, predictor_fa
 
 
 def score_matrix(
-    features: Mapping[str, FeatureVector],
-    train_ids: Sequence[str],
-    probe_ids: Sequence[str],
-    subject_of: Mapping[str, str],
-    features_b: Mapping[str, FeatureVector] | None = None,
+    distances: np.ndarray,
+    train_rows: np.ndarray,
+    probe_rows: np.ndarray,
+    train_labels: Sequence,
+    distances_b: np.ndarray | None = None,
 ):
     """Posterior score matrix (n_probes x n_classes) plus the label tuple.
 
-    With features_b given, scores are max-rule fused posteriors.
+    Rows index the dissimilarity matrices; with distances_b given, scores
+    are max-rule fused posteriors.
     """
-    tables = (features,) if features_b is None else (features, features_b)
-    labels, posteriors = _fit_posteriors(tables, train_ids, subject_of)
-    return posteriors(probe_ids), labels
+    matrices = (distances,) if distances_b is None else (distances, distances_b)
+    labels, posteriors = _fit_posteriors(matrices, train_rows, train_labels)
+    return posteriors(probe_rows), labels
 
 
 def embedding_matrix(
-    features: Mapping[str, FeatureVector],
-    train_ids: Sequence[str],
-    probe_ids: Sequence[str],
-    subject_of: Mapping[str, str],
+    distances: np.ndarray,
+    train_rows: np.ndarray,
+    probe_rows: np.ndarray,
+    train_labels: Sequence,
 ):
-    """Distance from each probe to the nearest gallery vector of every
+    """Distance from each probe to the nearest gallery image of every
     subject (n_probes x n_classes) plus the sorted label tuple; the
     scores are distance-like by construction."""
-    d = embed([features[p] for p in probe_ids], [features[i] for i in train_ids])
-    gallery_labels = np.array([str(subject_of[i]) for i in train_ids], dtype=object)
+    d = distances[np.ix_(probe_rows, train_rows)]
+    gallery_labels = np.array([str(label) for label in train_labels], dtype=object)
     labels = tuple(sorted(set(gallery_labels)))
     nearest = [d[:, gallery_labels == label].min(axis=1) for label in labels]
     return np.stack(nearest, axis=1), labels

@@ -65,6 +65,10 @@ class DFTConfig:
         if not (self.max_cycles >= 0):
             raise ConfigError(f"max_cycles must be >= 0, got {self.max_cycles}")
 
+    @property
+    def n_features(self) -> int:
+        return len(dft_feature_frequencies(self.max_cycles))
+
 
 @dataclass(frozen=True)
 class FBSpectrum:
@@ -98,6 +102,47 @@ class FeatureVector:
 
     values: np.ndarray
     layout_id: str
+
+
+# The distance kernel sums squares over chunks of this many coordinates;
+# table rows are zero-padded to a multiple of it.
+CHUNK_WIDTH = 64
+
+
+@dataclass(frozen=True)
+class FeatureTable:
+    """One layout's feature vectors for a list of images, one row each.
+
+    `values` is (n_images, dim rounded up to a multiple of CHUNK_WIDTH),
+    zero past column dim: the operand layout of the distance kernel.
+    table[r] is row r as a FeatureVector, a view of its first dim values.
+    """
+
+    ids: tuple[str, ...]
+    layout_id: str
+    dim: int  # unpadded vector length
+    values: np.ndarray
+
+    @classmethod
+    def allocate(cls, ids, layout_id: str, dim: int) -> FeatureTable:
+        """An all-zero table, filled row by row with put."""
+        ids = tuple(str(i) for i in ids)
+        return cls(ids, layout_id, dim, np.zeros((len(ids), dim + (-dim) % CHUNK_WIDTH)))
+
+    def put(self, row: int, vector: FeatureVector) -> None:
+        """Write one image's vector into its row; refuses another layout or length."""
+        if (vector.layout_id, vector.values.size) != (self.layout_id, self.dim):
+            raise ConfigError(
+                f"feature layout {vector.layout_id!r} of length {vector.values.size} does not fit "
+                f"a table of layout {self.layout_id!r} and length {self.dim}"
+            )
+        self.values[row, : self.dim] = vector.values
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, row: int) -> FeatureVector:
+        return FeatureVector(self.values[row, : self.dim], self.layout_id)
 
 
 @lru_cache(maxsize=32)

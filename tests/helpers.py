@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from polarface import synth_mix
+from polarface import FeatureTable, synth_mix
 
 
 def pseudo_face(size: int = 101) -> np.ndarray:
@@ -36,3 +36,11 @@ def jittered_mix_images(n_subjects: int = 10, per_subject: int = 10, size: int =
             img = np.clip(img + rng.normal(0.0, 0.01, size=(size, size)), 0.0, 1.0)
             out.append((f"s{s:02d}/{k:02d}", f"s{s:02d}", img))
     return out
+
+
+def feature_table(ids, vectors) -> FeatureTable:
+    """Stack one-layout FeatureVectors, vectors[r] into row r."""
+    table = FeatureTable.allocate(ids, vectors[0].layout_id, vectors[0].values.size)
+    for row, vector in enumerate(vectors):
+        table.put(row, vector)
+    return table

@@ -14,7 +14,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from polarface import random_split
+from polarface import classify, fuse_max, pairwise_distances, random_split, train_pfld
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,3 +148,54 @@ def per_feature_error_rates_broadcast(entries, values, spec, block: int = 16) ->
             wrong[start:stop] = (predicted != te_labels[:, None]).mean(axis=0)
         total += 100.0 * wrong
     return total / spec.repetitions
+
+
+def padded_rows(values) -> np.ndarray:
+    """Vectors stacked as rows, zero-padded to a multiple of 64 columns."""
+    X = np.atleast_2d(np.asarray(values, dtype=float))
+    return np.pad(X, ((0, 0), (0, (-X.shape[1]) % 64)))
+
+
+def per_split_posteriors(value_tables, train_rows, train_labels):
+    """The per-split path that one dissimilarity matrix per run replaced.
+
+    Per (n_images, dim) value table, the split's gallery rows are stacked
+    and padded, their own distance matrix trains a PFLD, and every probe
+    is embedded by its distances to that gallery, one probe at a time.
+    Returns the class labels and a function from probe rows to the
+    max-rule fused posterior matrix.
+    """
+    fits = []
+    for values in value_tables:
+        G = padded_rows(np.asarray(values)[train_rows])
+        fits.append((train_pfld(pairwise_distances(G, G), list(train_labels)), G, values))
+
+    def posteriors(probe_rows):
+        return fuse_max(*(
+            (model.class_labels, np.array([
+                classify(model, pairwise_distances(padded_rows(values[p]), G)[0]).posterior
+                for p in probe_rows
+            ]))
+            for model, G, values in fits
+        ))
+
+    return fits[0][0].class_labels, posteriors
+
+
+def per_split_predictor(*value_tables):
+    """A PredictorFactory over per_split_posteriors."""
+
+    def factory(train_rows, train_labels):
+        labels, posteriors = per_split_posteriors(value_tables, train_rows, train_labels)
+        return lambda probe_rows: [labels[j] for j in np.argmax(posteriors(probe_rows), axis=1)]
+
+    return factory
+
+
+def per_split_embedding(values, train_rows, probe_rows, train_labels):
+    """Nearest-gallery distance per subject from stacked per-split operands."""
+    values = np.asarray(values)
+    d = pairwise_distances(padded_rows(values[probe_rows]), padded_rows(values[train_rows]))
+    gallery_labels = np.array([str(label) for label in train_labels], dtype=object)
+    labels = tuple(sorted(set(gallery_labels)))
+    return np.stack([d[:, gallery_labels == label].min(axis=1) for label in labels], axis=1), labels

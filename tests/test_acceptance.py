@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import jittered_mix_images, pseudo_face
+from helpers import feature_table, jittered_mix_images, pseudo_face
 from oracles import bisect_root_on_series, frozen_roots, min_norm_lstsq, row_space_projector
 from polarface import (
     FBTConfig,
@@ -133,10 +133,10 @@ def test_c4_pfld_matches_min_norm_oracle(verdict):
         ids = [f"i{j}" for j in range(20)]
         subject_of = {f"i{j}": f"c{j % 4}" for j in range(20)}
         gallery = [FeatureVector(X[j], "acc") for j in range(20)]
-        D = dissimilarity_matrix(gallery, ids=ids)
-        model = train_pfld(D, subject_of, gallery)
+        D = dissimilarity_matrix(feature_table(ids, gallery))
+        model = train_pfld(D, [subject_of[i] for i in ids])
 
-        centered = D.distances - D.distances.mean(axis=0)
+        centered = D - D.mean(axis=0)
         design = np.hstack([centered, np.ones((20, 1))])
         projector = row_space_projector(design)
         for col, label in enumerate(model.class_labels):
@@ -163,15 +163,16 @@ def test_c5_appended_zero_features_are_inert(verdict):
     probe_ids = sorted(set(ids) - set(train_ids))
 
     def run(pad):
-        table = {
-            i: FeatureVector(np.hstack([v, np.zeros(pad)]) if pad else v, "acc")
-            for i, v in base.items()
-        }
-        gallery = [table[i] for i in train_ids]
-        D = dissimilarity_matrix(gallery, ids=train_ids)
-        model = train_pfld(D, subject_of, gallery)
-        scores = [classify(model, table[p]) for p in probe_ids]
-        return D.distances, [s.predicted for s in scores], np.array([s.posterior for s in scores])
+        table = feature_table(ids, [
+            FeatureVector(np.hstack([base[i], np.zeros(pad)]) if pad else base[i], "acc")
+            for i in ids
+        ])
+        D = dissimilarity_matrix(table)
+        train = [ids.index(i) for i in train_ids]
+        gallery = D[np.ix_(train, train)]
+        model = train_pfld(gallery, [subject_of[i] for i in train_ids])
+        scores = [classify(model, D[ids.index(p), train]) for p in probe_ids]
+        return gallery, [s.predicted for s in scores], np.array([s.posterior for s in scores])
 
     dist0, labels0, post0 = run(0)
     dist3, labels3, post3 = run(3)
@@ -187,10 +188,12 @@ def test_c6_jittered_synthetic_identification_is_exact(verdict):
     from polarface import extract_fbt
 
     triples = jittered_mix_images()
-    table = {image_id: extract_fbt(img) for image_id, _, img in triples}
+    table = feature_table(
+        [image_id for image_id, _, _ in triples], [extract_fbt(img) for _, _, img in triples]
+    )
     entries = [(image_id, subject) for image_id, subject, _ in triples]
     report = run_error_experiment(
-        entries, SplitSpec(k_train=5, repetitions=10, seed=0), pfld_predictor(table)
+        entries, SplitSpec(k_train=5, repetitions=10, seed=0), pfld_predictor(dissimilarity_matrix(table))
     )
     ok = report.mean_error == 0.0 and report.rep_errors.shape == (10,)
     verdict("C6", ok, f"10x10 jittered mixes, k=5, 10 splits: error {report.mean_error:.3f}%")
@@ -259,13 +262,11 @@ def orl_tables():
 
     dataset = load_dataset_dir(Path(ORL_DIR), "orl")
     entries = dataset.id_subject_pairs()
-    fbt_table = {}
-    dft_table = {}
-    for entry in dataset:
-        img = entry.load()
-        fbt_table[entry.image_id] = extract_fbt(img)
-        dft_table[entry.image_id] = extract_dft(img)
-    return entries, fbt_table, dft_table
+    ids = [i for i, _ in entries]
+    images = [entry.load() for entry in dataset]
+    fbt_table = feature_table(ids, [extract_fbt(img) for img in images])
+    dft_table = feature_table(ids, [extract_dft(img) for img in images])
+    return entries, dissimilarity_matrix(fbt_table), dissimilarity_matrix(dft_table)
 
 
 @needs_orl

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarface import (
+    FeatureTable,
     FeatureVector,
     classify,
     dissimilarity_matrix,
-    embed,
     fuse_max,
     pairwise_distances,
     score,
@@ -17,10 +17,12 @@ from polarface import (
 )
 from polarface.errors import ConfigError, DomainError
 
+from helpers import feature_table
 from oracles import (
     distances_to,
     min_norm_lstsq,
     nearest_neighbor_single_feature,
+    padded_rows,
     row_space_projector,
 )
 
@@ -29,8 +31,14 @@ def vectors(matrix, layout="toy"):
     return [FeatureVector(np.asarray(row, dtype=float), layout) for row in matrix]
 
 
+def table_of(matrix, layout="toy", ids=None):
+    ids = [str(k) for k in range(len(matrix))] if ids is None else ids
+    return feature_table(ids, vectors(matrix, layout))
+
+
 def toy_model(n_per=3, classes=("a", "b"), dim=4, seed=0, spread=6.0):
-    """Well-separated Gaussian blobs, one per class."""
+    """Well-separated Gaussian blobs, one per class; the model is trained
+    on every image, so D is both its gallery block and its probe rows."""
     rng = np.random.default_rng(seed)
     feats, ids, subject_of = [], [], {}
     for c_idx, label in enumerate(classes):
@@ -39,17 +47,16 @@ def toy_model(n_per=3, classes=("a", "b"), dim=4, seed=0, spread=6.0):
             ids.append(f"{label}{k}")
             subject_of[f"{label}{k}"] = label
             feats.append(center + rng.normal(scale=0.1, size=dim))
-    gallery = vectors(feats)
-    D = dissimilarity_matrix(gallery, ids=ids)
-    return train_pfld(D, subject_of, gallery), gallery, ids, subject_of
+    D = dissimilarity_matrix(table_of(feats, ids=ids))
+    return train_pfld(D, [subject_of[i] for i in ids]), D, ids, subject_of
 
 
 def test_distance_matrix_small_example():
     # three 1-D points; all pairwise gaps appear symmetrically
-    D = dissimilarity_matrix(vectors([[0.0], [0.8], [0.3]]), ids=["p", "q", "r"])
+    D = dissimilarity_matrix(table_of([[0.0], [0.8], [0.3]], ids=["p", "q", "r"]))
     want = np.array([[0.0, 0.8, 0.3], [0.8, 0.0, 0.5], [0.3, 0.5, 0.0]])
-    assert np.allclose(D.distances, want, atol=1e-12)
-    assert np.all(np.diag(D.distances) == 0.0)
+    assert np.allclose(D, want, atol=1e-12)
+    assert np.all(np.diag(D) == 0.0)
 
 
 @given(st.integers(2, 7), st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -57,11 +64,44 @@ def test_distance_matrix_small_example():
 def test_distance_matrix_against_brute_force(n, d, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
-    D = dissimilarity_matrix(vectors(X)).distances
+    D = dissimilarity_matrix(table_of(X))
     for i in range(n):
         for j in range(n):
             assert D[i, j] == pytest.approx(np.linalg.norm(X[i] - X[j]), abs=1e-12)
     assert np.allclose(D, D.T)
+
+
+@st.composite
+def widths_and_counts(draw):
+    """A width that pads across chunks and an image count up to a little
+    past the rows of one 256 KB tile at that width."""
+    d = draw(st.sampled_from([60, 186, 1201]))
+    return d, draw(st.integers(2, 32768 // (d + (-d) % 64) + 20))
+
+
+@given(widths_and_counts(), st.integers(0, 2**32 - 1))
+@example((60, 530), 0)  # 512 rows of width 64 fill one tile
+@example((186, 200), 1)  # 170 rows of width 192 fill one tile
+@example((1201, 60), 2)  # 26 rows of width 1216 fill one tile
+@settings(max_examples=25, deadline=None)
+def test_one_matrix_slices_equal_per_split_distances(shape, seed):
+    # The triangular build equals the full square, and every gallery
+    # block and probe row sliced from it equals the distances the
+    # per-split path computes from its own stacked operands.
+    d, n = shape
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, d)) * 10.0
+    values[rng.integers(n)] = values[0]  # a duplicate image
+    table = table_of(values)
+    D = dissimilarity_matrix(table)
+    assert np.array_equal(D, pairwise_distances(table.values, table.values))
+    order = rng.permutation(n)
+    cut = int(rng.integers(1, n))
+    train, probes = order[:cut], order[cut:]
+    G = padded_rows(values[train])
+    assert np.array_equal(D[np.ix_(train, train)], pairwise_distances(G, G))
+    for p in probes:
+        assert np.array_equal(D[p, train], pairwise_distances(padded_rows(values[p]), G)[0])
 
 
 def padded(X):
@@ -92,40 +132,58 @@ def test_pairwise_distances_rejects_unpadded_operands():
 def test_distance_matrix_rejects_mixed_layouts():
     feats = [FeatureVector(np.zeros(2), "a"), FeatureVector(np.zeros(2), "b")]
     with pytest.raises(ConfigError):
-        dissimilarity_matrix(feats)
+        feature_table(["x", "y"], feats)
+    with pytest.raises(ConfigError):
+        feature_table(["x", "y"], vectors([[0.0, 1.0], [0.0]]))
+
+
+def test_distance_matrix_refuses_oversized_tables():
+    # refused from the image count, before the N x N matrix is allocated
+    table = FeatureTable.allocate([f"im{k}" for k in range(20_001)], "toy", 1)
+    with pytest.raises(ConfigError, match="20001 images"):
+        dissimilarity_matrix(table)
+
+
+def test_table_rows_are_padded_views():
+    table = table_of([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert table.values.shape == (2, 64) and not table.values[:, 3:].any()
+    assert len(table) == 2 and table.dim == 3
+    assert np.array_equal(table[1].values, [4.0, 5.0, 6.0]) and table[1].layout_id == "toy"
+    assert np.shares_memory(table[1].values, table.values)
+    assert [v.values.tolist() for v in table] == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
 
 def test_training_set_is_classified_perfectly():
-    model, gallery, ids, subject_of = toy_model(n_per=4, classes=("a", "b", "c"))
-    for i, vec in zip(ids, gallery):
-        scores = classify(model, vec)
+    model, D, ids, subject_of = toy_model(n_per=4, classes=("a", "b", "c"))
+    for k, i in enumerate(ids):
+        scores = classify(model, D[k])
         assert scores.predicted == subject_of[i]
 
 
 def test_embed_probe_distances():
-    _, gallery, ids, _ = toy_model()
-    emb = embed(gallery[2:4], gallery)
-    assert emb.shape == (2, len(ids))
-    assert emb[0, 2] == 0.0 and emb[1, 3] == 0.0
-    assert np.all(emb >= 0.0)
+    # a probe is embedded as its row of the one matrix
+    model, D, ids, _ = toy_model()
+    assert D.shape == (len(ids), len(ids))
+    assert D[2, 2] == 0.0 and D[3, 3] == 0.0
+    assert np.all(D >= 0.0)
     with pytest.raises(ConfigError):
-        embed([FeatureVector(np.zeros(4), "other")], gallery)
+        classify(model, D[2, :-1])
     with pytest.raises(ConfigError):
-        embed([FeatureVector(np.zeros(5), "toy")], gallery)
+        classify(model, D[2:4])
 
 
 def test_score_rows_are_classify_rows():
-    model, gallery, _, _ = toy_model(n_per=5, classes=("a", "b", "c"), dim=70)
-    raw, posterior = score(model, gallery)
+    model, D, _, _ = toy_model(n_per=5, classes=("a", "b", "c"), dim=70)
+    raw, posterior = score(model, D)
     assert raw.shape == posterior.shape == (15, 3)
-    for k, vec in enumerate(gallery):
-        one = classify(model, vec)
+    for k, row in enumerate(D):
+        one = classify(model, row)
         assert np.array_equal(one.raw, raw[k])
         assert np.array_equal(one.posterior, posterior[k])
     with pytest.raises(ConfigError):
-        score(model, [FeatureVector(np.zeros(70), "other")])
+        score(model, D[:, :-1])
     with pytest.raises(ConfigError):
-        score(model, [FeatureVector(np.zeros(71), "toy")])
+        score(model, D[:0])
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -141,12 +199,10 @@ def test_lstsq_matches_min_norm_oracle(seed, deficient):
     if deficient:
         X[3] = X[0]
         X[7] = X[6]
-    ids = [f"i{k:02d}" for k in range(n)]
-    gallery = vectors(X)
-    D = dissimilarity_matrix(gallery, ids=ids)
-    model = train_pfld(D, dict(zip(ids, labels)), gallery)
+    D = dissimilarity_matrix(table_of(X))
+    model = train_pfld(D, labels)
 
-    centered = D.distances - D.distances.mean(axis=0)
+    centered = D - D.mean(axis=0)
     design = np.hstack([centered, np.ones((n, 1))])
     targets = np.where(np.array(labels)[:, None] == np.array(["a", "b"])[None, :], 1.0, -1.0)
     want = min_norm_lstsq(design, targets)
@@ -157,8 +213,8 @@ def test_lstsq_matches_min_norm_oracle(seed, deficient):
 
 
 def test_posterior_is_a_distribution():
-    model, gallery, _, _ = toy_model(classes=("a", "b", "c"))
-    scores = classify(model, gallery[0])
+    model, D, _, _ = toy_model(classes=("a", "b", "c"))
+    scores = classify(model, D[0])
     assert scores.posterior.shape == (3,)
     assert np.all(scores.posterior >= 0.0)
     assert np.sum(scores.posterior) == pytest.approx(1.0, abs=1e-12)
@@ -180,18 +236,17 @@ def test_exact_tie_resolves_to_first_label():
 def test_mirror_symmetric_probe_scores_near_half():
     # lstsq symmetry is only approximate, so assert closeness, then the
     # deterministic argmax on whatever side rounding lands
-    gallery = vectors([[-1.0], [1.0]])
-    D = dissimilarity_matrix(gallery, ids=["left", "right"])
-    model = train_pfld(D, {"left": "a", "right": "b"}, gallery)
-    scores = classify(model, FeatureVector(np.array([0.0]), "toy"))
+    D = dissimilarity_matrix(table_of([[-1.0], [1.0], [0.0]], ids=["left", "right", "probe"]))
+    model = train_pfld(D[:2, :2], ["a", "b"])
+    scores = classify(model, D[2, :2])
     assert scores.posterior[0] == pytest.approx(0.5, abs=1e-12)
     assert scores.predicted in ("a", "b")
 
 
 def test_fusion_prefers_the_more_confident_classifier():
-    model, gallery, _, _ = toy_model(classes=("a", "b"))
-    sa = classify(model, gallery[0])   # confident "a"
-    sb = classify(model, gallery[-1])  # confident "b"
+    model, D, _, _ = toy_model(classes=("a", "b"))
+    sa = classify(model, D[0])   # confident "a"
+    sb = classify(model, D[-1])  # confident "b"
     labels = model.class_labels
     fused = fuse_max((labels, sa.posterior[None]), (labels, sb.posterior[None]))
     assert np.array_equal(fused[0], np.maximum(sa.posterior, sb.posterior))
@@ -201,27 +256,25 @@ def test_fusion_prefers_the_more_confident_classifier():
 
 
 def test_fusion_rejects_different_label_sets():
-    m1, g1, _, _ = toy_model(classes=("a", "b"))
-    m2, g2, _, _ = toy_model(classes=("a", "c"))
+    m1, D1, _, _ = toy_model(classes=("a", "b"))
+    m2, D2, _, _ = toy_model(classes=("a", "c"))
     with pytest.raises(ConfigError):
-        fuse_max((m1.class_labels, score(m1, g1)[1]), (m2.class_labels, score(m2, g2)[1]))
+        fuse_max((m1.class_labels, score(m1, D1)[1]), (m2.class_labels, score(m2, D2)[1]))
 
 
 def test_appending_zero_features_changes_nothing():
     rng = np.random.default_rng(3)
     base = rng.normal(size=(10, 20))
-    ids = [f"im{k}" for k in range(10)]
-    subject_of = {i: ("a" if k < 5 else "b") for k, i in enumerate(ids)}
-    plain = vectors(base, layout="plain")
-    padded = vectors(np.hstack([base, np.zeros((10, 3))]), layout="padded")
-    D0 = dissimilarity_matrix(plain, ids=ids)
-    D1 = dissimilarity_matrix(padded, ids=ids)
-    assert np.array_equal(D0.distances, D1.distances)
-    m0 = train_pfld(D0, subject_of, plain)
-    m1 = train_pfld(D1, subject_of, padded)
+    labels = ["a"] * 5 + ["b"] * 5
     probe = rng.normal(size=20)
-    s0 = classify(m0, FeatureVector(probe, "plain"))
-    s1 = classify(m1, FeatureVector(np.concatenate([probe, np.zeros(3)]), "padded"))
+    rows = np.vstack([base, probe])  # ten gallery images, then the probe
+    D0 = dissimilarity_matrix(table_of(rows, layout="plain"))
+    D1 = dissimilarity_matrix(table_of(np.hstack([rows, np.zeros((11, 3))]), layout="padded"))
+    assert np.array_equal(D0, D1)
+    m0 = train_pfld(D0[:10, :10], labels)
+    m1 = train_pfld(D1[:10, :10], labels)
+    s0 = classify(m0, D0[10, :10])
+    s1 = classify(m1, D1[10, :10])
     assert np.array_equal(s0.posterior, s1.posterior)
     assert s0.predicted == s1.predicted
 
@@ -238,11 +291,10 @@ def test_single_feature_nearest_neighbor_and_ties():
 
 
 def test_train_validation_errors():
-    gallery = vectors([[0.0], [1.0]])
-    D = dissimilarity_matrix(gallery, ids=["x", "y"])
+    D = dissimilarity_matrix(table_of([[0.0], [1.0]], ids=["x", "y"]))
     with pytest.raises(ConfigError):
-        train_pfld(D, {"x": "a"}, gallery)  # missing label for y
+        train_pfld(D, ["a"])  # no label for y
     with pytest.raises(ConfigError):
-        train_pfld(D, {"x": "a", "y": "a"}, gallery)  # single class
+        train_pfld(D, ["a", "a"])  # single class
     with pytest.raises(ConfigError):
-        train_pfld(D, {"x": "a", "y": "b"}, vectors([[0.0]]))  # gallery mismatch
+        train_pfld(D[:1], ["a", "b"])  # not square

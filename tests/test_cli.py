@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polarface import load_pgm, read_feature_file
+from polarface import load_pgm, read_feature_file, save_pgm
 from polarface.cli import main
 
 
@@ -166,6 +166,36 @@ def test_subject_curve_without_counts_fails_before_reading(toy_faces, truncated_
             "--dataset", faces, "--mode", "dft", "--out", tmp_path / f"r{k}",
         )
         assert_refusal(code, capsys, "subject_counts")
+
+
+def mixed_geometry_faces(root):
+    """3 subjects x 3 images of 112x92 pixels, except s2/2.pgm at 80x64,
+    with a 6-field manifest whose eyes sit at the same relative spots."""
+    rng = np.random.default_rng(9)
+    lines = []
+    for s in range(1, 4):
+        (root / f"s{s}").mkdir(parents=True)
+        for k in range(1, 4):
+            h, w = (80, 64) if (s, k) == (2, 2) else (112, 92)
+            save_pgm(root / f"s{s}" / f"{k}.pgm", rng.integers(0, 256, size=(h, w)), maxval=255)
+            lines.append(f"s{s}/{k}.pgm,s{s},{0.3 * w},{0.4 * h},{0.7 * w},{0.4 * h}")
+    (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+def test_mixed_image_geometry_is_refused(tmp_path, capsys):
+    faces = mixed_geometry_faces(tmp_path / "faces")
+    for mode in ("dft", "fbt"):
+        code = run_cli(
+            "experiment", "error-rate", "--dataset", faces, "--mode", mode,
+            "--k-train", "1", "--reps", "1", "--out", tmp_path / mode,
+        )
+        assert_refusal(code, capsys, "'s2/2.pgm' is (80, 64) but 's1/1.pgm' is (112, 92)")
+    # normalization crops every image to one geometry, so the same tree passes
+    assert run_cli(
+        "experiment", "error-rate", "--dataset", faces / "manifest.csv", "--layout", "flat-manifest",
+        "--normalize", "--mode", "dft", "--k-train", "1", "--reps", "1", "--out", tmp_path / "norm",
+    ) == 0
 
 
 def embedding_roc(dataset, out, orientation, mode="dft"):

@@ -11,12 +11,17 @@ from polarface import (
     FeatureVector,
     SplitSpec,
     cmc,
+    dissimilarity_matrix,
+    embedding_matrix,
     equal_error_rate,
+    fused_predictor,
     learning_curve,
     per_feature_error_rates,
     pfld_predictor,
     random_split,
     run_error_experiment,
+    score_matrix,
+    split_rows,
     subject_count_curve,
     verification_pairs,
     verification_roc,
@@ -24,12 +29,20 @@ from polarface import (
 from polarface.errors import ConfigError, DomainError
 from polarface.evaluate import (
     build_cmc_csv,
+    build_matrix_csv,
     build_roc_csv,
     build_summary_csv,
     sem_value,
 )
 
-from oracles import nearest_neighbor_single_feature, per_feature_error_rates_broadcast
+from helpers import feature_table
+from oracles import (
+    nearest_neighbor_single_feature,
+    per_feature_error_rates_broadcast,
+    per_split_embedding,
+    per_split_posteriors,
+    per_split_predictor,
+)
 
 
 def toy_entries(n_subjects=4, per_subject=8):
@@ -41,13 +54,17 @@ def toy_entries(n_subjects=4, per_subject=8):
 
 
 def separable_features(entries, dim=6, spread=8.0, noise=0.1, seed=0):
+    """(n_images, dim) values, rows aligned with entries."""
     rng = np.random.default_rng(seed)
     subjects = sorted({s for _, s in entries})
     centers = {s: spread * i + rng.normal(size=dim) for i, s in enumerate(subjects)}
-    return {
-        i: FeatureVector(centers[s] + rng.normal(scale=noise, size=dim), "toy")
-        for i, s in entries
-    }
+    return np.array([centers[s] + rng.normal(scale=noise, size=dim) for _, s in entries])
+
+
+def distances(entries, values):
+    """The one dissimilarity matrix of a value table."""
+    vectors = [FeatureVector(row, f"toy-{values.shape[1]}") for row in values]
+    return dissimilarity_matrix(feature_table([i for i, _ in entries], vectors))
 
 
 def test_split_spec_validation():
@@ -117,7 +134,7 @@ def test_error_experiment_on_separable_data():
     entries = toy_entries()
     features = separable_features(entries)
     spec = SplitSpec(k_train=4, repetitions=5, seed=1)
-    report = run_error_experiment(entries, spec, pfld_predictor(features))
+    report = run_error_experiment(entries, spec, pfld_predictor(distances(entries, features)))
     assert report.mean_error == 0.0
     assert report.sem == 0.0
     assert report.rep_errors.shape == (5,)
@@ -127,8 +144,9 @@ def test_error_experiment_is_deterministic():
     entries = toy_entries()
     features = separable_features(entries, spread=0.5, noise=0.4)  # overlapping
     spec = SplitSpec(k_train=3, repetitions=4, seed=2)
-    r1 = run_error_experiment(entries, spec, pfld_predictor(features))
-    r2 = run_error_experiment(entries, spec, pfld_predictor(features))
+    D = distances(entries, features)
+    r1 = run_error_experiment(entries, spec, pfld_predictor(D))
+    r2 = run_error_experiment(entries, spec, pfld_predictor(D))
     assert np.array_equal(r1.rep_errors, r2.rep_errors)
     assert 0.0 <= r1.mean_error <= 100.0
 
@@ -354,10 +372,11 @@ def test_learning_and_subject_curves():
     entries = toy_entries(n_subjects=4, per_subject=8)
     features = separable_features(entries)
     spec = SplitSpec(k_train=5, repetitions=2, seed=0)
-    lc = learning_curve(entries, spec, pfld_predictor(features), (1, 3, 5))
+    D = distances(entries, features)
+    lc = learning_curve(entries, spec, pfld_predictor(D), (1, 3, 5))
     assert [k for k, _ in lc] == [1, 3, 5]
     assert all(r.mean_error == 0.0 for _, r in lc)
-    sc = subject_count_curve(entries, spec, pfld_predictor(features), (2, 4))
+    sc = subject_count_curve(entries, spec, pfld_predictor(D), (2, 4))
     assert [c for c, _ in sc] == [2, 4]
 
 
@@ -381,3 +400,62 @@ def test_csv_builders():
     assert lines[0] == "experiment_id,mean,sem,eer"
     assert lines[1] == "exp,1.5,0.25,"
     assert lines[2] == "roc,2,0,0.02"
+    matrix_text = build_matrix_csv(np.array([[0.1, -2.0], [1e-300, np.nan]]))
+    assert matrix_text == "0.10000000000000001,-2\n1e-300,nan\n"
+    assert build_matrix_csv(np.array([1.0, 0.5])) == "1,0.5\n"  # a 1-D input is one row
+
+
+def test_split_rows_index_the_entries():
+    entries = toy_entries()[::-1]  # rows out of id order
+    spec = SplitSpec(k_train=3, repetitions=2, seed=4)
+    for rep in range(2):
+        train, test = split_rows(entries, spec, rep)
+        want_train, want_test = random_split(entries, spec, rep)
+        assert [entries[r][0] for r in train] == want_train
+        assert [entries[r][0] for r in test] == want_test
+
+
+def overlapping_tables(entries):
+    """Two value tables whose subjects overlap, so every path errs on
+    some probes; widths 70 and 130 pad across chunk boundaries."""
+    return (
+        separable_features(entries, dim=70, spread=0.0, noise=2.0, seed=1),
+        separable_features(entries, dim=130, spread=0.0, noise=2.0, seed=2),
+    )
+
+
+@pytest.mark.parametrize("fused", [False, True])
+def test_error_experiments_equal_per_split_oracle(fused):
+    entries = toy_entries(n_subjects=5, per_subject=7)
+    tables = overlapping_tables(entries)[: 2 if fused else 1]
+    matrices = [distances(entries, values) for values in tables]
+    factory = fused_predictor(*matrices) if fused else pfld_predictor(*matrices)
+    oracle = per_split_predictor(*tables)
+    spec = SplitSpec(k_train=3, repetitions=4, seed=3)
+    runs = [
+        lambda f: [run_error_experiment(entries, spec, f)],
+        lambda f: [r for _, r in learning_curve(entries, spec, f, (1, 2, 4))],
+        lambda f: [r for _, r in subject_count_curve(entries, spec, f, (2, 4))],
+    ]
+    for run in runs:
+        got, want = run(factory), run(oracle)
+        assert [r.rep_errors.tolist() for r in got] == [r.rep_errors.tolist() for r in want]
+    assert any(r.mean_error > 0.0 for r in runs[0](factory))
+
+
+def test_score_and_embedding_matrices_equal_per_split_oracle():
+    entries = toy_entries(n_subjects=5, per_subject=7)
+    tables = overlapping_tables(entries)
+    D_a, D_b = (distances(entries, values) for values in tables)
+    subjects = [s for _, s in entries]
+    train, probe = split_rows(entries, SplitSpec(k_train=3, seed=6), 0)
+    train_labels = [subjects[r] for r in train]
+    for matrices, values in (((D_a,), tables[:1]), ((D_a, D_b), tables)):
+        scores, labels = score_matrix(matrices[0], train, probe, train_labels, *matrices[1:])
+        want_labels, posteriors = per_split_posteriors(values, train, train_labels)
+        assert labels == want_labels
+        assert np.array_equal(scores, posteriors(probe))
+    nearest, labels = embedding_matrix(D_b, train, probe, train_labels)
+    want, want_labels = per_split_embedding(tables[1], train, probe, train_labels)
+    assert labels == want_labels
+    assert np.array_equal(nearest, want)
