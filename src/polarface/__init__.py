@@ -39,7 +39,6 @@ from .evaluate import (
     cmc,
     embedding_matrix,
     equal_error_rate,
-    fused_predictor,
     learning_curve,
     per_feature_error_rates,
     pfld_predictor,

@@ -49,10 +49,7 @@ from .evaluate import (
     verification_pairs,
     verification_roc,
     pfld_predictor,
-    write_cmc_csv,
-    write_matrix_csv,
-    write_roc_csv,
-    write_summary_csv,
+    write_csv,
 )
 from .features import (
     FBTConfig,
@@ -77,7 +74,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", metavar="PATH")
     sub.add_argument("--layout", choices=LAYOUTS)
     sub.add_argument("--k-train", type=int, dest="k_train", metavar="K")
-    sub.add_argument("--reps", type=int, metavar="N")
+    sub.add_argument("--reps", type=int, dest="repetitions", metavar="N")
     sub.add_argument("--seed", type=int, metavar="S")
     sub.add_argument("--normalize", action="store_true", default=None)
     sub.add_argument("--out", metavar="DIR")
@@ -98,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = subs.add_parser("experiment", help="run an experiment")
     p_exp.add_argument(
-        "experiment_type",
+        "experiment",
         nargs="?",
         choices=EXPERIMENTS,
         help="defaults to the config file's experiment.type",
@@ -116,20 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
-    overrides = {
-        "mode": args.mode,
-        "dataset": args.dataset,
-        "layout": args.layout,
-        "k_train": args.k_train,
-        "repetitions": args.reps,
-        "seed": args.seed,
-        "normalize": args.normalize,
-        "out": args.out,
-        "workers": args.workers,
-        "score_orientation": args.score_orientation,
-        "experiment": getattr(args, "experiment_type", None),
-    }
-    return load_run_config(args.config, overrides)
+    # every flag's dest is the name of the config field it overrides
+    return load_run_config(args.config, vars(args))
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
@@ -227,9 +212,9 @@ def _oracle_peaks(image) -> list[tuple[tuple[int, int], float]]:
     return cells
 
 
-def _run_synth_oracle(out: Path, tag: str) -> tuple[list[str], bool]:
+def _run_synth_oracle(out: Path, tag: str) -> bool:
     """Peak-location self-checks on analytically understood patterns."""
-    rows = ["check,expected,observed,status"]
+    rows = []
     all_ok = True
 
     def record(name, expected, observed):
@@ -239,7 +224,7 @@ def _run_synth_oracle(out: Path, tag: str) -> tuple[list[str], bool]:
         status = "PASS" if ok else "FAIL"
         exp_text = "+".join(f"({n};{i})" for n, i in sorted(expected))
         obs_text = "+".join(f"({n};{i})" for n, i in sorted(observed))
-        rows.append(f"{name},{exp_text},{obs_text},{status}")
+        rows.append((name, exp_text, obs_text, status))
         print(f"synth-oracle {name}: expected {exp_text} observed {obs_text} {status}")
 
     peaks = _oracle_peaks(synth_radial(8, _ORACLE_SIZE))
@@ -249,15 +234,8 @@ def _run_synth_oracle(out: Path, tag: str) -> tuple[list[str], bool]:
     peaks = _oracle_peaks(synth_mix(8, 4, _ORACLE_SIZE))
     record("mix-8-4", {(0, 8), (4, 1)}, {peaks[0][0], peaks[1][0]})
 
-    atomic_write_text(out / f"synth_oracle_{tag}.csv", "\n".join(rows) + "\n")
-    return rows, all_ok
-
-
-def _curve_csv(path, column: str, points) -> None:
-    lines = [f"{column},mean,sem"]
-    for x, report in points:
-        lines.append(f"{x},{report.mean_error:.17g},{report.sem:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(out / f"synth_oracle_{tag}.csv", "check,expected,observed,status", rows)
+    return all_ok
 
 
 def cmd_experiment(args) -> int:
@@ -275,8 +253,7 @@ def cmd_experiment(args) -> int:
     _write_config_copy(cfg, out, tag)
 
     if cfg.experiment == "synth-oracle":
-        _, ok = _run_synth_oracle(out, tag)
-        return 0 if ok else 1
+        return 0 if _run_synth_oracle(out, tag) else 1
 
     dataset = _load_dataset(cfg)
     tables = _feature_tables(dataset, cfg)
@@ -293,7 +270,8 @@ def cmd_experiment(args) -> int:
 
     elif cfg.experiment == "learning-curve":
         points = learning_curve(entries, cfg.split, pfld_predictor(*matrices), cfg.k_values)
-        _curve_csv(out / f"learning_curve_{cfg.mode}_{tag}.csv", "k_train", points)
+        write_csv(out / f"learning_curve_{cfg.mode}_{tag}.csv", "k_train,mean,sem",
+                  [(k, r.mean_error, r.sem) for k, r in points])
         for k, report in points:
             summary.append((f"learning-curve-k{k}-{cfg.mode}", report.mean_error, report.sem, None))
             print(
@@ -305,7 +283,8 @@ def cmd_experiment(args) -> int:
         points = subject_count_curve(
             entries, cfg.split, pfld_predictor(*matrices), cfg.subject_counts
         )
-        _curve_csv(out / f"subject_curve_{cfg.mode}_{tag}.csv", "n_subjects", points)
+        write_csv(out / f"subject_curve_{cfg.mode}_{tag}.csv", "n_subjects,mean,sem",
+                  [(c, r.mean_error, r.sem) for c, r in points])
         for c, report in points:
             summary.append((f"subject-curve-n{c}-{cfg.mode}", report.mean_error, report.sem, None))
             print(
@@ -318,7 +297,7 @@ def cmd_experiment(args) -> int:
         scores, labels = score_matrix(matrices[0], train, probe, [subjects[r] for r in train], *matrices[1:])
         truths = [subjects[r] for r in probe]
         curve = cmc(scores, truths, labels)
-        write_cmc_csv(out / f"cmc_{cfg.mode}_{tag}.csv", curve)
+        write_csv(out / f"cmc_{cfg.mode}_{tag}.csv", "rank,proportion", zip(curve.ranks, curve.proportions))
         rank1_error = 100.0 * (1.0 - float(curve.proportions[0]))
         summary.append((f"cmc-{cfg.mode}", rank1_error, 0.0, None))
         print(
@@ -339,7 +318,11 @@ def cmd_experiment(args) -> int:
             genuine, impostor = verification_pairs(scores, truths, labels, cfg.score_orientation)
         roc = verification_roc(genuine, impostor, cfg.score_orientation)
         eer = equal_error_rate(roc)
-        write_roc_csv(out / f"roc_{cfg.mode}_{tag}.csv", roc)
+        write_csv(
+            out / f"roc_{cfg.mode}_{tag}.csv",
+            "threshold,p_verify,p_false_alarm",
+            zip(roc.thresholds, roc.p_verify, roc.p_false_alarm),
+        )
         summary.append((f"roc-{cfg.mode}", 100.0 * eer.eer, 0.0, eer.eer))
         print(
             f"roc[{cfg.mode}]: eer {100.0 * eer.eer:.3f} between thresholds "
@@ -351,10 +334,10 @@ def cmd_experiment(args) -> int:
         errors = per_feature_error_rates(entries, table.values[:, : table.dim], cfg.split)
         if cfg.mode == "fbt":
             planes = fbt_error_map(errors, cfg.fbt.max_order, cfg.fbt.max_root)
-            write_matrix_csv(out / f"feature_map_fbt_a_{tag}.csv", planes[0])
-            write_matrix_csv(out / f"feature_map_fbt_b_{tag}.csv", planes[1])
+            write_csv(out / f"feature_map_fbt_a_{tag}.csv", None, planes[0])
+            write_csv(out / f"feature_map_fbt_b_{tag}.csv", None, planes[1])
         else:
-            write_matrix_csv(out / f"feature_map_dft_{tag}.csv", dft_error_map(errors, cfg.dft))
+            write_csv(out / f"feature_map_dft_{tag}.csv", None, dft_error_map(errors, cfg.dft))
         summary.append((f"feature-map-{cfg.mode}-best", float(errors.min()), 0.0, None))
         summary.append((f"feature-map-{cfg.mode}-worst", float(errors.max()), 0.0, None))
         print(
@@ -362,7 +345,7 @@ def cmd_experiment(args) -> int:
             f"worst {errors.max():.3f} over {errors.size} features"
         )
 
-    write_summary_csv(out / f"summary_{tag}.csv", summary)
+    write_csv(out / f"summary_{tag}.csv", "experiment_id,mean,sem,eer", summary)
     return 0
 
 

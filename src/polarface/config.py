@@ -1,20 +1,29 @@
 """Run configuration: defaults, INI config files, CLI overrides.
 
+One table, `_SCHEMA`, lists every setting: its INI section and key, the
+RunConfig field (inside a sub-config or not) it sets, the codec that
+parses and renders its text, and whether it is part of the canonical
+text.  Loading a file, applying overrides and rendering that text are
+loops over the table.
+
 Config files are line-oriented `key = value` under `[section]` headers
-('#' starts a comment line).  Unknown sections or keys are rejected so
-typos fail loudly.  The resolved configuration can be rendered back to
-canonical text; its hash (which ignores the output directory and worker
-count, neither of which affects results) is embedded in output file
-names so reruns with the same effective settings collide byte-for-byte.
-The output directory and worker count are execution details, not part
-of the canonical text.
+('#' or ';' starts a comment line; '%' is an ordinary character).
+Sections or keys missing from the table, `[DEFAULT]` included, are
+rejected so typos fail loudly, and numbers must be finite.  The
+canonical text lists the hashed settings, section by section with keys
+in alphabetical order; its hash is embedded in output file names so
+reruns with the same effective settings collide byte-for-byte.  The
+output directory and worker count are execution details, not results,
+and are left out of it.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 from .dataset import NormalizationConfig
 from .errors import ConfigError
@@ -79,228 +88,143 @@ class RunConfig:
             raise ConfigError("k_values must not be empty")
 
 
+class _Codec(NamedTuple):
+    kind: str  # what the text must be, for error messages
+    parse: Callable[[str], object]  # raises ValueError on bad text
+    render: Callable[[object], str]
+
+
+def _bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
+def _pair(text: str) -> tuple[float, float]:
+    a, b = text.split(",")  # ValueError unless exactly two parts
+    return (_finite(a), _finite(b))
+
+
 def _num(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _bool(text: str, what: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{what} must be a boolean, got {text!r}")
+_STR = _Codec("a string", str, str)
+_BOOL = _Codec("a boolean", _bool, lambda v: "true" if v else "false")
+_INT = _Codec("an integer", int, str)
+_FLOAT = _Codec("a finite number", _finite, _num)
+_PAIR = _Codec("two comma-separated finite numbers", _pair, lambda v: f"{_num(v[0])},{_num(v[1])}")
+_INT_LIST = _Codec(
+    "comma-separated integers",
+    lambda text: tuple(int(part) for part in text.split(",")) if text else (),
+    lambda v: ",".join(str(k) for k in v),
+)
+_OPT_INT = _Codec("an integer or empty", lambda text: int(text) if text else None, lambda v: "" if v is None else str(v))
 
 
-def _int(text: str, what: str) -> int:
+class _Setting(NamedTuple):
+    section: str
+    key: str
+    sub: str | None  # the RunConfig field holding the sub-config; None for RunConfig itself
+    name: str  # the field it sets, also its override key
+    codec: _Codec
+    hashed: bool  # part of the canonical text
+
+
+# In canonical-text order: sections as listed, keys alphabetical within each.
+_SCHEMA = tuple(_Setting(*row) for row in (
+    ("run", "dataset", None, "dataset", _STR, True),
+    ("run", "layout", None, "layout", _STR, True),
+    ("run", "mode", None, "mode", _STR, True),
+    ("run", "normalize", None, "normalize", _BOOL, True),
+    ("run", "out", None, "out", _STR, False),
+    ("run", "score_orientation", None, "score_orientation", _STR, True),
+    ("run", "workers", None, "workers", _INT, False),
+    ("experiment", "k_values", None, "k_values", _INT_LIST, True),
+    ("experiment", "subject_counts", None, "subject_counts", _INT_LIST, True),
+    ("experiment", "type", None, "experiment", _STR, True),
+    ("experiment", "verification_score", None, "verification_score", _STR, True),
+    ("fbt", "angular_resolution", "fbt", "angular_resolution", _FLOAT, True),
+    ("fbt", "max_order", "fbt", "max_order", _INT, True),
+    ("fbt", "max_root", "fbt", "max_root", _INT, True),
+    ("dft", "max_cycles", "dft", "max_cycles", _FLOAT, True),
+    ("split", "k_train", "split", "k_train", _INT, True),
+    ("split", "n_subjects", "split", "n_subjects", _OPT_INT, True),
+    ("split", "repetitions", "split", "repetitions", _INT, True),
+    ("split", "seed", "split", "seed", _INT, True),
+    ("normalize", "crop_height", "normalization", "crop_height", _INT, True),
+    ("normalize", "crop_width", "normalization", "crop_width", _INT, True),
+    ("normalize", "ellipse_axes", "normalization", "ellipse_axes", _PAIR, True),
+    ("normalize", "ellipse_center", "normalization", "ellipse_center", _PAIR, True),
+    ("normalize", "left_eye_target", "normalization", "left_eye_target", _PAIR, True),
+    ("normalize", "right_eye_target", "normalization", "right_eye_target", _PAIR, True),
+))
+_BY_KEY = {(s.section, s.key): s for s in _SCHEMA}
+
+
+def _replaced(cfg: RunConfig, values: dict) -> RunConfig:
+    """cfg with the settings that values names (by field name) replaced."""
+    top, subs = {}, {}
+    for s in _SCHEMA:
+        if s.name in values:
+            (subs.setdefault(s.sub, {}) if s.sub else top)[s.name] = values[s.name]
+    return replace(cfg, **top, **{sub: replace(getattr(cfg, sub), **kw) for sub, kw in subs.items()})
+
+
+def _read_file(path) -> dict:
+    """Field name -> parsed value, for every setting the file gives."""
+    # '%' is a literal; and no line can name the section "\n", so a
+    # [DEFAULT] header is an ordinary section, refused below.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        return int(text.strip())
-    except ValueError:
-        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
-
-
-def _float(text: str, what: str) -> float:
-    try:
-        return float(text.strip())
-    except ValueError:
-        raise ConfigError(f"{what} must be a number, got {text!r}") from None
-
-
-def _int_list(text: str, what: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(_int(part, what) for part in text.split(","))
-
-
-def _pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{what} must be two comma-separated numbers, got {text!r}")
-    return (_float(parts[0], what), _float(parts[1], what))
-
-
-_KNOWN_KEYS = {
-    "run": {"mode", "dataset", "layout", "normalize", "out", "workers", "score_orientation"},
-    "experiment": {"type", "k_values", "subject_counts", "verification_score"},
-    "fbt": {"max_order", "max_root", "angular_resolution"},
-    "dft": {"max_cycles"},
-    "split": {"k_train", "n_subjects", "repetitions", "seed"},
-    "normalize": {
-        "left_eye_target",
-        "right_eye_target",
-        "crop_width",
-        "crop_height",
-        "ellipse_center",
-        "ellipse_axes",
-    },
-}
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except configparser.Error as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from None
+    values = {}
+    for section in parser.sections():
+        if not any(s.section == section for s in _SCHEMA):
+            raise ConfigError(f"{path}: unknown config section [{section}]")
+        for key, text in parser[section].items():
+            setting = _BY_KEY.get((section, key))
+            if setting is None:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            try:
+                values[setting.name] = setting.codec.parse(text)
+            except ValueError:
+                raise ConfigError(f"{section}.{key} must be {setting.codec.kind}, got {text!r}") from None
+    return values
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, overlaid with a config file, overlaid with CLI values."""
-    cfg = RunConfig()
-    if path is not None:
-        parser = configparser.ConfigParser()
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        except configparser.Error as exc:
-            raise ConfigError(f"bad config file {path}: {exc}") from None
-        for section in parser.sections():
-            if section not in _KNOWN_KEYS:
-                raise ConfigError(f"{path}: unknown config section [{section}]")
-            for key in parser[section]:
-                if key not in _KNOWN_KEYS[section]:
-                    raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-        g = parser.get
-        if parser.has_section("run"):
-            run = parser["run"]
-            cfg = replace(
-                cfg,
-                mode=run.get("mode", cfg.mode).strip(),
-                dataset=run.get("dataset", cfg.dataset).strip(),
-                layout=run.get("layout", cfg.layout).strip(),
-                normalize=_bool(run.get("normalize", str(cfg.normalize)), "run.normalize"),
-                out=run.get("out", cfg.out).strip(),
-                workers=_int(run.get("workers", str(cfg.workers)), "run.workers"),
-                score_orientation=run.get("score_orientation", cfg.score_orientation).strip(),
-            )
-        if parser.has_section("experiment"):
-            ex = parser["experiment"]
-            cfg = replace(
-                cfg,
-                experiment=ex.get("type", cfg.experiment).strip(),
-                k_values=_int_list(ex.get("k_values", ""), "experiment.k_values") or cfg.k_values,
-                subject_counts=_int_list(ex.get("subject_counts", ""), "experiment.subject_counts")
-                or cfg.subject_counts,
-                verification_score=ex.get("verification_score", cfg.verification_score).strip(),
-            )
-        if parser.has_section("fbt"):
-            fb = parser["fbt"]
-            cfg = replace(
-                cfg,
-                fbt=FBTConfig(
-                    max_order=_int(fb.get("max_order", str(cfg.fbt.max_order)), "fbt.max_order"),
-                    max_root=_int(fb.get("max_root", str(cfg.fbt.max_root)), "fbt.max_root"),
-                    angular_resolution=_float(
-                        fb.get("angular_resolution", _num(cfg.fbt.angular_resolution)),
-                        "fbt.angular_resolution",
-                    ),
-                ),
-            )
-        if parser.has_section("dft"):
-            cfg = replace(
-                cfg,
-                dft=DFTConfig(
-                    max_cycles=_float(
-                        g("dft", "max_cycles", fallback=_num(cfg.dft.max_cycles)),
-                        "dft.max_cycles",
-                    )
-                ),
-            )
-        if parser.has_section("split"):
-            sp = parser["split"]
-            n_subj_text = sp.get("n_subjects", "").strip()
-            cfg = replace(
-                cfg,
-                split=SplitSpec(
-                    k_train=_int(sp.get("k_train", str(cfg.split.k_train)), "split.k_train"),
-                    n_subjects=_int(n_subj_text, "split.n_subjects") if n_subj_text else None,
-                    repetitions=_int(
-                        sp.get("repetitions", str(cfg.split.repetitions)), "split.repetitions"
-                    ),
-                    seed=_int(sp.get("seed", str(cfg.split.seed)), "split.seed"),
-                ),
-            )
-        if parser.has_section("normalize"):
-            nm = parser["normalize"]
-            d = cfg.normalization
-            cfg = replace(
-                cfg,
-                normalization=NormalizationConfig(
-                    left_eye_target=_pair(
-                        nm.get("left_eye_target", f"{d.left_eye_target[0]},{d.left_eye_target[1]}"),
-                        "normalize.left_eye_target",
-                    ),
-                    right_eye_target=_pair(
-                        nm.get("right_eye_target", f"{d.right_eye_target[0]},{d.right_eye_target[1]}"),
-                        "normalize.right_eye_target",
-                    ),
-                    crop_width=_int(nm.get("crop_width", str(d.crop_width)), "normalize.crop_width"),
-                    crop_height=_int(nm.get("crop_height", str(d.crop_height)), "normalize.crop_height"),
-                    ellipse_center=_pair(
-                        nm.get("ellipse_center", f"{d.ellipse_center[0]},{d.ellipse_center[1]}"),
-                        "normalize.ellipse_center",
-                    ),
-                    ellipse_axes=_pair(
-                        nm.get("ellipse_axes", f"{d.ellipse_axes[0]},{d.ellipse_axes[1]}"),
-                        "normalize.ellipse_axes",
-                    ),
-                ),
-            )
-    if overrides:
-        direct = {
-            k: v
-            for k, v in overrides.items()
-            if v is not None
-            and k in ("mode", "dataset", "layout", "normalize", "out", "workers",
-                      "score_orientation", "experiment")
-        }
-        cfg = replace(cfg, **direct)
-        split_kw = {}
-        for src, dst in (("k_train", "k_train"), ("repetitions", "repetitions"), ("seed", "seed")):
-            if overrides.get(src) is not None:
-                split_kw[dst] = overrides[src]
-        if split_kw:
-            cfg = replace(cfg, split=replace(cfg.split, **split_kw))
-    return cfg
+    """Defaults, overlaid with a config file, overlaid with overrides.
+
+    overrides is keyed by RunConfig field name (`repetitions`, not
+    `split.repetitions`); a None value leaves the setting alone and a key
+    that names no setting is ignored.
+    """
+    cfg = RunConfig() if path is None else _replaced(RunConfig(), _read_file(path))
+    return _replaced(cfg, {k: v for k, v in (overrides or {}).items() if v is not None})
 
 
 def resolved_text(cfg: RunConfig) -> str:
     """Canonical INI rendering of every result-relevant setting."""
-    n_subjects = "" if cfg.split.n_subjects is None else str(cfg.split.n_subjects)
-    return "\n".join(
-        [
-            "[run]",
-            f"dataset = {cfg.dataset}",
-            f"layout = {cfg.layout}",
-            f"mode = {cfg.mode}",
-            f"normalize = {'true' if cfg.normalize else 'false'}",
-            f"score_orientation = {cfg.score_orientation}",
-            "",
-            "[experiment]",
-            f"k_values = {','.join(str(k) for k in cfg.k_values)}",
-            f"subject_counts = {','.join(str(c) for c in cfg.subject_counts)}",
-            f"type = {cfg.experiment}",
-            f"verification_score = {cfg.verification_score}",
-            "",
-            "[fbt]",
-            f"angular_resolution = {_num(cfg.fbt.angular_resolution)}",
-            f"max_order = {cfg.fbt.max_order}",
-            f"max_root = {cfg.fbt.max_root}",
-            "",
-            "[dft]",
-            f"max_cycles = {_num(cfg.dft.max_cycles)}",
-            "",
-            "[split]",
-            f"k_train = {cfg.split.k_train}",
-            f"n_subjects = {n_subjects}",
-            f"repetitions = {cfg.split.repetitions}",
-            f"seed = {cfg.split.seed}",
-            "",
-            "[normalize]",
-            f"crop_height = {cfg.normalization.crop_height}",
-            f"crop_width = {cfg.normalization.crop_width}",
-            f"ellipse_axes = {_num(cfg.normalization.ellipse_axes[0])},{_num(cfg.normalization.ellipse_axes[1])}",
-            f"ellipse_center = {_num(cfg.normalization.ellipse_center[0])},{_num(cfg.normalization.ellipse_center[1])}",
-            f"left_eye_target = {_num(cfg.normalization.left_eye_target[0])},{_num(cfg.normalization.left_eye_target[1])}",
-            f"right_eye_target = {_num(cfg.normalization.right_eye_target[0])},{_num(cfg.normalization.right_eye_target[1])}",
-            "",
-        ]
-    )
+    sections: dict[str, list[str]] = {}
+    for s in _SCHEMA:
+        if s.hashed:
+            value = getattr(getattr(cfg, s.sub) if s.sub else cfg, s.name)
+            sections.setdefault(s.section, [f"[{s.section}]"]).append(f"{s.key} = {s.codec.render(value)}")
+    return "\n".join("\n".join(lines) + "\n" for lines in sections.values())
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -182,11 +182,6 @@ def pfld_predictor(*matrices: np.ndarray) -> PredictorFactory:
     return factory
 
 
-def fused_predictor(distances_a: np.ndarray, distances_b: np.ndarray) -> PredictorFactory:
-    """Factory fusing two spectra's dissimilarity matrices with the max rule."""
-    return pfld_predictor(distances_a, distances_b)
-
-
 def run_error_experiment(entries: Sequence[Entry], spec: SplitSpec, predictor_factory: PredictorFactory) -> EvalReport:
     """Mean percent misclassified over repeated random splits."""
     subjects = [str(s) for _, s in entries]
@@ -490,47 +485,16 @@ def subject_count_curve(entries: Sequence[Entry], spec: SplitSpec, predictor_fac
     return out
 
 
-def build_cmc_csv(curve: CMCCurve) -> str:
-    lines = ["rank,proportion"]
-    for r, p in zip(curve.ranks, curve.proportions):
-        lines.append(f"{r},{p:.17g}")
-    return "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def build_roc_csv(curve: ROCCurve) -> str:
-    lines = ["threshold,p_verify,p_false_alarm"]
-    for t, pv, pf in zip(curve.thresholds, curve.p_verify, curve.p_false_alarm):
-        lines.append(f"{t:.17g},{pv:.17g},{pf:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def build_summary_csv(rows) -> str:
-    """rows: (experiment_id, mean, sem, eer-or-None)."""
-    lines = ["experiment_id,mean,sem,eer"]
-    for exp_id, mean, sem, eer in rows:
-        eer_text = "" if eer is None else f"{eer:.17g}"
-        lines.append(f"{exp_id},{mean:.17g},{sem:.17g},{eer_text}")
-    return "\n".join(lines) + "\n"
-
-
-def build_matrix_csv(matrix: np.ndarray) -> str:
-    lines = []
-    for row in np.atleast_2d(np.asarray(matrix, dtype=float)):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_cmc_csv(path, curve: CMCCurve) -> None:
-    atomic_write_text(path, build_cmc_csv(curve))
-
-
-def write_roc_csv(path, curve: ROCCurve) -> None:
-    atomic_write_text(path, build_roc_csv(curve))
-
-
-def write_summary_csv(path, rows) -> None:
-    atomic_write_text(path, build_summary_csv(rows))
-
-
-def write_matrix_csv(path, matrix) -> None:
-    atomic_write_text(path, build_matrix_csv(matrix))
+def write_csv(path, header: str | None, rows) -> None:
+    """Write a header line (none when header is None) and one line per row:
+    floats (numpy float64 included) as .17g, None as an empty cell,
+    anything else as str."""
+    lines = [] if header is None else [header]
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")

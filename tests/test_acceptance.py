@@ -26,7 +26,6 @@ from polarface import (
     dissimilarity_matrix,
     equal_error_rate,
     fbt,
-    fused_predictor,
     inverse_fbt,
     learning_curve,
     load_dataset_dir,
@@ -277,7 +276,7 @@ def test_c9_orl_error_bands(verdict, orl_tables):
         "fbt": run_error_experiment(entries, spec, pfld_predictor(fbt_table)).mean_error,
         "dft": run_error_experiment(entries, spec, pfld_predictor(dft_table)).mean_error,
         "fused": run_error_experiment(
-            entries, spec, fused_predictor(fbt_table, dft_table)
+            entries, spec, pfld_predictor(fbt_table, dft_table)
         ).mean_error,
     }
     ok = (
@@ -300,7 +299,7 @@ def test_c10_orl_learning_curves_mostly_monotone(verdict, orl_tables):
     factories = {
         "fbt": pfld_predictor(fbt_table),
         "dft": pfld_predictor(dft_table),
-        "fused": fused_predictor(fbt_table, dft_table),
+        "fused": pfld_predictor(fbt_table, dft_table),
     }
     counts = {}
     for mode, factory in factories.items():

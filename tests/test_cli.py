@@ -168,6 +168,25 @@ def test_subject_curve_without_counts_fails_before_reading(toy_faces, truncated_
         assert_refusal(code, capsys, "subject_counts")
 
 
+@pytest.mark.parametrize(
+    "body, phrase",
+    [
+        ("[run]\ndataset = {tmp}/100%faces\n", "100%faces"),  # loads; the tree is missing
+        ("[dft]\nmax_cycles = inf\n", "dft.max_cycles must be a finite number"),
+        ("[normalize]\nellipse_axes = nan,nan\n", "normalize.ellipse_axes must be"),
+        ("[DEFAULT]\nmode = dft\n[run]\nlayout = orl\n", "unknown config section [DEFAULT]"),
+    ],
+)
+def test_bad_config_files_exit_two(toy_faces, tmp_path, capsys, body, phrase):
+    config = tmp_path / "run.ini"
+    config.write_text(body.format(tmp=tmp_path))
+    code = run_cli(
+        "experiment", "error-rate", "--config", config, "--mode", "dft", "--out", tmp_path / "runs",
+        *(() if "dataset" in body else ("--dataset", toy_faces)),
+    )
+    assert_refusal(code, capsys, phrase)
+
+
 def mixed_geometry_faces(root):
     """3 subjects x 3 images of 112x92 pixels, except s2/2.pgm at 80x64,
     with a 6-field manifest whose eyes sit at the same relative spots."""

@@ -1,8 +1,23 @@
 """Config defaults, file parsing, override precedence, canonical hash."""
 
-import pytest
+import dataclasses
+from pathlib import Path
 
-from polarface import RunConfig, config_hash, load_run_config, resolved_text
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from polarface import (
+    DFTConfig,
+    FBTConfig,
+    NormalizationConfig,
+    RunConfig,
+    SplitSpec,
+    config_hash,
+    load_run_config,
+    resolved_text,
+)
+from polarface.config import EXPERIMENTS, LAYOUTS, MODES, ORIENTATIONS, VERIFICATION_SCORES
 from polarface.errors import ConfigError
 
 
@@ -79,6 +94,12 @@ def test_unknown_section_and_key_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_run_config(path)
     assert "'moed'" in str(err.value)
+    # a [DEFAULT] section would silently apply to, or be missing from,
+    # every other section
+    path.write_text("[DEFAULT]\nmode = dft\n[run]\nlayout = orl\n")
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert "[DEFAULT]" in str(err.value)
 
 
 def test_bad_values_rejected(tmp_path):
@@ -91,12 +112,36 @@ def test_bad_values_rejected(tmp_path):
         "[experiment]\ntype = tsne\n",
         "[experiment]\nk_values = 1,x\n",
         "[fbt]\nangular_resolution = fine\n",
+        "[experiment]\nk_values =\n",
+        "[dft]\nmax_cycles = inf\n",
+        "[normalize]\nellipse_axes = nan,nan\n",
+        "[normalize]\nellipse_center = 1,2,3\n",
     ):
         path.write_text(body)
         with pytest.raises(ConfigError):
             load_run_config(path)
+    path.write_bytes(b"[run]\ndataset = \xff\n")  # not UTF-8
+    with pytest.raises(ConfigError):
+        load_run_config(path)
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "missing.ini")
+
+
+def test_percent_is_a_literal(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\ndataset = /data/100%faces\n")
+    cfg = load_run_config(path)
+    assert cfg == RunConfig(dataset="/data/100%faces")
+    path.write_text(resolved_text(cfg))
+    assert load_run_config(path) == cfg
+
+
+def test_readme_sample_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sample = readme.split("## Config files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.ini"
+    path.write_text(sample)
+    assert load_run_config(path) == RunConfig(dataset="/data/faces")
 
 
 def test_resolved_text_is_canonical():
@@ -107,6 +152,60 @@ def test_resolved_text_is_canonical():
     assert "n_subjects = \n" in text  # unset cap renders empty
     assert resolved_text(RunConfig()) == text  # stable across calls
     assert "max_cycles = 19.5" in text
+    # pinned: a change here renames every run_config_<hash>.ini and
+    # hash-tagged output
+    assert config_hash(RunConfig()) == "c4200496"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+counts = st.lists(st.integers(-5, 60), max_size=4).map(tuple)
+
+
+@st.composite
+def run_configs(draw):
+    width, height = draw(st.integers(2, 300)), draw(st.integers(2, 300))
+    eye = st.tuples(st.floats(0, width - 1), st.floats(0, height - 1))
+    left, right = draw(eye), draw(eye)
+    assume(left != right)
+    return RunConfig(
+        mode=draw(st.sampled_from(MODES)),
+        dataset=draw(st.text(alphabet="aZ09/._-%;#=:[] ", max_size=16).map(str.strip)),
+        layout=draw(st.sampled_from(LAYOUTS)),
+        normalize=draw(st.booleans()),
+        out=draw(st.sampled_from(("runs", "elsewhere"))),
+        workers=draw(st.integers(1, 8)),
+        score_orientation=draw(st.sampled_from(ORIENTATIONS)),
+        experiment=draw(st.sampled_from(EXPERIMENTS)),
+        k_values=draw(counts.filter(bool)),
+        subject_counts=draw(counts),
+        verification_score=draw(st.sampled_from(VERIFICATION_SCORES)),
+        fbt=FBTConfig(draw(st.integers(0, 40)), draw(st.integers(1, 10)), draw(positive)),
+        dft=DFTConfig(draw(st.floats(min_value=0.0, allow_infinity=False))),
+        split=SplitSpec(
+            k_train=draw(st.integers(1, 20)),
+            n_subjects=draw(st.none() | st.integers(2, 100)),
+            repetitions=draw(st.integers(1, 50)),
+            seed=draw(st.integers(0, 2**40)),
+        ),
+        normalization=NormalizationConfig(
+            left_eye_target=left,
+            right_eye_target=right,
+            crop_width=width,
+            crop_height=height,
+            ellipse_center=draw(st.tuples(finite, finite)),
+            ellipse_axes=draw(st.tuples(positive, positive)),
+        ),
+    )
+
+
+@given(cfg=run_configs())
+def test_resolved_text_round_trips(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "round_trip.ini"
+    path.write_text(resolved_text(cfg), encoding="utf-8")
+    loaded = load_run_config(path)
+    assert loaded == dataclasses.replace(cfg, out=RunConfig().out, workers=RunConfig().workers)
+    assert resolved_text(loaded) == resolved_text(cfg)
 
 
 def test_hash_ignores_execution_details_only():
@@ -122,7 +221,5 @@ def test_hash_ignores_execution_details_only():
         RunConfig(k_values=(1, 2)),
     ):
         assert config_hash(variant) != config_hash(base)
-    import dataclasses
-
     reseeded = dataclasses.replace(base, split=dataclasses.replace(base.split, seed=1))
     assert config_hash(reseeded) != config_hash(base)

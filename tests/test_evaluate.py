@@ -14,7 +14,6 @@ from polarface import (
     dissimilarity_matrix,
     embedding_matrix,
     equal_error_rate,
-    fused_predictor,
     learning_curve,
     per_feature_error_rates,
     pfld_predictor,
@@ -27,13 +26,7 @@ from polarface import (
     verification_roc,
 )
 from polarface.errors import ConfigError, DomainError
-from polarface.evaluate import (
-    build_cmc_csv,
-    build_matrix_csv,
-    build_roc_csv,
-    build_summary_csv,
-    sem_value,
-)
+from polarface.evaluate import sem_value, write_csv
 
 from helpers import feature_table
 from oracles import (
@@ -380,29 +373,23 @@ def test_learning_and_subject_curves():
     assert [c for c, _ in sc] == [2, 4]
 
 
-def test_csv_builders():
-    from polarface import CMCCurve, ROCCurve
+def test_csv_builders(tmp_path):
+    path = tmp_path / "out.csv"
 
-    cmc_text = build_cmc_csv(CMCCurve(proportions=np.array([0.5, 1.0])))
-    assert cmc_text.splitlines()[0] == "rank,proportion"
-    assert cmc_text.splitlines()[1] == "1,0.5"
-    roc_text = build_roc_csv(
-        ROCCurve(
-            thresholds=np.array([0.0]),
-            p_verify=np.array([1.0]),
-            p_false_alarm=np.array([0.25]),
-            orientation="distance",
-        )
-    )
+    def written(header, rows):
+        write_csv(path, header, rows)
+        return path.read_text()
+
+    cmc_text = written("rank,proportion", zip(np.arange(1, 3), np.array([0.5, 1.0])))
+    assert cmc_text == "rank,proportion\n1,0.5\n2,1\n"
+    roc_text = written("threshold,p_verify,p_false_alarm", zip(np.array([0.0]), np.array([1.0]), np.array([0.25])))
     assert roc_text.splitlines()[1] == "0,1,0.25"
-    summary = build_summary_csv([("exp", 1.5, 0.25, None), ("roc", 2.0, 0.0, 0.02)])
-    lines = summary.splitlines()
-    assert lines[0] == "experiment_id,mean,sem,eer"
-    assert lines[1] == "exp,1.5,0.25,"
-    assert lines[2] == "roc,2,0,0.02"
-    matrix_text = build_matrix_csv(np.array([[0.1, -2.0], [1e-300, np.nan]]))
+    summary = written("experiment_id,mean,sem,eer", [("exp", 1.5, 0.25, None), ("roc", 2.0, 0.0, 0.02)])
+    assert summary == "experiment_id,mean,sem,eer\nexp,1.5,0.25,\nroc,2,0,0.02\n"  # empty eer cell
+    matrix_text = written(None, np.array([[0.1, -2.0], [1e-300, np.nan]]))
     assert matrix_text == "0.10000000000000001,-2\n1e-300,nan\n"
-    assert build_matrix_csv(np.array([1.0, 0.5])) == "1,0.5\n"  # a 1-D input is one row
+    assert written(None, [np.array([1.0, 0.5])]) == "1,0.5\n"  # a 1-D matrix is one row
+    assert written("k_train,mean,sem", [(3, 12.5, 0.5)]) == "k_train,mean,sem\n3,12.5,0.5\n"  # ints as str
 
 
 def test_split_rows_index_the_entries():
@@ -429,7 +416,7 @@ def test_error_experiments_equal_per_split_oracle(fused):
     entries = toy_entries(n_subjects=5, per_subject=7)
     tables = overlapping_tables(entries)[: 2 if fused else 1]
     matrices = [distances(entries, values) for values in tables]
-    factory = fused_predictor(*matrices) if fused else pfld_predictor(*matrices)
+    factory = pfld_predictor(*matrices)
     oracle = per_split_predictor(*tables)
     spec = SplitSpec(k_train=3, repetitions=4, seed=3)
     runs = [
