@@ -24,6 +24,7 @@ from .dataset import (
     Dataset,
     DatasetEntry,
     NormalizationConfig,
+    face_mask,
     load_dataset_dir,
     load_pgm,
     normalize_face,
@@ -54,6 +55,7 @@ from .features import (
     DFTConfig,
     FBSpectrum,
     FBTConfig,
+    FBTOperator,
     FeatureTable,
     FeatureVector,
     dft_feature_frequencies,
@@ -61,13 +63,11 @@ from .features import (
     dft_error_map,
     dft_magnitude,
     extract_dft,
-    extract_fbt,
     fbt,
     fbt_error_map,
     fbt_features,
+    fbt_operator,
     inverse_fbt,
-    read_feature_file,
-    spectrum_from_features,
     synth_angular,
     synth_mix,
     synth_radial,

@@ -10,8 +10,8 @@ Every experiment drops a canonical copy of its effective configuration
 (``run_config_<hash>.ini``) next to its outputs, and the same 8-digit
 hash is embedded in each output file name, so rerunning an identical
 configuration overwrites the previous files with byte-identical ones.
-Exit codes: 0 success, 1 failed self-check (synth-oracle), 2 bad input
-or I/O trouble.
+Exit codes: 0 success, 1 failed self-check (synth-oracle), 2 bad input,
+I/O trouble or an FBT operator that fails its check on the first image.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .config import (
     resolved_text,
 )
 from .classifier import dissimilarity_matrix
-from .dataset import Dataset, load_dataset_dir, normalize_face, save_pgm
+from .dataset import Dataset, face_mask, load_dataset_dir, normalize_face, save_pgm
 from .errors import ConfigError, DatasetError, PolarFaceError
 from .evaluate import (
     cmc,
@@ -56,9 +57,10 @@ from .features import (
     FeatureTable,
     dft_error_map,
     extract_dft,
-    extract_fbt,
     fbt,
     fbt_error_map,
+    fbt_features,
+    fbt_operator,
     synth_angular,
     synth_mix,
     synth_radial,
@@ -66,6 +68,9 @@ from .features import (
 )
 from .fileio import atomic_write_text
 from .polar import to_polar
+
+# FBT features are extracted through the operator this many images at a time.
+_FBT_BLOCK = 16
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -124,20 +129,23 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
 
 
 def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]:
-    """One FeatureTable per mode, rows in dataset order, filled as the
-    images are extracted; images of another geometry than the first are
-    refused."""
+    """One FeatureTable per mode, rows in dataset order.
+
+    Images are read, normalized and DFT-extracted one at a time (on the
+    worker pool, if any), and FBT-extracted through one FBTOperator in
+    blocks of _FBT_BLOCK rows; images of another geometry than the first
+    are refused.
+    """
+    configs = {"fbt": cfg.fbt, "dft": cfg.dft}
     modes = ("fbt", "dft") if cfg.mode == "fused" else (cfg.mode,)
-    recipes = {m: {"fbt": (extract_fbt, cfg.fbt), "dft": (extract_dft, cfg.dft)}[m] for m in modes}
     entries = list(dataset)
     ids = [e.image_id for e in entries]
     # Allocated before any image is read, a table gets a mapping of its own,
     # not a place on the malloc heap, whose top every image's temporaries
     # would then trim and regrow (a quarter more page faults in a fused run).
-    tables = {m: FeatureTable.allocate(ids, f"{m}-{c.n_features}", c.n_features) for m, (_, c) in recipes.items()}
-    first_shape = []
+    tables = {m: FeatureTable.allocate(ids, f"{m}-{configs[m].n_features}", configs[m].n_features) for m in modes}
 
-    def work(row: int) -> None:
+    def load(row: int) -> np.ndarray:
         entry = entries[row]
         img = entry.load()
         if cfg.normalize:
@@ -147,26 +155,42 @@ def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]
                     "has none (provide a 6-field flat manifest)"
                 )
             img = normalize_face(img, entry.eyes[0], entry.eyes[1], cfg.normalization)
-        if not first_shape:
-            first_shape.append(img.shape)
-        elif img.shape != first_shape[0]:
-            raise DatasetError(
-                f"image {entry.image_id!r} is {img.shape} but {entries[0].image_id!r} "
-                f"is {first_shape[0]}; all images must share one geometry"
-            )
-        for m, (extract, config) in recipes.items():
-            tables[m].put(row, extract(img, config))
+        return img
 
-    # first image serially: it fixes the geometry, and builds the cached
-    # basis tables once
-    work(0)
-    rest = range(1, len(entries))
-    if cfg.workers > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(work, rest))
-    else:
-        for row in rest:
-            work(row)
+    first = load(0)  # fixes the geometry
+    block = operator = None
+    if "fbt" in tables:
+        # to_polar + fbt on the first image is the reference the operator
+        # must match; run first, it also fills the caches the build reads
+        want = fbt_features(fbt(to_polar(first, cfg.fbt.angular_resolution), cfg.fbt)).values
+        # normalized faces are zero outside the mask, so it bounds the operator
+        operator = fbt_operator(first.shape, cfg.fbt, face_mask(cfg.normalization) if cfg.normalize else None)
+        gap = float(np.max(np.abs(operator(first[None])[0] - want)))
+        if not gap <= 1e-12 * float(np.max(np.abs(want))):
+            raise PolarFaceError(
+                f"the FBT operator differs from to_polar + fbt by {gap:.3g} on the first image"
+            )
+        block = np.empty((min(_FBT_BLOCK, len(entries)), operator.width))
+
+    def work(row: int) -> None:
+        img = first if row == 0 else load(row)
+        if img.shape != first.shape:
+            raise DatasetError(
+                f"image {entries[row].image_id!r} is {img.shape} but {entries[0].image_id!r} "
+                f"is {first.shape}; all images must share one geometry"
+            )
+        if "dft" in tables:
+            tables["dft"].put(row, extract_dft(img, cfg.dft))
+        if operator is not None:
+            operator.fold(img, block[row % _FBT_BLOCK])
+
+    with ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+        for start in range(0, len(entries), _FBT_BLOCK):
+            rows = range(start, min(start + _FBT_BLOCK, len(entries)))
+            list(pool.map(work, rows) if pool else map(work, rows))
+            if operator is not None:
+                table = tables["fbt"]
+                table.values[start:rows.stop, : table.dim] = operator.project(block[: len(rows)])
     return tables
 
 

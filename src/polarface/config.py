@@ -86,6 +86,14 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not self.k_values:
             raise ConfigError("k_values must not be empty")
+        # each curve point is a split of its own; refuse bad ones before any image is read
+        curves = (("k_values", "k_train", self.k_values), ("subject_counts", "n_subjects", self.subject_counts))
+        for key, name, values in curves:
+            for value in values:
+                try:
+                    replace(self.split, **{name: value})
+                except ConfigError as exc:
+                    raise ConfigError(f"experiment.{key}: {exc}") from None
 
 
 class _Codec(NamedTuple):

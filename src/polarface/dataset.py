@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -262,13 +263,38 @@ class NormalizationConfig:
             raise ConfigError("eye targets must be distinct")
 
 
+@lru_cache(maxsize=8)
+def face_mask(config: NormalizationConfig) -> np.ndarray:
+    """The crop pixels inside the ellipse, read-only: normalize_face
+    output is zero everywhere else."""
+    ys, xs = np.mgrid[0:config.crop_height, 0:config.crop_width].astype(float)
+    cx, cy = config.ellipse_center
+    ax, ay = config.ellipse_axes
+    mask = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
+    mask.setflags(write=False)
+    return mask
+
+
+@lru_cache(maxsize=8)
+def _crop_plan(config: NormalizationConfig):
+    """Flat crop indices of the pixels inside the ellipse, and their x and
+    y offsets from the left eye target; read-only."""
+    index = np.flatnonzero(face_mask(config))
+    ys, xs = np.divmod(index, config.crop_width)
+    plan = (index, xs - config.left_eye_target[0], ys - config.left_eye_target[1])
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
 def normalize_face(image, left_eye, right_eye, config: NormalizationConfig = NormalizationConfig()) -> np.ndarray:
     """Rotate/scale/translate a face so the eyes land on fixed targets.
 
     The unique similarity transform taking the annotated eye pair to the
     target pair is applied with bilinear resampling (source pixels
     outside the image read as 0), then the elliptical mask zeroes the
-    crop outside the face region.
+    crop outside the face region.  Only the pixels inside the mask are
+    resampled.
     """
     img = np.asarray(image, dtype=float)
     for name, (x, y) in (("left_eye", tuple(left_eye)), ("right_eye", tuple(right_eye))):
@@ -281,11 +307,9 @@ def normalize_face(image, left_eye, right_eye, config: NormalizationConfig = Nor
     tl = complex(*config.left_eye_target)
     tr = complex(*config.right_eye_target)
     scale_rot = (sr - sl) / (tr - tl)
-    ys, xs = np.mgrid[0:config.crop_height, 0:config.crop_width].astype(float)
-    targets = xs + 1j * ys
-    source = sl + scale_rot * (targets - tl)
-    out = bilinear_sample(img, source.real, source.imag)
-    cx, cy = config.ellipse_center
-    ax, ay = config.ellipse_axes
-    inside = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
-    return np.where(inside, out, 0.0)
+    index, dx, dy = _crop_plan(config)
+    # source = sl + scale_rot * (target - tl), in real arithmetic
+    a, b = scale_rot.real, scale_rot.imag
+    out = np.zeros(config.crop_height * config.crop_width)
+    out[index] = bilinear_sample(img, sl.real + (a * dx - b * dy), sl.imag + (a * dy + b * dx))
+    return out.reshape(config.crop_height, config.crop_width)

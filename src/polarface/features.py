@@ -10,7 +10,10 @@ Two feature families over gray images:
   configurable radius (cycles per image).
 
 Both produce flat FeatureVector values tagged with a layout id so that
-downstream stages can refuse to mix incompatible spectra.
+downstream stages can refuse to mix incompatible spectra.  Polar
+resampling and the FBT are linear in the pixels, so a run extracts FBT
+features through one FBTOperator per image shape; fbt(to_polar(image))
+is the per-image reference it is checked against.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import bessel_j, build_root_table
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError
 from .fileio import atomic_write_text
-from .polar import PolarGrid, to_polar
+from .polar import PolarGrid, _polar_plan, _ray_count
 
 
 @dataclass(frozen=True)
@@ -226,23 +229,212 @@ def fbt_features(spectrum: FBSpectrum) -> FeatureVector:
     return FeatureVector(values=values, layout_id=f"fbt-{values.size}")
 
 
-def spectrum_from_features(values: np.ndarray, max_order: int, max_root: int, R: float) -> FBSpectrum:
-    """Invert fbt_features given the spectrum dimensions."""
-    values = np.asarray(values, dtype=float)
-    half = (max_order + 1) * max_root
-    if values.size != 2 * half:
-        raise ConfigError(
-            f"{values.size} values do not fit a ({max_order}, {max_root}) spectrum"
-        )
-    A = values[:half].reshape(max_order + 1, max_root).copy()
-    B = values[half:].reshape(max_order + 1, max_root).copy()
-    return FBSpectrum(A=A, B=B, R=R)
+# Operator builds work on blocks of about this many float64 values (1 MB)
+# and chunks of this many pixels, which bounds their temporaries.
+_BUILD_BLOCK = 1 << 17
+_BUILD_CHUNK = 1024
 
 
-def extract_fbt(image, config: FBTConfig = FBTConfig()) -> FeatureVector:
-    """Polar-resample an image and return its flattened FB spectrum."""
-    grid = to_polar(image, config.angular_resolution)
-    return fbt_features(fbt(grid, config))
+@dataclass(frozen=True, eq=False)
+class FBTOperator:
+    """fbt_features(fbt(to_polar(image))) as one linear map, for one image shape.
+
+    The polar grid is centred on the image, so it is symmetric under the
+    mirrors x -> w-1-x and y -> h-1-y, which take ray k to rays n/2-k and
+    n-k.  Under a mirror each coefficient only changes sign: cos(n theta)
+    by (-1)^n in x and not at all in y, sin(n theta) by -(-1)^n in x and
+    by -1 in y.  The map is therefore stored for the samples of the rays
+    from 0 to 90 degrees only, over the image quadrant they touch:
+    `quarter` has one row per coefficient, in groups of one sign pattern
+    (`classes`), and each group meets its own sign-combined sum of the
+    quadrant and its three mirror images (`mirrors`).  Samples the fold
+    cannot reproduce go unfolded into `residual`, over the pixels they
+    touch: orbits of mirror samples that disagree on lying inside the
+    image (border points within rounding), and every sample when the ray
+    count is odd.
+
+    fold(image) gives an image's operator input, one sum per class and
+    then the residual pixels; project maps stacked inputs to feature
+    rows, and calling the operator on an image stack does both.
+    """
+
+    shape: tuple[int, int]
+    n_features: int
+    features: np.ndarray  # feature index of each operator row
+    classes: tuple[tuple[int, int, int, int], ...]  # (first row, end row, x sign, y sign)
+    mirrors: np.ndarray  # (4, quadrant pixels): flat index of each and of its x, y and xy mirror
+    quarter: np.ndarray  # (rows, quadrant pixels)
+    residual_pixels: np.ndarray  # flat image indices
+    residual: np.ndarray  # (rows, residual pixels)
+
+    @property
+    def width(self) -> int:
+        """Length of fold's output."""
+        return len(self.classes) * self.mirrors.shape[1] + self.residual_pixels.size
+
+    def fold(self, image, out=None) -> np.ndarray:
+        """The operator input of one image (`width` values, into out if given)."""
+        img = np.asarray(image, dtype=float)
+        if img.shape != self.shape:
+            raise DomainError(f"operator for {self.shape} images got a {img.shape} image")
+        out = np.empty(self.width) if out is None else out
+        q, qx, qy, qxy = img.ravel()[self.mirrors]
+        n = q.size
+        for sy in (1, -1):
+            a = q + qy if sy > 0 else q - qy
+            b = qx + qxy if sy > 0 else qx - qxy
+            for c, (_, _, cls_x, cls_y) in enumerate(self.classes):
+                if cls_y == sy:
+                    (np.add if cls_x > 0 else np.subtract)(a, b, out=out[c * n:(c + 1) * n])
+        out[len(self.classes) * n:] = img.ravel()[self.residual_pixels]
+        return out
+
+    def project(self, folded) -> np.ndarray:
+        """Feature rows of an (images, width) stack of fold outputs."""
+        folded = np.asarray(folded, dtype=float)
+        n = self.mirrors.shape[1]
+        rows = np.empty((len(folded), self.features.size))
+        for c, (start, stop, _, _) in enumerate(self.classes):
+            rows[:, start:stop] = folded[:, c * n:(c + 1) * n] @ self.quarter[start:stop].T
+        if self.residual_pixels.size:
+            rows += folded[:, len(self.classes) * n:] @ self.residual.T
+        out = np.zeros((len(folded), self.n_features))  # B_0 has no row and stays 0
+        out[:, self.features] = rows
+        return out
+
+    def __call__(self, images) -> np.ndarray:
+        """Feature rows, one per image of an (n, h, w) stack."""
+        folded = np.empty((len(images), self.width))
+        for row, image in enumerate(images):
+            self.fold(image, folded[row])
+        return self.project(folded)
+
+
+def fbt_operator(shape, config: FBTConfig = FBTConfig(), support=None) -> FBTOperator:
+    """Build the FBTOperator of h x w images; see that class.
+
+    `support`, an optional h x w boolean mask, promises that every image
+    the operator meets is zero outside it; pixels that no image can light
+    then get no operator column.
+    """
+    h, w = (int(v) for v in shape)
+    if h < 2 or w < 2:
+        raise DomainError(f"image must be 2-D with both sides >= 2, got shape {tuple(shape)}")
+    support = np.ones((h, w), dtype=bool) if support is None else np.asarray(support, dtype=bool)
+    if support.shape != (h, w):
+        raise DomainError(f"support of shape {support.shape} for {(h, w)} images")
+    res = float(config.angular_resolution)
+    n_rays = _ray_count(res)
+    inside, corner, fx, fy, max_radius = _polar_plan(h, w, n_rays, res)
+    n_rings = inside.shape[1]
+    basis, pref = _radial_tables(config.max_order, config.max_root, n_rings, max_radius)
+    cosn, sinn = _trig_tables(config.max_order, n_rays, res)
+
+    # Coefficient groups (cos or sin, orders) by the signs the x and y
+    # mirrors give them; B_0 = 0 is left out.
+    order, roots = np.arange(config.max_order + 1), config.max_root
+    groups = [(0, order[0::2], 1, 1), (0, order[1::2], -1, 1), (1, order[1::2], 1, -1), (1, order[2::2], -1, -1)]
+    groups = [g for g in groups if g[1].size]
+    trig = np.concatenate([(cosn, sinn)[t][n] for t, n, _, _ in groups])  # (orders of all groups, rays)
+    n_of = np.concatenate([n for _, n, _, _ in groups])
+    # r J_n(alpha r / R) dr dtheta times the orthogonality prefactor, per ring
+    radial = (pref[:, :, None] * basis * (np.arange(n_rings) * np.deg2rad(res)))[n_of]
+    # operator rows: group by group, order-major and root-minor within one
+    features = np.concatenate([((t * order.size + n)[:, None] * roots + np.arange(roots)).ravel()
+                               for t, n, _, _ in groups])
+    ends = roots * np.cumsum([n.size for _, n, _, _ in groups])
+    classes = tuple((int(e - roots * n.size), int(e), sx, sy) for e, (_, n, sx, sy) in zip(ends, groups))
+
+    plan_row = np.cumsum(inside.ravel(), dtype=np.int32).reshape(inside.shape) - 1  # of each inside sample
+    y0, x0 = (h - 1) // 2, (w - 1) // 2
+    flat = np.arange(h * w).reshape(h, w)
+    mirrors = np.stack([flat[y0:, x0:], flat[y0:, w - 1 - x0::-1],
+                        flat[h - 1 - y0::-1, x0:], flat[h - 1 - y0::-1, w - 1 - x0::-1]]).reshape(4, -1)
+    quarter, columns = np.zeros((features.size, 0)), np.zeros(0, dtype=np.intp)
+    residual = inside.copy()
+    if n_rays % 2 == 0:
+        columns = np.flatnonzero(support.ravel()[mirrors].any(axis=0))
+        # rays 0..90 degrees and their mirrors; rays 0 and 90 are their own
+        # mirror in y and in x, so their samples count half
+        k0 = np.arange(n_rays // 4 + 1)
+        orbits = np.stack([k0, (n_rays // 2 - k0) % n_rays, -k0 % n_rays, (n_rays // 2 + k0) % n_rays])
+        member_inside = inside[orbits]
+        top_left = corner[np.maximum(plan_row[k0], 0)]
+        fold = member_inside.all(axis=0) & (top_left // w >= y0) & (top_left % w >= x0)
+        residual[:] = False
+        for rays in orbits:
+            residual[rays] |= member_inside.any(axis=0) & ~fold
+        residual &= inside
+        ray, ring = np.nonzero(fold)
+        pixel, weight = _bilinear_entries(plan_row[ray, ring], corner, fx, fy, w)
+        weight[(ray == 0) | (4 * ray == n_rays)] *= 0.5
+        quadrant = np.zeros(h * w, dtype=np.intp)  # flat pixel -> quadrant column
+        quadrant[mirrors[0]] = np.arange(mirrors.shape[1])
+        quarter = _project(quadrant[pixel], mirrors.shape[1], columns, ray, ring, weight, trig, radial)
+    ray, ring = np.nonzero(residual)
+    pixel, weight = _bilinear_entries(plan_row[ray, ring], corner, fx, fy, w)
+    lit = np.zeros(h * w, dtype=bool)
+    lit[pixel] = True
+    lit &= support.ravel()
+    residual_pixels = np.flatnonzero(lit)
+    unfolded = _project(pixel, h * w, residual_pixels, ray, ring, weight, trig, radial)
+    return FBTOperator((h, w), config.n_features, features, classes, mirrors[:, columns], quarter,
+                       residual_pixels, unfolded)
+
+
+def _bilinear_entries(samples, corner, fx, fy, w):
+    """Flat pixel indices and weights of the four bilinear_sample terms of
+    each plan sample, both (samples, 4)."""
+    pixel = corner[samples][:, None] + np.array([0, 1, w, w + 1])
+    fxs, fys = fx[samples], fy[samples]
+    gx, gy = 1.0 - fxs, 1.0 - fys
+    return pixel, np.stack([gx * gy, fxs * gy, gx * fys, fxs * fys], axis=1)
+
+
+def _project(pixel, n_pixels, columns, ray, ring, weight, trig, radial):
+    """Operator rows over the given pixel columns (of n_pixels): for each
+    order g and root i, the sum over the samples (ray, ring) of weight *
+    trig[g, ray] * radial[g, i, ring], added into the columns of the
+    sample's four pixels (`pixel` and `weight` are (samples, 4)).
+
+    The ray sum comes first, binned per pixel and ring.  A sample lies
+    within one pixel of each of its pixels along both axes, so within
+    sqrt(2) in radius: at most three rings reach a pixel, and a bin is
+    (pixel, ring - innermost ring reaching it).  The three bins of a
+    pixel are then contracted with the radial basis.
+    """
+    n_groups, roots, n_rings = radial.shape
+    out = np.empty((n_groups, roots, columns.size))
+    if columns.size == 0:
+        return out.reshape(n_groups * roots, 0)
+    wanted = np.zeros(n_pixels, dtype=bool)
+    wanted[columns] = True
+    lit = wanted[pixel].any(axis=1)  # samples that reach a wanted column
+    pixel, ray, ring, weight = pixel[lit], ray[lit], ring[lit], weight[lit]
+    low = np.full(n_pixels, n_rings - 1)
+    np.minimum.at(low, pixel, ring[:, None])  # innermost ring reaching each pixel
+    bins = ((ring[:, None] - low[pixel]) * n_pixels + pixel).ravel()
+    radial = np.concatenate([radial, np.zeros((n_groups, roots, 2))], axis=2)
+    values = np.empty_like(weight)
+    step = max(1, _BUILD_BLOCK // (3 * n_pixels))
+    chunk = np.empty((min(step, n_groups), 3, n_pixels))  # one buffer for every group block
+    for g0 in range(0, n_groups, step):
+        g1 = min(g0 + step, n_groups)
+        binned = chunk[: g1 - g0]
+        for g in range(g0, g1):
+            np.multiply(weight, trig[g, ray, None], out=values)
+            binned[g - g0] = np.bincount(bins, values.ravel(), minlength=3 * n_pixels).reshape(3, -1)
+        for lo in range(0, columns.size, _BUILD_CHUNK):
+            part = columns[lo:lo + _BUILD_CHUNK]
+            acc = out[g0:g1, :, lo:lo + part.size]
+            for s in range(3):
+                term = np.take(radial[g0:g1], low[part] + s, axis=2)
+                term *= binned[:, s, part][:, None, :]
+                if s:
+                    acc += term
+                else:
+                    acc[...] = term
+    return out.reshape(n_groups * roots, columns.size)
 
 
 def dft_magnitude(image) -> np.ndarray:
@@ -384,23 +576,3 @@ def write_feature_file(path, rows) -> None:
         vals = ",".join(f"{v:.17g}" for v in vec.values)
         lines.append(f"{image_id},{subject_id},{vec.layout_id},{vals}")
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_feature_file(path) -> list[tuple[str, str, FeatureVector]]:
-    """Read a feature file written by write_feature_file."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 4:
-                raise ParseError(f"{path}:{lineno}: expected at least 4 fields")
-            image_id, subject_id, layout_id = parts[0], parts[1], parts[2]
-            try:
-                values = np.array([float(p) for p in parts[3:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad float: {exc}") from None
-            rows.append((image_id, subject_id, FeatureVector(values, layout_id)))
-    return rows

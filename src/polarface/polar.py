@@ -97,14 +97,7 @@ def to_polar(image, angular_resolution: float = 0.5) -> PolarGrid:
     image are exactly 0.  360/angular_resolution must be integral.
     """
     img = _as_image(image)
-    if not (angular_resolution > 0.0) or not math.isfinite(angular_resolution):
-        raise ConfigError(f"angular_resolution must be positive, got {angular_resolution}")
-    ratio = 360.0 / angular_resolution
-    n_rays = round(ratio)
-    if n_rays < 1 or abs(ratio - n_rays) > 1e-9:
-        raise ConfigError(
-            f"angular_resolution {angular_resolution} does not divide 360 evenly"
-        )
+    n_rays = _ray_count(angular_resolution)
     h, w = img.shape
     inside, corner, fx, fy, max_radius = _polar_plan(h, w, n_rays, float(angular_resolution))
     flat = img.ravel()
@@ -124,6 +117,19 @@ def to_polar(image, angular_resolution: float = 0.5) -> PolarGrid:
         max_radius=max_radius,
         angular_resolution=float(angular_resolution),
     )
+
+
+def _ray_count(angular_resolution: float) -> int:
+    """Number of rays, 360 / angular_resolution, which must be integral."""
+    if not (angular_resolution > 0.0) or not math.isfinite(angular_resolution):
+        raise ConfigError(f"angular_resolution must be positive, got {angular_resolution}")
+    ratio = 360.0 / angular_resolution
+    n_rays = round(ratio)
+    if n_rays < 1 or abs(ratio - n_rays) > 1e-9:
+        raise ConfigError(
+            f"angular_resolution {angular_resolution} does not divide 360 evenly"
+        )
+    return n_rays
 
 
 @lru_cache(maxsize=8)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from polarface import FeatureTable, synth_mix
+from polarface import FBTConfig, FeatureTable, fbt_operator, synth_mix
 
 
 def pseudo_face(size: int = 101) -> np.ndarray:
@@ -43,4 +43,13 @@ def feature_table(ids, vectors) -> FeatureTable:
     table = FeatureTable.allocate(ids, vectors[0].layout_id, vectors[0].values.size)
     for row, vector in enumerate(vectors):
         table.put(row, vector)
+    return table
+
+
+def fbt_feature_table(ids, images, config: FBTConfig = FBTConfig()) -> FeatureTable:
+    """FBT features of same-shape images, extracted as the CLI does:
+    through one FBTOperator."""
+    images = np.stack([np.asarray(img, dtype=float) for img in images])
+    table = FeatureTable.allocate(ids, f"fbt-{config.n_features}", config.n_features)
+    table.values[:, : table.dim] = fbt_operator(images.shape[1:], config)(images)
     return table

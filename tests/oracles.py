@@ -5,7 +5,8 @@ Bessel references come from mpmath and least-squares references from an
 eigendecomposition of the Gram matrix, so they share no algorithm with
 the implementation under test.  The remaining functions are the plain
 one-row-at-a-time forms of vectorized package code, kept as references
-that the fast paths must match.
+that the fast paths must match, and test-only helpers that the package
+no longer exports.
 """
 
 import csv
@@ -14,7 +15,23 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from polarface import classify, fuse_max, pairwise_distances, random_split, train_pfld
+from polarface import (
+    ConfigError,
+    FBSpectrum,
+    FBTConfig,
+    FeatureVector,
+    NormalizationConfig,
+    ParseError,
+    bilinear_sample,
+    classify,
+    fbt,
+    fbt_features,
+    fuse_max,
+    pairwise_distances,
+    random_split,
+    to_polar,
+    train_pfld,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,3 +216,54 @@ def per_split_embedding(values, train_rows, probe_rows, train_labels):
     gallery_labels = np.array([str(label) for label in train_labels], dtype=object)
     labels = tuple(sorted(set(gallery_labels)))
     return np.stack([d[:, gallery_labels == label].min(axis=1) for label in labels], axis=1), labels
+
+
+def extract_fbt(image, config: FBTConfig = FBTConfig()) -> FeatureVector:
+    """FBT features of one image the per-image way, to_polar then fbt:
+    the reference FBTOperator must match."""
+    return fbt_features(fbt(to_polar(image, config.angular_resolution), config))
+
+
+def spectrum_from_features(values, max_order: int, max_root: int, R: float) -> FBSpectrum:
+    """Invert fbt_features given the spectrum dimensions."""
+    values = np.asarray(values, dtype=float)
+    half = (max_order + 1) * max_root
+    if values.size != 2 * half:
+        raise ConfigError(f"{values.size} values do not fit a ({max_order}, {max_root}) spectrum")
+    A = values[:half].reshape(max_order + 1, max_root).copy()
+    B = values[half:].reshape(max_order + 1, max_root).copy()
+    return FBSpectrum(A=A, B=B, R=R)
+
+
+def read_feature_file(path) -> list[tuple[str, str, FeatureVector]]:
+    """Read a feature file written by polarface.write_feature_file."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) < 4:
+                raise ParseError(f"{path}:{lineno}: expected at least 4 fields")
+            try:
+                values = np.array([float(p) for p in parts[3:]])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad float: {exc}") from None
+            rows.append((parts[0], parts[1], FeatureVector(values, parts[2])))
+    return rows
+
+
+def normalize_face_complex(image, left_eye, right_eye, config: NormalizationConfig = NormalizationConfig()):
+    """Eye normalization over the whole crop grid in complex arithmetic,
+    masked afterwards: the form normalize_face replaced."""
+    sl = complex(left_eye[0], left_eye[1])
+    sr = complex(right_eye[0], right_eye[1])
+    tl = complex(*config.left_eye_target)
+    tr = complex(*config.right_eye_target)
+    ys, xs = np.mgrid[0:config.crop_height, 0:config.crop_width].astype(float)
+    source = sl + (sr - sl) / (tr - tl) * (xs + 1j * ys - tl)
+    out = bilinear_sample(np.asarray(image, dtype=float), source.real, source.imag)
+    cx, cy = config.ellipse_center
+    ax, ay = config.ellipse_axes
+    return np.where(((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0, out, 0.0)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import feature_table, jittered_mix_images, pseudo_face
+from helpers import fbt_feature_table, feature_table, jittered_mix_images, pseudo_face
 from oracles import bisect_root_on_series, frozen_roots, min_norm_lstsq, row_space_projector
 from polarface import (
     FBTConfig,
@@ -184,12 +184,8 @@ def test_c5_appended_zero_features_are_inert(verdict):
 
 
 def test_c6_jittered_synthetic_identification_is_exact(verdict):
-    from polarface import extract_fbt
-
     triples = jittered_mix_images()
-    table = feature_table(
-        [image_id for image_id, _, _ in triples], [extract_fbt(img) for _, _, img in triples]
-    )
+    table = fbt_feature_table([image_id for image_id, _, _ in triples], [img for _, _, img in triples])
     entries = [(image_id, subject) for image_id, subject, _ in triples]
     report = run_error_experiment(
         entries, SplitSpec(k_train=5, repetitions=10, seed=0), pfld_predictor(dissimilarity_matrix(table))
@@ -257,15 +253,14 @@ needs_orl = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def orl_tables():
-    from polarface import extract_dft, extract_fbt
+    from polarface import extract_dft
 
     dataset = load_dataset_dir(Path(ORL_DIR), "orl")
     entries = dataset.id_subject_pairs()
     ids = [i for i, _ in entries]
     images = [entry.load() for entry in dataset]
-    fbt_table = feature_table(ids, [extract_fbt(img) for img in images])
     dft_table = feature_table(ids, [extract_dft(img) for img in images])
-    return entries, dissimilarity_matrix(fbt_table), dissimilarity_matrix(dft_table)
+    return entries, dissimilarity_matrix(fbt_feature_table(ids, images)), dissimilarity_matrix(dft_table)
 
 
 @needs_orl

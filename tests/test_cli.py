@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from polarface import load_pgm, read_feature_file, save_pgm
+from oracles import read_feature_file
+from polarface import load_pgm, save_pgm
 from polarface.cli import main
 
 
@@ -185,6 +186,22 @@ def test_bad_config_files_exit_two(toy_faces, tmp_path, capsys, body, phrase):
         *(() if "dataset" in body else ("--dataset", toy_faces)),
     )
     assert_refusal(code, capsys, phrase)
+
+
+@pytest.mark.parametrize(
+    "body, phrase",
+    [
+        ("[experiment]\ntype = learning-curve\nk_values = 0,3\n", "experiment.k_values"),
+        ("[experiment]\ntype = subject-curve\nsubject_counts = 1\n", "experiment.subject_counts"),
+    ],
+)
+def test_bad_curve_points_refused_before_any_output(toy_faces, tmp_path, capsys, body, phrase):
+    config = tmp_path / "run.ini"
+    config.write_text(body)
+    out = tmp_path / "runs"
+    code = run_cli("experiment", "--config", config, "--dataset", toy_faces, "--mode", "dft", "--out", out)
+    assert_refusal(code, capsys, phrase)
+    assert not out.exists()
 
 
 def mixed_geometry_faces(root):

@@ -127,6 +127,21 @@ def test_bad_values_rejected(tmp_path):
         load_run_config(tmp_path / "missing.ini")
 
 
+@pytest.mark.parametrize(
+    "body, phrase",
+    [
+        ("[experiment]\nk_values = 0,3\n", "experiment.k_values: k_train must be >= 1, got 0"),
+        ("[experiment]\nsubject_counts = 10,1\n", "experiment.subject_counts: n_subjects must be >= 2, got 1"),
+    ],
+)
+def test_curve_points_checked_on_load(tmp_path, body, phrase):
+    path = tmp_path / "run.ini"
+    path.write_text(body)
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert phrase in str(err.value)
+
+
 def test_percent_is_a_literal(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\ndataset = /data/100%faces\n")
@@ -159,7 +174,8 @@ def test_resolved_text_is_canonical():
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-counts = st.lists(st.integers(-5, 60), max_size=4).map(tuple)
+def counts(low):
+    return st.lists(st.integers(low, 60), max_size=4).map(tuple)
 
 
 @st.composite
@@ -177,8 +193,8 @@ def run_configs(draw):
         workers=draw(st.integers(1, 8)),
         score_orientation=draw(st.sampled_from(ORIENTATIONS)),
         experiment=draw(st.sampled_from(EXPERIMENTS)),
-        k_values=draw(counts.filter(bool)),
-        subject_counts=draw(counts),
+        k_values=draw(counts(1).filter(bool)),  # k_train >= 1
+        subject_counts=draw(counts(2)),  # n_subjects >= 2
         verification_score=draw(st.sampled_from(VERIFICATION_SCORES)),
         fbt=FBTConfig(draw(st.integers(0, 40)), draw(st.integers(1, 10)), draw(positive)),
         dft=DFTConfig(draw(st.floats(min_value=0.0, allow_infinity=False))),

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import normalize_face_complex
 from polarface import (
     Dataset,
     DatasetEntry,
@@ -194,6 +197,27 @@ def test_normalize_is_idempotent_once_aligned():
     first = normalize_face(smooth_face(), (70.0, 80.0), (129.0, 80.0), cfg)
     again = normalize_face(first, cfg.left_eye_target, cfg.right_eye_target, cfg)
     assert np.allclose(again, first, atol=1e-12)
+
+
+@given(
+    st.tuples(st.floats(20.0, 100.0), st.floats(20.0, 200.0)),
+    st.tuples(st.floats(110.0, 200.0), st.floats(20.0, 200.0)),
+    st.sampled_from((
+        NormalizationConfig(),
+        NormalizationConfig(crop_width=80, crop_height=100, left_eye_target=(20.0, 30.0),
+                            right_eye_target=(60.0, 34.0), ellipse_center=(39.5, 50.0),
+                            ellipse_axes=(30.0, 52.0)),
+    )),
+)
+@settings(max_examples=30, deadline=None)
+def test_normalize_matches_full_grid_complex_form(left, right, cfg):
+    # only the pixels inside the mask are resampled, in real arithmetic;
+    # intensities span 0..255, pixels stay within 1e-9 of the old form
+    img = 255.0 * smooth_face()
+    got = normalize_face(img, left, right, cfg)
+    want = normalize_face_complex(img, left, right, cfg)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_normalize_rejects_degenerate_eyes():

@@ -1,0 +1,178 @@
+"""The FBT operator against the per-image to_polar + fbt reference, and
+the CLI's block-wise extraction through it."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import extract_fbt
+from polarface import (
+    Dataset,
+    DatasetEntry,
+    DFTConfig,
+    FBTConfig,
+    NormalizationConfig,
+    RunConfig,
+    extract_dft,
+    face_mask,
+    fbt_operator,
+    save_pgm,
+)
+from polarface import cli
+
+# ray counts 720 ... 1: multiples of 4, even but not of 4 (6, 18, 30, 50)
+# and odd (15, 9, 5, 3, 1)
+RESOLUTIONS = (0.5, 1.0, 2.0, 2.5, 5.0, 7.2, 12.0, 20.0, 24.0, 40.0, 45.0, 60.0, 72.0, 90.0, 120.0, 360.0)
+
+
+def assert_matches_reference(images, config, tol=1e-12):
+    got = fbt_operator(images.shape[1:], config)(images)
+    for image, row in zip(images, got):
+        want = extract_fbt(image, config).values
+        assert np.max(np.abs(row - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+@given(
+    st.integers(2, 40),
+    st.integers(2, 40),
+    st.integers(0, 8),
+    st.integers(1, 4),
+    st.sampled_from(RESOLUTIONS),
+    st.sampled_from(("uniform", "zero", "constant")),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_operator_matches_per_image_reference(h, w, max_order, max_root, res, kind, seed):
+    rng = np.random.default_rng(seed)
+    images = {
+        "uniform": rng.uniform(0.0, 255.0, size=(2, h, w)),
+        "zero": np.zeros((1, h, w)),
+        "constant": np.full((1, h, w), 173.0),
+    }[kind]
+    assert_matches_reference(images, FBTConfig(max_order, max_root, res))
+
+
+def test_residual_carries_border_samples():
+    # at 3 x 2 and 5 degrees, ring 1 has 25 inside samples: the orbits
+    # around 30 degrees lose one member to rounding and go unfolded
+    config = FBTConfig(max_order=4, max_root=3, angular_resolution=5.0)
+    op = fbt_operator((3, 2), config)
+    assert op.residual_pixels.size > 0
+    images = np.random.default_rng(3).uniform(size=(3, 3, 2))
+    assert_matches_reference(images, config)
+
+
+def test_odd_ray_count_is_all_residual():
+    config = FBTConfig(max_order=3, max_root=2, angular_resolution=72.0)
+    op = fbt_operator((9, 7), config)
+    assert op.quarter.shape[1] == 0 and op.residual_pixels.size > 0
+    assert_matches_reference(np.random.default_rng(4).uniform(size=(2, 9, 7)), config)
+
+
+@pytest.mark.parametrize("shape", [(112, 92), (140, 118)])
+def test_default_geometries_fold_completely(shape):
+    op = fbt_operator(shape)
+    assert op.residual_pixels.size == 0
+    h, w = shape
+    assert op.quarter.shape == (183, (h - (h - 1) // 2) * (w - (w - 1) // 2))
+    assert op.mirrors.shape == (4, op.quarter.shape[1])
+    images = np.random.default_rng(5).uniform(0.0, 255.0, size=(2, *shape))
+    got = op(images)
+    for image, row in zip(images, got):
+        want = extract_fbt(image).values
+        assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.all(row[93:96] == 0.0)  # B_0 is exactly zero
+
+
+@given(st.integers(2, 30), st.integers(2, 30), st.sampled_from((1.0, 5.0, 72.0)), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_support_drops_columns_of_pixels_no_image_lights(h, w, res, seed):
+    rng = np.random.default_rng(seed)
+    support = rng.uniform(size=(h, w)) < 0.6
+    config = FBTConfig(max_order=5, max_root=2, angular_resolution=res)
+    op = fbt_operator((h, w), config, support)
+    full = fbt_operator((h, w), config)
+    assert op.mirrors.shape[1] <= full.mirrors.shape[1]
+    assert np.all(support.ravel()[op.residual_pixels])
+    images = rng.uniform(0.0, 255.0, size=(2, h, w)) * support
+    for image, row in zip(images, op(images)):
+        want = extract_fbt(image, config).values
+        assert np.max(np.abs(row - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_face_mask_bounds_the_normalized_operator():
+    mask = face_mask(NormalizationConfig())
+    op = fbt_operator(mask.shape, FBTConfig(), mask)
+    assert op.mirrors.shape[1] < fbt_operator(mask.shape).mirrors.shape[1]
+    image = np.random.default_rng(6).uniform(0.0, 255.0, size=mask.shape) * mask
+    want = extract_fbt(image).values
+    assert np.max(np.abs(op(image[None])[0] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_operator_refuses_other_shapes():
+    op = fbt_operator((20, 16), FBTConfig(2, 1, 10.0))
+    with pytest.raises(ValueError):
+        op(np.zeros((1, 16, 20)))
+
+
+@pytest.mark.parametrize("n_images", [1, 15, 16, 17, 33])
+def test_block_boundaries(n_images):
+    rng = np.random.default_rng(n_images)
+    images = rng.uniform(0.0, 255.0, size=(n_images, 48, 40))
+    dataset = Dataset(tuple(DatasetEntry(f"i{k}", f"s{k % 3}", image=img) for k, img in enumerate(images)))
+    config = RunConfig(mode="fused", dft=DFTConfig(max_cycles=9.5))
+    tables = cli._feature_tables(dataset, config)
+    for row, image in enumerate(images):
+        want = extract_fbt(image).values
+        got = tables["fbt"][row].values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(tables["dft"][row].values, extract_dft(image, config.dft).values)
+
+
+def eye_faces(root, n_subjects=3, n_images=6):
+    """112 x 92 random faces with a 6-field manifest."""
+    rng = np.random.default_rng(12)
+    lines = []
+    for s in range(1, n_subjects + 1):
+        (root / f"s{s}").mkdir(parents=True)
+        for k in range(1, n_images + 1):
+            save_pgm(root / f"s{s}" / f"{k}.pgm", rng.integers(0, 256, size=(112, 92)), maxval=255)
+            left, right = (rng.uniform(28, 34), rng.uniform(44, 50)), (rng.uniform(58, 64), rng.uniform(44, 50))
+            lines.append(f"s{s}/{k}.pgm,s{s},{left[0]},{left[1]},{right[0]},{right[1]}")
+    (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return root / "manifest.csv"
+
+
+def test_fused_normalized_run_is_independent_of_workers(tmp_path):
+    manifest = eye_faces(tmp_path / "faces")
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out, workers in zip(outs, ("1", "2")):
+        assert cli.main([
+            "experiment", "roc", "--mode", "fused", "--normalize", "--layout", "flat-manifest",
+            "--dataset", str(manifest), "--k-train", "3", "--reps", "1",
+            "--workers", workers, "--out", str(out),
+        ]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_corrupted_operator_stops_the_run(toy_faces, tmp_path, monkeypatch, capsys):
+    build = cli.fbt_operator
+
+    def corrupted(*args):
+        op = build(*args)
+        op.quarter[40, 100] += 1e-6
+        return op
+
+    monkeypatch.setattr(cli, "fbt_operator", corrupted)
+    code = cli.main([
+        "experiment", "error-rate", "--dataset", str(toy_faces), "--mode", "fbt",
+        "--k-train", "4", "--reps", "1", "--out", str(tmp_path / "runs"),
+    ])
+    assert code != 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "the FBT operator differs from to_polar + fbt" in err[0]
+    assert not list((tmp_path / "runs").glob("summary_*.csv"))

@@ -14,23 +14,18 @@ from polarface import (
     dft_features,
     dft_magnitude,
     extract_dft,
-    extract_fbt,
     fbt,
     fbt_features,
     inverse_fbt,
-    spectrum_from_features,
     synth_angular,
     synth_mix,
     synth_radial,
     to_polar,
 )
 from polarface.errors import ConfigError, DomainError
-from polarface.features import (
-    dft_error_map,
-    fbt_error_map,
-    read_feature_file,
-    write_feature_file,
-)
+from polarface.features import dft_error_map, fbt_error_map, write_feature_file
+
+from oracles import extract_fbt, read_feature_file, spectrum_from_features
 
 SMALL = FBTConfig(max_order=4, max_root=3, angular_resolution=5.0)
 
