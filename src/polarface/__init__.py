@@ -40,14 +40,11 @@ from .evaluate import (
     cmc,
     embedding_matrix,
     equal_error_rate,
-    learning_curve,
     per_feature_error_rates,
-    pfld_predictor,
     random_split,
     run_error_experiment,
     score_matrix,
     split_rows,
-    subject_count_curve,
     verification_pairs,
     verification_roc,
 )

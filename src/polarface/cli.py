@@ -20,6 +20,8 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +43,12 @@ from .evaluate import (
     cmc,
     embedding_matrix,
     equal_error_rate,
-    learning_curve,
     per_feature_error_rates,
     run_error_experiment,
     score_matrix,
     split_rows,
-    subject_count_curve,
     verification_pairs,
     verification_roc,
-    pfld_predictor,
     write_csv,
 )
 from .features import (
@@ -222,155 +221,155 @@ _ORACLE_FBT = FBTConfig(max_order=30, max_root=10, angular_resolution=0.5)
 _ORACLE_SIZE = 131
 
 
-def _oracle_peaks(image) -> list[tuple[tuple[int, int], float]]:
-    """Spectrum cells sorted by descending modulus, DC cell excluded."""
-    spectrum = fbt(to_polar(image, _ORACLE_FBT.angular_resolution), _ORACLE_FBT)
-    mod = spectrum.modulus()
-    cells = []
-    for n in range(_ORACLE_FBT.max_order + 1):
-        for i in range(1, _ORACLE_FBT.max_root + 1):
-            if (n, i) == (0, 1):
-                continue
-            cells.append(((n, i), float(mod[n, i - 1])))
-    cells.sort(key=lambda c: -c[1])
-    return cells
+def _oracle_peaks(image) -> list[tuple[int, int]]:
+    """Spectrum cells (n, i) by descending modulus, ties in (n, i) order,
+    DC cell (0, 1) excluded."""
+    mod = fbt(to_polar(image, _ORACLE_FBT.angular_resolution), _ORACLE_FBT).modulus()
+    order = np.argsort(-mod, axis=None, kind="stable")
+    return [(int(n), int(j) + 1) for n, j in zip(*np.unravel_index(order, mod.shape)) if n or j]
 
 
-def _run_synth_oracle(out: Path, tag: str) -> bool:
-    """Peak-location self-checks on analytically understood patterns."""
+def _synth_oracle(cfg: RunConfig, out: Path, tag: str) -> int:
+    """Peak-location self-checks on analytically understood patterns;
+    exit code 1 if any check fails."""
+    checks = (
+        ("radial-8", synth_radial(8, _ORACLE_SIZE), {(0, 8)}),
+        ("angular-4", synth_angular(4, _ORACLE_SIZE), {(4, 1)}),
+        ("mix-8-4", synth_mix(8, 4, _ORACLE_SIZE), {(0, 8), (4, 1)}),
+    )
     rows = []
-    all_ok = True
-
-    def record(name, expected, observed):
-        nonlocal all_ok
-        ok = expected == observed
-        all_ok = all_ok and ok
-        status = "PASS" if ok else "FAIL"
-        exp_text = "+".join(f"({n};{i})" for n, i in sorted(expected))
-        obs_text = "+".join(f"({n};{i})" for n, i in sorted(observed))
+    for name, image, expected in checks:
+        observed = set(_oracle_peaks(image)[: len(expected)])
+        status = "PASS" if observed == expected else "FAIL"
+        exp_text, obs_text = ("+".join(f"({n};{i})" for n, i in sorted(cells)) for cells in (expected, observed))
         rows.append((name, exp_text, obs_text, status))
         print(f"synth-oracle {name}: expected {exp_text} observed {obs_text} {status}")
-
-    peaks = _oracle_peaks(synth_radial(8, _ORACLE_SIZE))
-    record("radial-8", {(0, 8)}, {peaks[0][0]})
-    peaks = _oracle_peaks(synth_angular(4, _ORACLE_SIZE))
-    record("angular-4", {(4, 1)}, {peaks[0][0]})
-    peaks = _oracle_peaks(synth_mix(8, 4, _ORACLE_SIZE))
-    record("mix-8-4", {(0, 8), (4, 1)}, {peaks[0][0], peaks[1][0]})
-
     write_csv(out / f"synth_oracle_{tag}.csv", "check,expected,observed,status", rows)
-    return all_ok
+    return 0 if all(row[3] == "PASS" for row in rows) else 1
+
+
+def _identification_inputs(cfg: RunConfig) -> tuple[list, list[np.ndarray]]:
+    """The dataset's (image id, subject) entries and one dissimilarity
+    matrix per spectrum: every distance an experiment reads is one cell."""
+    dataset = _load_dataset(cfg)
+    tables = _feature_tables(dataset, cfg)
+    return dataset.id_subject_pairs(), [dissimilarity_matrix(t) for t in tables.values()]
+
+
+def _first_split(cfg: RunConfig, scorer) -> tuple[np.ndarray, list, tuple]:
+    """scorer(matrices, train rows, probe rows, train labels) on the first
+    split, with the probes' true subjects: (scores, truths, class labels)."""
+    entries, matrices = _identification_inputs(cfg)
+    subjects = [s for _, s in entries]
+    train, probe = split_rows(entries, cfg.split, 0)
+    scores, labels = scorer(matrices, train, probe, [subjects[r] for r in train])
+    return scores, [subjects[r] for r in probe], labels
+
+
+def _write_summary(out: Path, tag: str, rows) -> int:
+    write_csv(out / f"summary_{tag}.csv", "experiment_id,mean,sem,eer", rows)
+    return 0
+
+
+def _error_rate(cfg: RunConfig, out: Path, tag: str) -> int:
+    entries, matrices = _identification_inputs(cfg)
+    report = run_error_experiment(entries, cfg.split, matrices)
+    print(f"error-rate[{cfg.mode}]: error {report.mean_error:.3f} sem {report.sem:.3f}")
+    return _write_summary(out, tag, [(f"error-rate-{cfg.mode}", report.mean_error, report.sem, None)])
+
+
+def _curve(name: str, field: str, values: str, prefix: str, cfg: RunConfig, out: Path, tag: str) -> int:
+    """An error-rate curve over the config's `values`, each point setting
+    SplitSpec.`field`, which also heads the curve CSV's first column."""
+    entries, matrices = _identification_inputs(cfg)
+    points = [
+        (v, run_error_experiment(entries, replace(cfg.split, **{field: v}), matrices))
+        for v in getattr(cfg, values)
+    ]
+    write_csv(out / f"{name.replace('-', '_')}_{cfg.mode}_{tag}.csv", f"{field},mean,sem",
+              [(v, r.mean_error, r.sem) for v, r in points])
+    for v, report in points:
+        print(f"{name}[{cfg.mode}] {prefix}={v}: error {report.mean_error:.3f} sem {report.sem:.3f}")
+    return _write_summary(out, tag, [(f"{name}-{prefix}{v}-{cfg.mode}", r.mean_error, r.sem, None) for v, r in points])
+
+
+def _cmc(cfg: RunConfig, out: Path, tag: str) -> int:
+    scores, truths, labels = _first_split(cfg, score_matrix)
+    curve = cmc(scores, truths, labels)
+    write_csv(out / f"cmc_{cfg.mode}_{tag}.csv", "rank,proportion", zip(curve.ranks, curve.proportions))
+    rank1_error = 100.0 * (1.0 - float(curve.proportions[0]))
+    print(f"cmc[{cfg.mode}]: rank-1 error {rank1_error:.3f} over {len(truths)} probes")
+    return _write_summary(out, tag, [(f"cmc-{cfg.mode}", rank1_error, 0.0, None)])
+
+
+def _roc(cfg: RunConfig, out: Path, tag: str) -> int:
+    if cfg.verification_score == "embedding":
+        dists, truths, labels = _first_split(cfg, lambda ms, *split: embedding_matrix(ms[0], *split))
+        claim = dists if cfg.score_orientation == "distance" else -dists
+        genuine, impostor = verification_pairs(claim, truths, labels, "similarity")
+    else:
+        scores, truths, labels = _first_split(cfg, score_matrix)
+        genuine, impostor = verification_pairs(scores, truths, labels, cfg.score_orientation)
+    roc = verification_roc(genuine, impostor, cfg.score_orientation)
+    eer = equal_error_rate(roc)
+    write_csv(out / f"roc_{cfg.mode}_{tag}.csv", "threshold,p_verify,p_false_alarm",
+              zip(roc.thresholds, roc.p_verify, roc.p_false_alarm))
+    print(
+        f"roc[{cfg.mode}]: eer {100.0 * eer.eer:.3f} between thresholds "
+        f"{eer.threshold_low:.6g} and {eer.threshold_high:.6g}"
+    )
+    return _write_summary(out, tag, [(f"roc-{cfg.mode}", 100.0 * eer.eer, 0.0, eer.eer)])
+
+
+def _feature_map(cfg: RunConfig, out: Path, tag: str) -> int:
+    dataset = _load_dataset(cfg)
+    table = _feature_tables(dataset, cfg)[cfg.mode]
+    errors = per_feature_error_rates(dataset.id_subject_pairs(), table.values[:, : table.dim], cfg.split)
+    if cfg.mode == "fbt":
+        planes = fbt_error_map(errors, cfg.fbt.max_order, cfg.fbt.max_root)
+        write_csv(out / f"feature_map_fbt_a_{tag}.csv", None, planes[0])
+        write_csv(out / f"feature_map_fbt_b_{tag}.csv", None, planes[1])
+    else:
+        write_csv(out / f"feature_map_dft_{tag}.csv", None, dft_error_map(errors, cfg.dft))
+    print(
+        f"feature-map[{cfg.mode}]: best {errors.min():.3f} "
+        f"worst {errors.max():.3f} over {errors.size} features"
+    )
+    return _write_summary(out, tag, [
+        (f"feature-map-{cfg.mode}-best", float(errors.min()), 0.0, None),
+        (f"feature-map-{cfg.mode}-worst", float(errors.max()), 0.0, None),
+    ])
+
+
+# experiment type -> run(cfg, out dir, hash tag) -> exit code
+_EXPERIMENTS = {
+    "error-rate": _error_rate,
+    "learning-curve": partial(_curve, "learning-curve", "k_train", "k_values", "k"),
+    "subject-curve": partial(_curve, "subject-curve", "n_subjects", "subject_counts", "n"),
+    "cmc": _cmc,
+    "roc": _roc,
+    "feature-map": _feature_map,
+    "synth-oracle": _synth_oracle,
+}
+
+
+def _refuse_unrunnable(cfg: RunConfig) -> None:
+    """Settings an experiment cannot run with, refused before any image is read."""
+    if cfg.experiment == "subject-curve" and not cfg.subject_counts:
+        raise ConfigError("subject-curve needs experiment.subject_counts")
+    if cfg.mode == "fused" and cfg.experiment == "feature-map":
+        raise ConfigError("feature-map needs a single spectrum mode (fbt or dft)")
+    if cfg.mode == "fused" and cfg.experiment == "roc" and cfg.verification_score == "embedding":
+        raise ConfigError("embedding verification needs a single spectrum mode")
 
 
 def cmd_experiment(args) -> int:
     cfg = _resolve(args)
-    # refused before any image is read
-    if cfg.experiment == "subject-curve" and not cfg.subject_counts:
-        raise ConfigError("subject-curve needs experiment.subject_counts")
-    if cfg.mode == "fused":
-        if cfg.experiment == "feature-map":
-            raise ConfigError("feature-map needs a single spectrum mode (fbt or dft)")
-        if cfg.experiment == "roc" and cfg.verification_score == "embedding":
-            raise ConfigError("embedding verification needs a single spectrum mode")
+    _refuse_unrunnable(cfg)
     out = _out_dir(cfg)
     tag = config_hash(cfg)
     _write_config_copy(cfg, out, tag)
-
-    if cfg.experiment == "synth-oracle":
-        return 0 if _run_synth_oracle(out, tag) else 1
-
-    dataset = _load_dataset(cfg)
-    tables = _feature_tables(dataset, cfg)
-    entries = dataset.id_subject_pairs()
-    subjects = [s for _, s in entries]
-    # every distance an experiment reads is a cell of its table's matrix
-    matrices = [] if cfg.experiment == "feature-map" else [dissimilarity_matrix(t) for t in tables.values()]
-    summary = []
-
-    if cfg.experiment == "error-rate":
-        report = run_error_experiment(entries, cfg.split, pfld_predictor(*matrices))
-        summary.append((f"error-rate-{cfg.mode}", report.mean_error, report.sem, None))
-        print(f"error-rate[{cfg.mode}]: error {report.mean_error:.3f} sem {report.sem:.3f}")
-
-    elif cfg.experiment == "learning-curve":
-        points = learning_curve(entries, cfg.split, pfld_predictor(*matrices), cfg.k_values)
-        write_csv(out / f"learning_curve_{cfg.mode}_{tag}.csv", "k_train,mean,sem",
-                  [(k, r.mean_error, r.sem) for k, r in points])
-        for k, report in points:
-            summary.append((f"learning-curve-k{k}-{cfg.mode}", report.mean_error, report.sem, None))
-            print(
-                f"learning-curve[{cfg.mode}] k={k}: "
-                f"error {report.mean_error:.3f} sem {report.sem:.3f}"
-            )
-
-    elif cfg.experiment == "subject-curve":
-        points = subject_count_curve(
-            entries, cfg.split, pfld_predictor(*matrices), cfg.subject_counts
-        )
-        write_csv(out / f"subject_curve_{cfg.mode}_{tag}.csv", "n_subjects,mean,sem",
-                  [(c, r.mean_error, r.sem) for c, r in points])
-        for c, report in points:
-            summary.append((f"subject-curve-n{c}-{cfg.mode}", report.mean_error, report.sem, None))
-            print(
-                f"subject-curve[{cfg.mode}] n={c}: "
-                f"error {report.mean_error:.3f} sem {report.sem:.3f}"
-            )
-
-    elif cfg.experiment == "cmc":
-        train, probe = split_rows(entries, cfg.split, 0)
-        scores, labels = score_matrix(matrices[0], train, probe, [subjects[r] for r in train], *matrices[1:])
-        truths = [subjects[r] for r in probe]
-        curve = cmc(scores, truths, labels)
-        write_csv(out / f"cmc_{cfg.mode}_{tag}.csv", "rank,proportion", zip(curve.ranks, curve.proportions))
-        rank1_error = 100.0 * (1.0 - float(curve.proportions[0]))
-        summary.append((f"cmc-{cfg.mode}", rank1_error, 0.0, None))
-        print(
-            f"cmc[{cfg.mode}]: rank-1 error {rank1_error:.3f} "
-            f"over {len(probe)} probes"
-        )
-
-    elif cfg.experiment == "roc":
-        train, probe = split_rows(entries, cfg.split, 0)
-        train_labels = [subjects[r] for r in train]
-        truths = [subjects[r] for r in probe]
-        if cfg.verification_score == "embedding":
-            dists, labels = embedding_matrix(matrices[0], train, probe, train_labels)
-            claim = dists if cfg.score_orientation == "distance" else -dists
-            genuine, impostor = verification_pairs(claim, truths, labels, "similarity")
-        else:
-            scores, labels = score_matrix(matrices[0], train, probe, train_labels, *matrices[1:])
-            genuine, impostor = verification_pairs(scores, truths, labels, cfg.score_orientation)
-        roc = verification_roc(genuine, impostor, cfg.score_orientation)
-        eer = equal_error_rate(roc)
-        write_csv(
-            out / f"roc_{cfg.mode}_{tag}.csv",
-            "threshold,p_verify,p_false_alarm",
-            zip(roc.thresholds, roc.p_verify, roc.p_false_alarm),
-        )
-        summary.append((f"roc-{cfg.mode}", 100.0 * eer.eer, 0.0, eer.eer))
-        print(
-            f"roc[{cfg.mode}]: eer {100.0 * eer.eer:.3f} between thresholds "
-            f"{eer.threshold_low:.6g} and {eer.threshold_high:.6g}"
-        )
-
-    elif cfg.experiment == "feature-map":
-        table = tables[cfg.mode]
-        errors = per_feature_error_rates(entries, table.values[:, : table.dim], cfg.split)
-        if cfg.mode == "fbt":
-            planes = fbt_error_map(errors, cfg.fbt.max_order, cfg.fbt.max_root)
-            write_csv(out / f"feature_map_fbt_a_{tag}.csv", None, planes[0])
-            write_csv(out / f"feature_map_fbt_b_{tag}.csv", None, planes[1])
-        else:
-            write_csv(out / f"feature_map_dft_{tag}.csv", None, dft_error_map(errors, cfg.dft))
-        summary.append((f"feature-map-{cfg.mode}-best", float(errors.min()), 0.0, None))
-        summary.append((f"feature-map-{cfg.mode}-worst", float(errors.max()), 0.0, None))
-        print(
-            f"feature-map[{cfg.mode}]: best {errors.min():.3f} "
-            f"worst {errors.max():.3f} over {errors.size} features"
-        )
-
-    write_csv(out / f"summary_{tag}.csv", "experiment_id,mean,sem,eer", summary)
-    return 0
+    return _EXPERIMENTS[cfg.experiment](cfg, out, tag)
 
 
 def cmd_synth(args) -> int:

@@ -11,8 +11,8 @@ or below the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -130,16 +130,6 @@ class EvalReport:
     mean_error: float
     sem: float
     rep_errors: np.ndarray
-    cmc: CMCCurve | None = None
-    roc: ROCCurve | None = None
-    eer: EERResult | None = None
-    feature_errors: np.ndarray | None = None
-
-
-# A factory fits on the training rows and their subject labels and returns
-# a function that predicts the subjects of probe rows.  Rows index the
-# experiment's entries, which list the distance matrices' images in order.
-PredictorFactory = Callable[[np.ndarray, list], Callable[[np.ndarray], list]]
 
 
 def split_rows(entries: Sequence[Entry], spec: SplitSpec, repetition_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,71 +139,40 @@ def split_rows(entries: Sequence[Entry], spec: SplitSpec, repetition_index: int)
     return np.array([row_of[i] for i in train]), np.array([row_of[i] for i in test])
 
 
-def _fit_posteriors(matrices: Sequence[np.ndarray], train_rows: np.ndarray, train_labels: Sequence):
-    """Fit one PFLD per distance matrix on its gallery block.
+def score_matrix(
+    matrices: Sequence[np.ndarray],
+    train_rows: np.ndarray,
+    probe_rows: np.ndarray,
+    train_labels: Sequence,
+) -> tuple[np.ndarray, tuple]:
+    """Posterior score matrix (n_probes x n_classes) plus the class label tuple.
 
-    Returns the class label tuple and a function from probe rows to their
-    posterior matrix, max-rule fused across the matrices.
+    Rows index the dissimilarity matrices, one per spectrum.  One PFLD is
+    fitted per matrix on its gallery block and scores the probe rows;
+    several matrices give max-rule fused posteriors.
     """
     models = [train_pfld(D[np.ix_(train_rows, train_rows)], train_labels) for D in matrices]
-
-    def posteriors(probe_rows: np.ndarray) -> np.ndarray:
-        return fuse_max(*(
-            (model.class_labels, score(model, D[np.ix_(probe_rows, train_rows)])[1])
-            for model, D in zip(models, matrices)
-        ))
-
-    return models[0].class_labels, posteriors
+    posteriors = fuse_max(*(
+        (model.class_labels, score(model, D[np.ix_(probe_rows, train_rows)])[1])
+        for model, D in zip(models, matrices)
+    ))
+    return posteriors, models[0].class_labels
 
 
-def pfld_predictor(*matrices: np.ndarray) -> PredictorFactory:
-    """Factory for PFLD prediction on one table's dissimilarity matrix,
-    max-rule fused across the tables when given several."""
-
-    def factory(train_rows, train_labels):
-        labels, posteriors = _fit_posteriors(matrices, train_rows, train_labels)
-
-        def predict(probe_rows):
-            # np.argmax takes the first maximum, i.e. the lowest class index.
-            return [labels[j] for j in np.argmax(posteriors(probe_rows), axis=1)]
-
-        return predict
-
-    return factory
-
-
-def run_error_experiment(entries: Sequence[Entry], spec: SplitSpec, predictor_factory: PredictorFactory) -> EvalReport:
-    """Mean percent misclassified over repeated random splits."""
+def run_error_experiment(entries: Sequence[Entry], spec: SplitSpec, matrices: Sequence[np.ndarray]) -> EvalReport:
+    """Mean percent misclassified over repeated random splits, each probe
+    taking the class of its highest (fused) posterior."""
     subjects = [str(s) for _, s in entries]
     errors = []
     for rep in range(spec.repetitions):
         train, test = split_rows(entries, spec, rep)
-        predicted = predictor_factory(train, [subjects[r] for r in train])(test)
+        posteriors, labels = score_matrix(matrices, train, test, [subjects[r] for r in train])
+        # np.argmax takes the first maximum, i.e. the lowest class index.
+        predicted = [labels[j] for j in np.argmax(posteriors, axis=1)]
         wrong = sum(1 for r, label in zip(test, predicted) if str(label) != subjects[r])
         errors.append(100.0 * wrong / len(test))
     errors = np.array(errors)
-    return EvalReport(
-        mean_error=float(errors.mean()),
-        sem=sem_value(errors),
-        rep_errors=errors,
-    )
-
-
-def score_matrix(
-    distances: np.ndarray,
-    train_rows: np.ndarray,
-    probe_rows: np.ndarray,
-    train_labels: Sequence,
-    distances_b: np.ndarray | None = None,
-):
-    """Posterior score matrix (n_probes x n_classes) plus the label tuple.
-
-    Rows index the dissimilarity matrices; with distances_b given, scores
-    are max-rule fused posteriors.
-    """
-    matrices = (distances,) if distances_b is None else (distances, distances_b)
-    labels, posteriors = _fit_posteriors(matrices, train_rows, train_labels)
-    return posteriors(probe_rows), labels
+    return EvalReport(mean_error=float(errors.mean()), sem=sem_value(errors), rep_errors=errors)
 
 
 def embedding_matrix(
@@ -232,22 +191,27 @@ def embedding_matrix(
     return np.stack(nearest, axis=1), labels
 
 
-def cmc(scores: np.ndarray, true_subjects: Sequence[str], class_labels: Sequence) -> CMCCurve:
-    """Cumulative match curve; tied scores take the worst rank."""
+def _truth_columns(scores, true_subjects: Sequence[str], class_labels: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The score matrix as floats and the column of each probe's true
+    subject; refuses a matrix that is not one row per probe and one
+    column per class, and a subject that is not a class."""
     scores = np.asarray(scores, dtype=float)
-    labels = list(class_labels)
     if scores.ndim != 2 or scores.shape[0] != len(true_subjects):
         raise ConfigError("score matrix and true subject list do not align")
-    if scores.shape[1] != len(labels):
+    if scores.shape[1] != len(class_labels):
         raise ConfigError("score matrix and class label list do not align")
-    index_of = {label: j for j, label in enumerate(labels)}
-    n_classes = len(labels)
-    hits = np.zeros(n_classes)
-    for row, truth in zip(scores, true_subjects):
-        try:
-            j = index_of[truth]
-        except KeyError:
-            raise DomainError(f"probe subject {truth!r} not among the classes") from None
+    index_of = {label: j for j, label in enumerate(class_labels)}
+    try:
+        return scores, np.array([index_of[t] for t in true_subjects], dtype=np.intp)
+    except KeyError as exc:
+        raise DomainError(f"probe subject {exc.args[0]!r} not among the classes") from None
+
+
+def cmc(scores: np.ndarray, true_subjects: Sequence[str], class_labels: Sequence) -> CMCCurve:
+    """Cumulative match curve; tied scores take the worst rank."""
+    scores, truth = _truth_columns(scores, true_subjects, class_labels)
+    hits = np.zeros(scores.shape[1])
+    for row, j in zip(scores, truth):
         rank = int(np.sum(row >= row[j]))  # worst rank among ties
         hits[rank - 1] += 1
     proportions = np.cumsum(hits) / scores.shape[0]
@@ -268,13 +232,10 @@ def verification_pairs(
     """
     if orientation not in ("distance", "similarity"):
         raise ConfigError(f"unknown score orientation {orientation!r}")
-    scores = np.asarray(scores, dtype=float)
-    labels = list(class_labels)
-    index_of = {label: j for j, label in enumerate(labels)}
-    truth_idx = np.array([index_of[t] for t in true_subjects])
+    scores, truth = _truth_columns(scores, true_subjects, class_labels)
     claim = scores if orientation == "similarity" else 1.0 - scores
     mask = np.zeros_like(claim, dtype=bool)
-    mask[np.arange(len(truth_idx)), truth_idx] = True
+    mask[np.arange(truth.size), truth] = True
     return claim[mask].ravel(), claim[~mask].ravel()
 
 
@@ -466,23 +427,6 @@ def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, spec: 
             wrong = ((predicted != labels) & ~in_train).reshape(-1, n).sum(axis=1)
             total[start:stop] += 100.0 * (wrong / n_probes[rep])
     return total / spec.repetitions
-
-
-def learning_curve(entries: Sequence[Entry], spec: SplitSpec, predictor_factory: PredictorFactory, k_values: Sequence[int]):
-    """Error experiments over several gallery sizes; returns
-    [(k, EvalReport), ...] in the given order."""
-    out = []
-    for k in k_values:
-        out.append((k, run_error_experiment(entries, replace(spec, k_train=k), predictor_factory)))
-    return out
-
-
-def subject_count_curve(entries: Sequence[Entry], spec: SplitSpec, predictor_factory: PredictorFactory, counts: Sequence[int]):
-    """Error experiments over several gallery subject counts."""
-    out = []
-    for c in counts:
-        out.append((c, run_error_experiment(entries, replace(spec, n_subjects=c), predictor_factory)))
-    return out
 
 
 def _cell(value) -> str:

@@ -199,14 +199,21 @@ def per_split_posteriors(value_tables, train_rows, train_labels):
     return fits[0][0].class_labels, posteriors
 
 
-def per_split_predictor(*value_tables):
-    """A PredictorFactory over per_split_posteriors."""
-
-    def factory(train_rows, train_labels):
-        labels, posteriors = per_split_posteriors(value_tables, train_rows, train_labels)
-        return lambda probe_rows: [labels[j] for j in np.argmax(posteriors(probe_rows), axis=1)]
-
-    return factory
+def per_split_rep_errors(value_tables, entries, spec) -> list[float]:
+    """Percent error of every repetition the per-split way: random_split's
+    gallery and probe rows, per_split_posteriors, and each probe taking
+    the class of its first maximal posterior."""
+    row_of = {str(i): r for r, (i, _) in enumerate(entries)}
+    subjects = [str(s) for _, s in entries]
+    errors = []
+    for rep in range(spec.repetitions):
+        train_ids, test_ids = random_split(entries, spec, rep)
+        train = np.array([row_of[i] for i in train_ids])
+        test = np.array([row_of[i] for i in test_ids])
+        labels, posteriors = per_split_posteriors(value_tables, train, [subjects[r] for r in train])
+        wrong = sum(labels[j] != subjects[r] for j, r in zip(np.argmax(posteriors(test), axis=1), test))
+        errors.append(100.0 * wrong / len(test))
+    return errors
 
 
 def per_split_embedding(values, train_rows, probe_rows, train_labels):

@@ -27,9 +27,7 @@ from polarface import (
     equal_error_rate,
     fbt,
     inverse_fbt,
-    learning_curve,
     load_dataset_dir,
-    pfld_predictor,
     run_error_experiment,
     synth_angular,
     synth_mix,
@@ -188,7 +186,7 @@ def test_c6_jittered_synthetic_identification_is_exact(verdict):
     table = fbt_feature_table([image_id for image_id, _, _ in triples], [img for _, _, img in triples])
     entries = [(image_id, subject) for image_id, subject, _ in triples]
     report = run_error_experiment(
-        entries, SplitSpec(k_train=5, repetitions=10, seed=0), pfld_predictor(dissimilarity_matrix(table))
+        entries, SplitSpec(k_train=5, repetitions=10, seed=0), [dissimilarity_matrix(table)]
     )
     ok = report.mean_error == 0.0 and report.rep_errors.shape == (10,)
     verdict("C6", ok, f"10x10 jittered mixes, k=5, 10 splits: error {report.mean_error:.3f}%")
@@ -268,11 +266,9 @@ def test_c9_orl_error_bands(verdict, orl_tables):
     entries, fbt_table, dft_table = orl_tables
     spec = SplitSpec(k_train=5, repetitions=10, seed=0)
     err = {
-        "fbt": run_error_experiment(entries, spec, pfld_predictor(fbt_table)).mean_error,
-        "dft": run_error_experiment(entries, spec, pfld_predictor(dft_table)).mean_error,
-        "fused": run_error_experiment(
-            entries, spec, pfld_predictor(fbt_table, dft_table)
-        ).mean_error,
+        "fbt": run_error_experiment(entries, spec, [fbt_table]).mean_error,
+        "dft": run_error_experiment(entries, spec, [dft_table]).mean_error,
+        "fused": run_error_experiment(entries, spec, [fbt_table, dft_table]).mean_error,
     }
     ok = (
         err["fbt"] <= 7.0
@@ -291,18 +287,19 @@ def test_c9_orl_error_bands(verdict, orl_tables):
 @needs_orl
 def test_c10_orl_learning_curves_mostly_monotone(verdict, orl_tables):
     entries, fbt_table, dft_table = orl_tables
-    factories = {
-        "fbt": pfld_predictor(fbt_table),
-        "dft": pfld_predictor(dft_table),
-        "fused": pfld_predictor(fbt_table, dft_table),
+    modes = {
+        "fbt": [fbt_table],
+        "dft": [dft_table],
+        "fused": [fbt_table, dft_table],
     }
     counts = {}
-    for mode, factory in factories.items():
+    for mode, matrices in modes.items():
         good = 0
         for seed in range(10):
-            spec = SplitSpec(k_train=5, repetitions=1, seed=seed)
-            points = learning_curve(entries, spec, factory, (1, 3, 5))
-            errs = [r.mean_error for _, r in points]
+            errs = [
+                run_error_experiment(entries, SplitSpec(k_train=k, repetitions=1, seed=seed), matrices).mean_error
+                for k in (1, 3, 5)
+            ]
             if errs[0] >= errs[1] >= errs[2]:
                 good += 1
         counts[mode] = good

@@ -6,6 +6,7 @@ import pytest
 from oracles import read_feature_file
 from polarface import load_pgm, save_pgm
 from polarface.cli import main
+from polarface.config import EXPERIMENTS, MODES
 
 
 def run_cli(*argv):
@@ -131,6 +132,53 @@ def test_learning_curve_and_feature_map_runs(toy_faces, tmp_path, capsys):
     assert "feature-map[fbt]:" in capsys.readouterr().out
     assert list(out.glob("feature_map_fbt_a_*.csv"))
     assert list(out.glob("feature_map_fbt_b_*.csv"))
+
+
+# (experiment, [experiment] setting, modes it accepts, output CSVs
+# before "_<tag>.csv", summary experiment ids); {m} is the mode
+EXPERIMENT_RUNS = [
+    ("error-rate", "", MODES, ["summary"], ["error-rate-{m}"]),
+    ("learning-curve", "k_values = 1,3", MODES, ["learning_curve_{m}", "summary"],
+     ["learning-curve-k1-{m}", "learning-curve-k3-{m}"]),
+    ("subject-curve", "subject_counts = 2,3", MODES, ["subject_curve_{m}", "summary"],
+     ["subject-curve-n2-{m}", "subject-curve-n3-{m}"]),
+    ("cmc", "", MODES, ["cmc_{m}", "summary"], ["cmc-{m}"]),
+    ("roc", "", MODES, ["roc_{m}", "summary"], ["roc-{m}"]),
+    ("roc", "verification_score = embedding", ("fbt", "dft"), ["roc_{m}", "summary"], ["roc-{m}"]),
+    ("feature-map", "", ("fbt",), ["feature_map_fbt_a", "feature_map_fbt_b", "summary"],
+     ["feature-map-fbt-best", "feature-map-fbt-worst"]),
+    ("feature-map", "", ("dft",), ["feature_map_dft", "summary"],
+     ["feature-map-dft-best", "feature-map-dft-worst"]),
+    ("synth-oracle", "", MODES, ["synth_oracle"], []),
+]
+
+
+def test_experiment_runs_cover_every_experiment():
+    assert sorted({run[0] for run in EXPERIMENT_RUNS}) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize(
+    "experiment, setting, mode, csvs, ids",
+    [
+        pytest.param(e, setting, m, csvs, ids, id="-".join([e, m, *setting.split()[2:]]))
+        for e, setting, modes, csvs, ids in EXPERIMENT_RUNS
+        for m in modes
+    ],
+)
+def test_every_experiment_runs_in_every_mode(toy_faces, tmp_path, experiment, setting, mode, csvs, ids):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[experiment]\ntype = {experiment}\n{setting}\n")
+    out = tmp_path / "runs"
+    assert run_cli(
+        "experiment", "--config", config, "--dataset", toy_faces, "--mode", mode,
+        "--k-train", "4", "--reps", "2", "--out", out,
+    ) == 0
+    tag = next(out.glob("run_config_*.ini")).stem.split("_")[-1]
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted([f"run_config_{tag}.ini"] + [f"{c.format(m=mode)}_{tag}.csv" for c in csvs])
+    if ids:
+        summary = (out / f"summary_{tag}.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in summary] == [i.format(m=mode) for i in ids]
 
 
 @pytest.fixture

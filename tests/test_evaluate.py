@@ -1,6 +1,7 @@
 """Split protocol, error experiments, CMC/ROC/EER, per-feature maps."""
 
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,14 +15,11 @@ from polarface import (
     dissimilarity_matrix,
     embedding_matrix,
     equal_error_rate,
-    learning_curve,
     per_feature_error_rates,
-    pfld_predictor,
     random_split,
     run_error_experiment,
     score_matrix,
     split_rows,
-    subject_count_curve,
     verification_pairs,
     verification_roc,
 )
@@ -34,7 +32,7 @@ from oracles import (
     per_feature_error_rates_broadcast,
     per_split_embedding,
     per_split_posteriors,
-    per_split_predictor,
+    per_split_rep_errors,
 )
 
 
@@ -127,7 +125,7 @@ def test_error_experiment_on_separable_data():
     entries = toy_entries()
     features = separable_features(entries)
     spec = SplitSpec(k_train=4, repetitions=5, seed=1)
-    report = run_error_experiment(entries, spec, pfld_predictor(distances(entries, features)))
+    report = run_error_experiment(entries, spec, [distances(entries, features)])
     assert report.mean_error == 0.0
     assert report.sem == 0.0
     assert report.rep_errors.shape == (5,)
@@ -137,9 +135,9 @@ def test_error_experiment_is_deterministic():
     entries = toy_entries()
     features = separable_features(entries, spread=0.5, noise=0.4)  # overlapping
     spec = SplitSpec(k_train=3, repetitions=4, seed=2)
-    D = distances(entries, features)
-    r1 = run_error_experiment(entries, spec, pfld_predictor(D))
-    r2 = run_error_experiment(entries, spec, pfld_predictor(D))
+    D = [distances(entries, features)]
+    r1 = run_error_experiment(entries, spec, D)
+    r2 = run_error_experiment(entries, spec, D)
     assert np.array_equal(r1.rep_errors, r2.rep_errors)
     assert 0.0 <= r1.mean_error <= 100.0
 
@@ -193,6 +191,16 @@ def test_verification_pairs_counts_and_orientation():
     assert sim_g[0] == pytest.approx(0.7)
     with pytest.raises(ConfigError):
         verification_pairs(scores, ["a", "b"], labels, "sideways")
+
+
+def test_verification_pairs_alignment_errors():
+    labels = ("a", "b")
+    with pytest.raises(ConfigError):  # a second probe row without a truth
+        verification_pairs(np.zeros((2, 2)), ["a"], labels)
+    with pytest.raises(ConfigError):
+        verification_pairs(np.zeros((1, 3)), ["a"], labels)
+    with pytest.raises(DomainError):
+        verification_pairs(np.zeros((1, 2)), ["zz"], labels)
 
 
 def test_roc_monotonicity_and_endpoints():
@@ -365,12 +373,11 @@ def test_learning_and_subject_curves():
     entries = toy_entries(n_subjects=4, per_subject=8)
     features = separable_features(entries)
     spec = SplitSpec(k_train=5, repetitions=2, seed=0)
-    D = distances(entries, features)
-    lc = learning_curve(entries, spec, pfld_predictor(D), (1, 3, 5))
-    assert [k for k, _ in lc] == [1, 3, 5]
-    assert all(r.mean_error == 0.0 for _, r in lc)
-    sc = subject_count_curve(entries, spec, pfld_predictor(D), (2, 4))
-    assert [c for c, _ in sc] == [2, 4]
+    D = [distances(entries, features)]
+    lc = [run_error_experiment(entries, replace(spec, k_train=k), D) for k in (1, 3, 5)]
+    assert all(r.mean_error == 0.0 for r in lc)
+    sc = [run_error_experiment(entries, replace(spec, n_subjects=c), D) for c in (2, 4)]
+    assert all(r.rep_errors.shape == (2,) for r in sc)
 
 
 def test_csv_builders(tmp_path):
@@ -416,18 +423,15 @@ def test_error_experiments_equal_per_split_oracle(fused):
     entries = toy_entries(n_subjects=5, per_subject=7)
     tables = overlapping_tables(entries)[: 2 if fused else 1]
     matrices = [distances(entries, values) for values in tables]
-    factory = pfld_predictor(*matrices)
-    oracle = per_split_predictor(*tables)
     spec = SplitSpec(k_train=3, repetitions=4, seed=3)
-    runs = [
-        lambda f: [run_error_experiment(entries, spec, f)],
-        lambda f: [r for _, r in learning_curve(entries, spec, f, (1, 2, 4))],
-        lambda f: [r for _, r in subject_count_curve(entries, spec, f, (2, 4))],
+    specs = [
+        spec,
+        *(replace(spec, k_train=k) for k in (1, 2, 4)),
+        *(replace(spec, n_subjects=c) for c in (2, 4)),
     ]
-    for run in runs:
-        got, want = run(factory), run(oracle)
-        assert [r.rep_errors.tolist() for r in got] == [r.rep_errors.tolist() for r in want]
-    assert any(r.mean_error > 0.0 for r in runs[0](factory))
+    reports = [run_error_experiment(entries, s, matrices) for s in specs]
+    assert [r.rep_errors.tolist() for r in reports] == [per_split_rep_errors(tables, entries, s) for s in specs]
+    assert reports[0].mean_error > 0.0
 
 
 def test_score_and_embedding_matrices_equal_per_split_oracle():
@@ -438,7 +442,7 @@ def test_score_and_embedding_matrices_equal_per_split_oracle():
     train, probe = split_rows(entries, SplitSpec(k_train=3, seed=6), 0)
     train_labels = [subjects[r] for r in train]
     for matrices, values in (((D_a,), tables[:1]), ((D_a, D_b), tables)):
-        scores, labels = score_matrix(matrices[0], train, probe, train_labels, *matrices[1:])
+        scores, labels = score_matrix(matrices, train, probe, train_labels)
         want_labels, posteriors = per_split_posteriors(values, train, train_labels)
         assert labels == want_labels
         assert np.array_equal(scores, posteriors(probe))
