@@ -50,6 +50,7 @@ from .evaluate import (
 )
 from .features import (
     DFTConfig,
+    DFTOperator,
     FBSpectrum,
     FBTConfig,
     FBTOperator,
@@ -59,6 +60,7 @@ from .features import (
     dft_features,
     dft_error_map,
     dft_magnitude,
+    dft_operator,
     extract_dft,
     fbt,
     fbt_error_map,

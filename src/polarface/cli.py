@@ -11,15 +11,13 @@ Every experiment drops a canonical copy of its effective configuration
 hash is embedded in each output file name, so rerunning an identical
 configuration overwrites the previous files with byte-identical ones.
 Exit codes: 0 success, 1 failed self-check (synth-oracle), 2 bad input,
-I/O trouble or an FBT operator that fails its check on the first image.
+I/O trouble or a feature operator that fails its check on the first image.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -40,6 +38,7 @@ from .classifier import dissimilarity_matrix
 from .dataset import Dataset, face_mask, load_dataset_dir, normalize_face, save_pgm
 from .errors import ConfigError, DatasetError, PolarFaceError
 from .evaluate import (
+    check_splits,
     cmc,
     embedding_matrix,
     equal_error_rate,
@@ -55,6 +54,7 @@ from .features import (
     FBTConfig,
     FeatureTable,
     dft_error_map,
+    dft_operator,
     extract_dft,
     fbt,
     fbt_error_map,
@@ -68,8 +68,8 @@ from .features import (
 from .fileio import atomic_write_text
 from .polar import to_polar
 
-# FBT features are extracted through the operator this many images at a time.
-_FBT_BLOCK = 16
+# Features are extracted through the operators this many images at a time.
+_BLOCK = 16
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -121,18 +121,22 @@ def _resolve(args) -> RunConfig:
     return load_run_config(args.config, vars(args))
 
 
-def _load_dataset(cfg: RunConfig) -> Dataset:
+def _load_dataset(cfg: RunConfig, specs=()) -> Dataset:
+    """The run's dataset, refused before any image is read if it cannot
+    satisfy one of the split specs the experiment will draw."""
     if not cfg.dataset:
         raise ConfigError("no dataset given (use --dataset or [run] dataset)")
-    return load_dataset_dir(cfg.dataset, layout=cfg.layout)
+    dataset = load_dataset_dir(cfg.dataset, layout=cfg.layout)
+    check_splits(dataset.id_subject_pairs(), specs)
+    return dataset
 
 
 def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]:
     """One FeatureTable per mode, rows in dataset order.
 
-    Images are read, normalized and DFT-extracted one at a time (on the
-    worker pool, if any), and FBT-extracted through one FBTOperator in
-    blocks of _FBT_BLOCK rows; images of another geometry than the first
+    Images are read and normalized one at a time, and every mode's
+    operator folds each one into a buffer of _BLOCK images, which it then
+    projects into table rows; images of another geometry than the first
     are refused.
     """
     configs = {"fbt": cfg.fbt, "dft": cfg.dft}
@@ -157,40 +161,44 @@ def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]
         return img
 
     first = load(0)  # fixes the geometry
-    block = operator = None
-    if "fbt" in tables:
-        # to_polar + fbt on the first image is the reference the operator
-        # must match; run first, it also fills the caches the build reads
-        want = fbt_features(fbt(to_polar(first, cfg.fbt.angular_resolution), cfg.fbt)).values
+    operators = [(tables[m], _checked_operator(m, first, cfg)) for m in modes]
+    blocks = [np.empty((min(_BLOCK, len(entries)), *op.fold_shape)) for _, op in operators]
+
+    for start in range(0, len(entries), _BLOCK):
+        rows = range(start, min(start + _BLOCK, len(entries)))
+        for row in rows:
+            img = first if row == 0 else load(row)
+            if img.shape != first.shape:
+                raise DatasetError(
+                    f"image {entries[row].image_id!r} is {img.shape} but {entries[0].image_id!r} "
+                    f"is {first.shape}; all images must share one geometry"
+                )
+            for (_, op), block in zip(operators, blocks):
+                op.fold(img, block[row - start])
+        for (table, op), block in zip(operators, blocks):
+            table.values[start:rows.stop, : table.dim] = op.project(block[: len(rows)])
+    return tables
+
+
+def _checked_operator(mode: str, first: np.ndarray, cfg: RunConfig):
+    """The mode's operator for images shaped like `first`, stopped with an
+    error unless its features of `first` are within 1e-12 of the largest
+    one of the per-image reference's."""
+    if mode == "fbt":
+        # to_polar + fbt is the reference; run first, it also fills the
+        # caches the build reads
+        reference, want = "to_polar + fbt", fbt_features(fbt(to_polar(first, cfg.fbt.angular_resolution), cfg.fbt))
         # normalized faces are zero outside the mask, so it bounds the operator
         operator = fbt_operator(first.shape, cfg.fbt, face_mask(cfg.normalization) if cfg.normalize else None)
-        gap = float(np.max(np.abs(operator(first[None])[0] - want)))
-        if not gap <= 1e-12 * float(np.max(np.abs(want))):
-            raise PolarFaceError(
-                f"the FBT operator differs from to_polar + fbt by {gap:.3g} on the first image"
-            )
-        block = np.empty((min(_FBT_BLOCK, len(entries)), operator.width))
-
-    def work(row: int) -> None:
-        img = first if row == 0 else load(row)
-        if img.shape != first.shape:
-            raise DatasetError(
-                f"image {entries[row].image_id!r} is {img.shape} but {entries[0].image_id!r} "
-                f"is {first.shape}; all images must share one geometry"
-            )
-        if "dft" in tables:
-            tables["dft"].put(row, extract_dft(img, cfg.dft))
-        if operator is not None:
-            operator.fold(img, block[row % _FBT_BLOCK])
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
-        for start in range(0, len(entries), _FBT_BLOCK):
-            rows = range(start, min(start + _FBT_BLOCK, len(entries)))
-            list(pool.map(work, rows) if pool else map(work, rows))
-            if operator is not None:
-                table = tables["fbt"]
-                table.values[start:rows.stop, : table.dim] = operator.project(block[: len(rows)])
-    return tables
+    else:
+        reference, want = "extract_dft", extract_dft(first, cfg.dft)
+        operator = dft_operator(first.shape, cfg.dft)
+    gap = float(np.max(np.abs(operator(first[None])[0] - want.values)))
+    if not gap <= 1e-12 * float(np.max(np.abs(want.values))):
+        raise PolarFaceError(
+            f"the {mode.upper()} operator differs from {reference} by {gap:.3g} on the first image"
+        )
+    return operator
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -248,10 +256,11 @@ def _synth_oracle(cfg: RunConfig, out: Path, tag: str) -> int:
     return 0 if all(row[3] == "PASS" for row in rows) else 1
 
 
-def _identification_inputs(cfg: RunConfig) -> tuple[list, list[np.ndarray]]:
+def _identification_inputs(cfg: RunConfig, specs) -> tuple[list, list[np.ndarray]]:
     """The dataset's (image id, subject) entries and one dissimilarity
-    matrix per spectrum: every distance an experiment reads is one cell."""
-    dataset = _load_dataset(cfg)
+    matrix per spectrum, for an experiment drawing splits of the given
+    specs: every distance it reads is one cell."""
+    dataset = _load_dataset(cfg, specs)
     tables = _feature_tables(dataset, cfg)
     return dataset.id_subject_pairs(), [dissimilarity_matrix(t) for t in tables.values()]
 
@@ -259,7 +268,7 @@ def _identification_inputs(cfg: RunConfig) -> tuple[list, list[np.ndarray]]:
 def _first_split(cfg: RunConfig, scorer) -> tuple[np.ndarray, list, tuple]:
     """scorer(matrices, train rows, probe rows, train labels) on the first
     split, with the probes' true subjects: (scores, truths, class labels)."""
-    entries, matrices = _identification_inputs(cfg)
+    entries, matrices = _identification_inputs(cfg, [cfg.split])
     subjects = [s for _, s in entries]
     train, probe = split_rows(entries, cfg.split, 0)
     scores, labels = scorer(matrices, train, probe, [subjects[r] for r in train])
@@ -272,7 +281,7 @@ def _write_summary(out: Path, tag: str, rows) -> int:
 
 
 def _error_rate(cfg: RunConfig, out: Path, tag: str) -> int:
-    entries, matrices = _identification_inputs(cfg)
+    entries, matrices = _identification_inputs(cfg, [cfg.split])
     report = run_error_experiment(entries, cfg.split, matrices)
     print(f"error-rate[{cfg.mode}]: error {report.mean_error:.3f} sem {report.sem:.3f}")
     return _write_summary(out, tag, [(f"error-rate-{cfg.mode}", report.mean_error, report.sem, None)])
@@ -281,11 +290,9 @@ def _error_rate(cfg: RunConfig, out: Path, tag: str) -> int:
 def _curve(name: str, field: str, values: str, prefix: str, cfg: RunConfig, out: Path, tag: str) -> int:
     """An error-rate curve over the config's `values`, each point setting
     SplitSpec.`field`, which also heads the curve CSV's first column."""
-    entries, matrices = _identification_inputs(cfg)
-    points = [
-        (v, run_error_experiment(entries, replace(cfg.split, **{field: v}), matrices))
-        for v in getattr(cfg, values)
-    ]
+    specs = [(v, replace(cfg.split, **{field: v})) for v in getattr(cfg, values)]
+    entries, matrices = _identification_inputs(cfg, [spec for _, spec in specs])
+    points = [(v, run_error_experiment(entries, spec, matrices)) for v, spec in specs]
     write_csv(out / f"{name.replace('-', '_')}_{cfg.mode}_{tag}.csv", f"{field},mean,sem",
               [(v, r.mean_error, r.sem) for v, r in points])
     for v, report in points:
@@ -322,7 +329,7 @@ def _roc(cfg: RunConfig, out: Path, tag: str) -> int:
 
 
 def _feature_map(cfg: RunConfig, out: Path, tag: str) -> int:
-    dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg, [cfg.split])
     table = _feature_tables(dataset, cfg)[cfg.mode]
     errors = per_feature_error_rates(dataset.id_subject_pairs(), table.values[:, : table.dim], cfg.split)
     if cfg.mode == "fbt":

@@ -76,6 +76,13 @@ def _grouped(entries: Sequence[Entry], spec: SplitSpec) -> list[tuple[str, list[
     return out
 
 
+def check_splits(entries: Sequence[Entry], specs: Sequence[SplitSpec]) -> None:
+    """Refuse, as random_split would, any of the specs whose subject count
+    or k_train the entries' subjects cannot satisfy."""
+    for spec in specs:
+        _grouped(entries, spec)
+
+
 def random_split(entries: Sequence[Entry], spec: SplitSpec, repetition_index: int) -> tuple[list[str], list[str]]:
     """Deterministic per-(seed, repetition) gallery/probe id split."""
     if repetition_index < 0:

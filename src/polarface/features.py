@@ -11,9 +11,11 @@ Two feature families over gray images:
 
 Both produce flat FeatureVector values tagged with a layout id so that
 downstream stages can refuse to mix incompatible spectra.  Polar
-resampling and the FBT are linear in the pixels, so a run extracts FBT
-features through one FBTOperator per image shape; fbt(to_polar(image))
-is the per-image reference it is checked against.
+resampling and the FBT are linear in the pixels, and the DFT magnitudes
+are the modulus of a separable linear map, so a run extracts each
+spectrum through one operator per image shape (FBTOperator,
+DFTOperator); fbt(to_polar(image)) and extract_dft(image) are the
+per-image references they are checked against.
 """
 
 from __future__ import annotations
@@ -235,8 +237,21 @@ _BUILD_BLOCK = 1 << 17
 _BUILD_CHUNK = 1024
 
 
+class _BlockOperator:
+    """A linear feature map for one image shape, applied in two steps:
+    fold(image, out) per image, into a block buffer of `fold_shape` rows,
+    then project(block) to one feature row per image."""
+
+    def __call__(self, images) -> np.ndarray:
+        """Feature rows, one per image of an (n, h, w) stack."""
+        folded = np.empty((len(images), *self.fold_shape))
+        for row, image in enumerate(images):
+            self.fold(image, folded[row])
+        return self.project(folded)
+
+
 @dataclass(frozen=True, eq=False)
-class FBTOperator:
+class FBTOperator(_BlockOperator):
     """fbt_features(fbt(to_polar(image))) as one linear map, for one image shape.
 
     The polar grid is centred on the image, so it is symmetric under the
@@ -268,16 +283,16 @@ class FBTOperator:
     residual: np.ndarray  # (rows, residual pixels)
 
     @property
-    def width(self) -> int:
-        """Length of fold's output."""
-        return len(self.classes) * self.mirrors.shape[1] + self.residual_pixels.size
+    def fold_shape(self) -> tuple[int]:
+        """Shape of fold's output."""
+        return (len(self.classes) * self.mirrors.shape[1] + self.residual_pixels.size,)
 
     def fold(self, image, out=None) -> np.ndarray:
-        """The operator input of one image (`width` values, into out if given)."""
+        """The operator input of one image (into out if given)."""
         img = np.asarray(image, dtype=float)
         if img.shape != self.shape:
             raise DomainError(f"operator for {self.shape} images got a {img.shape} image")
-        out = np.empty(self.width) if out is None else out
+        out = np.empty(self.fold_shape) if out is None else out
         q, qx, qy, qxy = img.ravel()[self.mirrors]
         n = q.size
         for sy in (1, -1):
@@ -290,7 +305,7 @@ class FBTOperator:
         return out
 
     def project(self, folded) -> np.ndarray:
-        """Feature rows of an (images, width) stack of fold outputs."""
+        """Feature rows of a stack of fold outputs."""
         folded = np.asarray(folded, dtype=float)
         n = self.mirrors.shape[1]
         rows = np.empty((len(folded), self.features.size))
@@ -301,13 +316,6 @@ class FBTOperator:
         out = np.zeros((len(folded), self.n_features))  # B_0 has no row and stays 0
         out[:, self.features] = rows
         return out
-
-    def __call__(self, images) -> np.ndarray:
-        """Feature rows, one per image of an (n, h, w) stack."""
-        folded = np.empty((len(images), self.width))
-        for row, image in enumerate(images):
-            self.fold(image, folded[row])
-        return self.project(folded)
 
 
 def fbt_operator(shape, config: FBTConfig = FBTConfig(), support=None) -> FBTOperator:
@@ -499,6 +507,69 @@ def dft_features(magnitudes: np.ndarray, config: DFTConfig = DFTConfig()) -> Fea
 def extract_dft(image, config: DFTConfig = DFTConfig()) -> FeatureVector:
     """DFT-magnitude features of an image."""
     return dft_features(dft_magnitude(image), config)
+
+
+@dataclass(frozen=True, eq=False)
+class DFTOperator(_BlockOperator):
+    """extract_dft(image).values as a separable linear map and a modulus,
+    for one image shape.
+
+    The features are |F(u, v)| / sqrt(h w) on the lattice of radius r =
+    floor(max_cycles), F the 2-D DFT.  A real image has |F(u, v)| =
+    |F(-u, -v)|, so only the columns u = 0..r are computed.  fold(image)
+    is the row pass: the image times `rows` = [cos | sin](2 pi u x / w)
+    gives the (h, 2(r+1)) sums [C | S].  project(folded) is the column
+    pass: `columns` = [cos; sin](2 pi v y / h), v = 0..r, times each
+    folded image gives cC, cS, sC and sS, and F(u, +-v) = (cC -+ sS) -
+    i (cS +- sC); each lattice cell is then read from that (2(r+1),
+    r+1) plane, u < 0 at (-u, -v).
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray  # (w, 2(r+1))
+    columns: np.ndarray  # (2(r+1), h)
+    cells: np.ndarray  # flat plane index of each feature; plane rows v = 0..r, then -0..-r
+
+    @property
+    def fold_shape(self) -> tuple[int, int]:
+        """Shape of fold's output."""
+        return (self.shape[0], self.rows.shape[1])
+
+    def fold(self, image, out=None) -> np.ndarray:
+        """The row-pass sums of one image (into out if given)."""
+        img = np.asarray(image, dtype=float)
+        if img.shape != self.shape:
+            raise DomainError(f"operator for {self.shape} images got a {img.shape} image")
+        if not np.isfinite(img).all():
+            raise DomainError("image contains non-finite intensities")
+        return np.matmul(img, self.rows, out=out)
+
+    def project(self, folded) -> np.ndarray:
+        """Feature rows of an (images, h, 2(r+1)) stack of fold outputs."""
+        r1 = self.rows.shape[1] // 2
+        sums = self.columns @ np.asarray(folded, dtype=float)  # one GEMM per image
+        c, s = sums[:, :r1], sums[:, r1:]  # the cos and the sin rows
+        cC, cS, sC, sS = c[..., :r1], c[..., r1:], s[..., :r1], s[..., r1:]
+        re = np.concatenate([cC - sS, cC + sS], axis=1)
+        im = np.concatenate([cS + sC, cS - sC], axis=1)
+        return np.hypot(re, im).reshape(len(sums), -1)[:, self.cells] / math.sqrt(self.shape[0] * self.shape[1])
+
+
+def dft_operator(shape, config: DFTConfig = DFTConfig()) -> DFTOperator:
+    """Build the DFTOperator of h x w images; see that class."""
+    h, w = (int(v) for v in shape)
+    r = int(math.floor(config.max_cycles))
+    if r > (h - 1) // 2 or r > (w - 1) // 2:  # the bound of dft_features
+        raise ConfigError(f"max_cycles {config.max_cycles} exceeds the {w}x{h} frequency plane")
+
+    def trig(n):  # [cos; sin] of 2 pi k t / n, k = 0..r, t = 0..n-1, the phase reduced exactly
+        phase = (2.0 * math.pi / n) * (np.outer(np.arange(r + 1), np.arange(n)) % n)
+        return np.concatenate([np.cos(phase), np.sin(phase)])
+
+    us, vs = _dft_lattice(config.max_cycles)
+    u, v = np.abs(us), np.where(us < 0, -vs, vs)
+    cells = np.where(v >= 0, v, r + 1 - v) * (r + 1) + u
+    return DFTOperator((h, w), np.ascontiguousarray(trig(w).T), trig(h), cells)
 
 
 def synth_radial(cycles: float, size: int) -> np.ndarray:

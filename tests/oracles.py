@@ -24,6 +24,7 @@ from polarface import (
     ParseError,
     bilinear_sample,
     classify,
+    dft_feature_frequencies,
     fbt,
     fbt_features,
     fuse_max,
@@ -229,6 +230,30 @@ def extract_fbt(image, config: FBTConfig = FBTConfig()) -> FeatureVector:
     """FBT features of one image the per-image way, to_polar then fbt:
     the reference FBTOperator must match."""
     return fbt_features(fbt(to_polar(image, config.angular_resolution), config))
+
+
+def direct_dft_features(image, max_cycles: float) -> np.ndarray:
+    """|F(u, v)| / sqrt(h w) on the dft_feature_frequencies lattice by the
+    direct O(N^2) sum over every pixel, in np.longdouble.  Each phase
+    (u x h + v y w) / (h w) is reduced exactly in integers and looked up
+    in a table of cos and sin of 2 pi k / (h w)."""
+    img = np.asarray(image, dtype=np.longdouble)
+    h, w = img.shape
+    n = h * w
+    turn = 8 * np.arctan(np.longdouble(1)) / n
+    k = np.arange(n, dtype=np.longdouble)
+    cos_k, sin_k = np.cos(turn * k), np.sin(turn * k)
+    ys, xs = np.divmod(np.arange(n), w)
+    pixels = img.ravel()
+    lattice = np.array(dft_feature_frequencies(max_cycles)).reshape(-1, 2)
+    out = np.empty(len(lattice), dtype=np.longdouble)
+    block = 32  # lattice cells at a time; each block's phases are (block, h w)
+    for lo in range(0, len(lattice), block):
+        u, v = lattice[lo:lo + block, :1], lattice[lo:lo + block, 1:]
+        phase = (u * xs * h + v * ys * w) % n
+        re, im = cos_k[phase] @ pixels, sin_k[phase] @ pixels
+        out[lo:lo + block] = np.sqrt(re * re + im * im) / np.sqrt(np.longdouble(n))
+    return out
 
 
 def spectrum_from_features(values, max_order: int, max_root: int, R: float) -> FBSpectrum:

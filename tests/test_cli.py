@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import read_feature_file
-from polarface import load_pgm, save_pgm
+from polarface import cli, load_pgm, save_pgm
 from polarface.cli import main
 from polarface.config import EXPERIMENTS, MODES
 
@@ -250,6 +250,29 @@ def test_bad_curve_points_refused_before_any_output(toy_faces, tmp_path, capsys,
     code = run_cli("experiment", "--config", config, "--dataset", toy_faces, "--mode", "dft", "--out", out)
     assert_refusal(code, capsys, phrase)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, body, phrase",
+    [
+        (("error-rate", "--k-train", "7"), "", "need more than k_train=7"),
+        (("cmc", "--k-train", "9"), "", "need more than k_train=9"),
+        (("feature-map", "--k-train", "7"), "", "need more than k_train=7"),
+        (("learning-curve",), "[experiment]\nk_values = 1,3,7\n", "need more than k_train=7"),
+        (("subject-curve",), "[experiment]\nsubject_counts = 2,4\n", "n_subjects 4 exceeds available 3"),
+    ],
+)
+def test_unsatisfiable_splits_refused_before_extraction(toy_faces, tmp_path, capsys, monkeypatch, args, body, phrase):
+    # toy_faces has 3 subjects of 7 images each
+    def never(*_):
+        raise AssertionError("features were extracted")
+
+    monkeypatch.setattr(cli, "_feature_tables", never)
+    config = tmp_path / "run.ini"
+    config.write_text(body)
+    code = run_cli("experiment", *args, "--config", config, "--dataset", toy_faces, "--mode", "dft",
+                   "--out", tmp_path / "runs")
+    assert_refusal(code, capsys, phrase)
 
 
 def mixed_geometry_faces(root):

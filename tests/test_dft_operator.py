@@ -1,0 +1,86 @@
+"""The DFT operator against a direct extended-precision DFT and against
+extract_dft, and its refusals."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import direct_dft_features
+from polarface import ConfigError, DFTConfig, DomainError, cli, dft_operator, extract_dft
+
+
+@pytest.mark.parametrize(
+    "shape, max_cycles",
+    [((48, 40), 19.5), ((41, 37), 18.0), ((39, 40), 19.5), ((112, 92), 19.5), ((140, 118), 19.5)],
+)
+def test_operator_matches_direct_longdouble_dft(shape, max_cycles):
+    # even, odd and prime sides (41, 37, 59 = 118 / 2), and r at the
+    # largest the 39-pixel side allows; one positive and one zero-mean image
+    rng = np.random.default_rng(shape[0] * shape[1])
+    images = np.stack([rng.uniform(0.0, 255.0, shape), rng.uniform(-1.0, 1.0, shape)])
+    images[1] -= images[1].mean()
+    got = dft_operator(shape, DFTConfig(max_cycles))(images)
+    for image, row in zip(images, got):
+        want = direct_dft_features(image, max_cycles)
+        assert row.shape == want.shape
+        assert np.max(np.abs(row - want)) <= 1e-13 * np.max(want)
+
+
+@given(st.integers(1, 24), st.integers(1, 24), st.floats(0.0, 12.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_operator_matches_extract_dft_and_refuses_what_it_refuses(h, w, max_cycles, seed):
+    config = DFTConfig(max_cycles)
+    image = np.random.default_rng(seed).uniform(0.0, 255.0, size=(h, w))
+    try:
+        want = extract_dft(image, config).values
+    except ConfigError:
+        with pytest.raises(ConfigError, match="exceeds the"):
+            dft_operator((h, w), config)
+        return
+    got = dft_operator((h, w), config)(image[None])[0]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def test_operator_refuses_other_shapes():
+    op = dft_operator((40, 42), DFTConfig(5.0))
+    for image in (np.zeros((42, 40)), np.zeros((40, 43)), np.zeros(40 * 42)):
+        with pytest.raises(DomainError, match="operator for"):
+            op.fold(image)
+    with pytest.raises(DomainError):
+        op(np.zeros((1, 41, 42)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_operator_refuses_non_finite_pixels(bad):
+    op = dft_operator((20, 20), DFTConfig(4.5))
+    image = np.ones((20, 20))
+    image[7, 3] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        op.fold(image)
+
+
+@pytest.mark.parametrize("shape", [(38, 60), (60, 38), (0, 60)])
+def test_operator_refuses_max_cycles_beyond_the_plane(shape):
+    with pytest.raises(ConfigError, match="max_cycles 19.5 exceeds"):
+        dft_operator(shape, DFTConfig(19.5))
+    dft_operator((39, 39), DFTConfig(19.5))  # r = 19 fits a 39-pixel side
+
+
+def test_corrupted_operator_stops_the_run(toy_faces, tmp_path, monkeypatch, capsys):
+    build = cli.dft_operator
+
+    def corrupted(*args):
+        op = build(*args)
+        op.rows[5, 3] += 1e-6
+        return op
+
+    monkeypatch.setattr(cli, "dft_operator", corrupted)
+    code = cli.main([
+        "experiment", "error-rate", "--dataset", str(toy_faces), "--mode", "fused",
+        "--k-train", "4", "--reps", "1", "--out", str(tmp_path / "runs"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "the DFT operator differs from extract_dft" in err[0]
+    assert not list((tmp_path / "runs").glob("summary_*.csv"))
