@@ -10,7 +10,6 @@ two spectra.
 
 from .bessel import BesselRootTable, bessel_j, bessel_roots, build_root_table
 from .classifier import (
-    ClassScores,
     TrainedModel,
     classify,
     dissimilarity_matrix,
@@ -44,7 +43,6 @@ from .evaluate import (
     random_split,
     run_error_experiment,
     score_matrix,
-    split_rows,
     verification_pairs,
     verification_roc,
 )

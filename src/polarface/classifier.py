@@ -148,22 +148,9 @@ def _posterior(raw: np.ndarray) -> np.ndarray:
     return np.where(dead, 1.0 / p.shape[-1], p / np.where(dead, 1.0, total))
 
 
-@dataclass(frozen=True)
-class ClassScores:
-    """Raw discriminant outputs and normalized posteriors per class."""
-
-    class_labels: tuple
-    raw: np.ndarray
-    posterior: np.ndarray
-
-    @property
-    def predicted(self):
-        # np.argmax takes the first maximum, i.e. the lowest class index.
-        return self.class_labels[int(np.argmax(self.posterior))]
-
-
-def classify(model: TrainedModel, distances: np.ndarray) -> ClassScores:
-    """Score one probe from its distances to the training images.
+def classify(model: TrainedModel, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw discriminant outputs and posteriors of one probe, each
+    (n_classes,) with columns following model.class_labels.
 
     `distances` is the probe's row of the dissimilarity matrix, columns
     in training order; its scores never depend on any other probe.
@@ -173,19 +160,19 @@ def classify(model: TrainedModel, distances: np.ndarray) -> ClassScores:
             f"{distances.shape} probe distances do not fit {model.mean_offset.size} training images"
         )
     raw = np.concatenate([distances - model.mean_offset, [1.0]]) @ model.weights
-    return ClassScores(class_labels=model.class_labels, raw=raw, posterior=_posterior(raw))
+    return raw, _posterior(raw)
 
 
 def score(model: TrainedModel, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw discriminant outputs and posteriors of probes, each (n_probes, n_classes).
 
-    `distances` is (n_probes, n_train); row r of each result is
-    classify(model, distances[r]), columns follow model.class_labels.
+    `distances` is (n_probes, n_train); row r of each result is the
+    matching part of classify(model, distances[r]).
     """
     if len(distances) == 0:
         raise ConfigError("need at least one probe")
-    rows = [classify(model, row) for row in distances]
-    return np.array([r.raw for r in rows]), np.array([r.posterior for r in rows])
+    raw, posterior = zip(*(classify(model, row) for row in distances))
+    return np.array(raw), np.array(posterior)
 
 
 def fuse_max(*scored: tuple[tuple, np.ndarray]) -> np.ndarray:

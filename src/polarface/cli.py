@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +37,15 @@ from .classifier import dissimilarity_matrix
 from .dataset import Dataset, face_mask, load_dataset_dir, normalize_face, save_pgm
 from .errors import ConfigError, DatasetError, PolarFaceError
 from .evaluate import (
-    check_splits,
+    Split,
+    SplitSpec,
     cmc,
     embedding_matrix,
     equal_error_rate,
     per_feature_error_rates,
+    random_split,
     run_error_experiment,
     score_matrix,
-    split_rows,
     verification_pairs,
     verification_roc,
     write_csv,
@@ -121,14 +121,15 @@ def _resolve(args) -> RunConfig:
     return load_run_config(args.config, vars(args))
 
 
-def _load_dataset(cfg: RunConfig, specs=()) -> Dataset:
-    """The run's dataset, refused before any image is read if it cannot
-    satisfy one of the split specs the experiment will draw."""
+def _load_dataset(cfg: RunConfig, specs=()) -> tuple[Dataset, list[Split]]:
+    """The run's dataset and the split of each spec the experiment
+    draws; a spec the dataset cannot satisfy is refused here, before any
+    image is read."""
     if not cfg.dataset:
         raise ConfigError("no dataset given (use --dataset or [run] dataset)")
     dataset = load_dataset_dir(cfg.dataset, layout=cfg.layout)
-    check_splits(dataset.id_subject_pairs(), specs)
-    return dataset
+    entries = dataset.id_subject_pairs()
+    return dataset, [random_split(entries, spec) for spec in specs]
 
 
 def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]:
@@ -213,7 +214,7 @@ def _write_config_copy(cfg: RunConfig, out: Path, tag: str) -> None:
 
 def cmd_extract(args) -> int:
     cfg = _resolve(args)
-    dataset = _load_dataset(cfg)
+    dataset, _ = _load_dataset(cfg)
     tables = _feature_tables(dataset, cfg)
     out = _out_dir(cfg)
     tag = config_hash(cfg)
@@ -237,9 +238,9 @@ def _oracle_peaks(image) -> list[tuple[int, int]]:
     return [(int(n), int(j) + 1) for n, j in zip(*np.unravel_index(order, mod.shape)) if n or j]
 
 
-def _synth_oracle(cfg: RunConfig, out: Path, tag: str) -> int:
+def _synth_oracle(cfg: RunConfig, dataset, splits, out: Path, tag: str) -> int:
     """Peak-location self-checks on analytically understood patterns;
-    exit code 1 if any check fails."""
+    exit code 1 if any check fails.  Reads no dataset."""
     checks = (
         ("radial-8", synth_radial(8, _ORACLE_SIZE), {(0, 8)}),
         ("angular-4", synth_angular(4, _ORACLE_SIZE), {(4, 1)}),
@@ -256,23 +257,20 @@ def _synth_oracle(cfg: RunConfig, out: Path, tag: str) -> int:
     return 0 if all(row[3] == "PASS" for row in rows) else 1
 
 
-def _identification_inputs(cfg: RunConfig, specs) -> tuple[list, list[np.ndarray]]:
-    """The dataset's (image id, subject) entries and one dissimilarity
-    matrix per spectrum, for an experiment drawing splits of the given
-    specs: every distance it reads is one cell."""
-    dataset = _load_dataset(cfg, specs)
-    tables = _feature_tables(dataset, cfg)
-    return dataset.id_subject_pairs(), [dissimilarity_matrix(t) for t in tables.values()]
+def _matrices(dataset: Dataset, cfg: RunConfig) -> list[np.ndarray]:
+    """One dissimilarity matrix per spectrum, rows in dataset order: every
+    distance an identification experiment reads is one cell."""
+    return [dissimilarity_matrix(t) for t in _feature_tables(dataset, cfg).values()]
 
 
-def _first_split(cfg: RunConfig, scorer) -> tuple[np.ndarray, list, tuple]:
-    """scorer(matrices, train rows, probe rows, train labels) on the first
-    split, with the probes' true subjects: (scores, truths, class labels)."""
-    entries, matrices = _identification_inputs(cfg, [cfg.split])
-    subjects = [s for _, s in entries]
-    train, probe = split_rows(entries, cfg.split, 0)
-    scores, labels = scorer(matrices, train, probe, [subjects[r] for r in train])
-    return scores, [subjects[r] for r in probe], labels
+def _first_split(cfg: RunConfig, dataset: Dataset, split: Split, scorer) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """scorer(matrices, train rows, probe rows, train labels) on the
+    split's first repetition, with the probes' true subjects: (scores,
+    truths, class labels)."""
+    matrices = _matrices(dataset, cfg)
+    train = split.train[0]
+    scores, labels = scorer(matrices, split.rows[train], split.rows[~train], split.subjects[train])
+    return scores, split.subjects[~train], labels
 
 
 def _write_summary(out: Path, tag: str, rows) -> int:
@@ -280,19 +278,20 @@ def _write_summary(out: Path, tag: str, rows) -> int:
     return 0
 
 
-def _error_rate(cfg: RunConfig, out: Path, tag: str) -> int:
-    entries, matrices = _identification_inputs(cfg, [cfg.split])
-    report = run_error_experiment(entries, cfg.split, matrices)
+def _error_rate(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
+    report = run_error_experiment(splits[0], _matrices(dataset, cfg))
     print(f"error-rate[{cfg.mode}]: error {report.mean_error:.3f} sem {report.sem:.3f}")
     return _write_summary(out, tag, [(f"error-rate-{cfg.mode}", report.mean_error, report.sem, None)])
 
 
-def _curve(name: str, field: str, values: str, prefix: str, cfg: RunConfig, out: Path, tag: str) -> int:
-    """An error-rate curve over the config's `values`, each point setting
-    SplitSpec.`field`, which also heads the curve CSV's first column."""
-    specs = [(v, replace(cfg.split, **{field: v})) for v in getattr(cfg, values)]
-    entries, matrices = _identification_inputs(cfg, [spec for _, spec in specs])
-    points = [(v, run_error_experiment(entries, spec, matrices)) for v, spec in specs]
+def _curve(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
+    """An error-rate curve, one split per point of the config's list (see
+    _CURVES); the SplitSpec field the points set heads the CSV's first
+    column."""
+    name = cfg.experiment
+    field, values, prefix = _CURVES[name]
+    matrices = _matrices(dataset, cfg)
+    points = [(v, run_error_experiment(split, matrices)) for v, split in zip(getattr(cfg, values), splits)]
     write_csv(out / f"{name.replace('-', '_')}_{cfg.mode}_{tag}.csv", f"{field},mean,sem",
               [(v, r.mean_error, r.sem) for v, r in points])
     for v, report in points:
@@ -300,8 +299,8 @@ def _curve(name: str, field: str, values: str, prefix: str, cfg: RunConfig, out:
     return _write_summary(out, tag, [(f"{name}-{prefix}{v}-{cfg.mode}", r.mean_error, r.sem, None) for v, r in points])
 
 
-def _cmc(cfg: RunConfig, out: Path, tag: str) -> int:
-    scores, truths, labels = _first_split(cfg, score_matrix)
+def _cmc(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
+    scores, truths, labels = _first_split(cfg, dataset, splits[0], score_matrix)
     curve = cmc(scores, truths, labels)
     write_csv(out / f"cmc_{cfg.mode}_{tag}.csv", "rank,proportion", zip(curve.ranks, curve.proportions))
     rank1_error = 100.0 * (1.0 - float(curve.proportions[0]))
@@ -309,13 +308,13 @@ def _cmc(cfg: RunConfig, out: Path, tag: str) -> int:
     return _write_summary(out, tag, [(f"cmc-{cfg.mode}", rank1_error, 0.0, None)])
 
 
-def _roc(cfg: RunConfig, out: Path, tag: str) -> int:
+def _roc(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
     if cfg.verification_score == "embedding":
-        dists, truths, labels = _first_split(cfg, lambda ms, *split: embedding_matrix(ms[0], *split))
+        dists, truths, labels = _first_split(cfg, dataset, splits[0], lambda ms, *split: embedding_matrix(ms[0], *split))
         claim = dists if cfg.score_orientation == "distance" else -dists
         genuine, impostor = verification_pairs(claim, truths, labels, "similarity")
     else:
-        scores, truths, labels = _first_split(cfg, score_matrix)
+        scores, truths, labels = _first_split(cfg, dataset, splits[0], score_matrix)
         genuine, impostor = verification_pairs(scores, truths, labels, cfg.score_orientation)
     roc = verification_roc(genuine, impostor, cfg.score_orientation)
     eer = equal_error_rate(roc)
@@ -328,10 +327,9 @@ def _roc(cfg: RunConfig, out: Path, tag: str) -> int:
     return _write_summary(out, tag, [(f"roc-{cfg.mode}", 100.0 * eer.eer, 0.0, eer.eer)])
 
 
-def _feature_map(cfg: RunConfig, out: Path, tag: str) -> int:
-    dataset = _load_dataset(cfg, [cfg.split])
+def _feature_map(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
     table = _feature_tables(dataset, cfg)[cfg.mode]
-    errors = per_feature_error_rates(dataset.id_subject_pairs(), table.values[:, : table.dim], cfg.split)
+    errors = per_feature_error_rates(dataset.id_subject_pairs(), table.values[:, : table.dim], splits[0])
     if cfg.mode == "fbt":
         planes = fbt_error_map(errors, cfg.fbt.max_order, cfg.fbt.max_root)
         write_csv(out / f"feature_map_fbt_a_{tag}.csv", None, planes[0])
@@ -348,11 +346,18 @@ def _feature_map(cfg: RunConfig, out: Path, tag: str) -> int:
     ])
 
 
-# experiment type -> run(cfg, out dir, hash tag) -> exit code
+# curve experiment -> (SplitSpec field its points set, config list of the
+# points, point prefix in the experiment ids)
+_CURVES = {
+    "learning-curve": ("k_train", "k_values", "k"),
+    "subject-curve": ("n_subjects", "subject_counts", "n"),
+}
+
+# experiment type -> run(cfg, dataset, splits, out dir, hash tag) -> exit code
 _EXPERIMENTS = {
     "error-rate": _error_rate,
-    "learning-curve": partial(_curve, "learning-curve", "k_train", "k_values", "k"),
-    "subject-curve": partial(_curve, "subject-curve", "n_subjects", "subject_counts", "n"),
+    "learning-curve": _curve,
+    "subject-curve": _curve,
     "cmc": _cmc,
     "roc": _roc,
     "feature-map": _feature_map,
@@ -370,13 +375,23 @@ def _refuse_unrunnable(cfg: RunConfig) -> None:
         raise ConfigError("embedding verification needs a single spectrum mode")
 
 
+def _split_specs(cfg: RunConfig) -> list[SplitSpec]:
+    """The split specs the experiment draws: one per curve point, else cfg.split."""
+    if cfg.experiment in _CURVES:
+        field, values, _ = _CURVES[cfg.experiment]
+        return [replace(cfg.split, **{field: v}) for v in getattr(cfg, values)]
+    return [cfg.split]
+
+
 def cmd_experiment(args) -> int:
     cfg = _resolve(args)
     _refuse_unrunnable(cfg)
+    # a run refused for its dataset or a split leaves no output directory or config copy
+    dataset, splits = (None, []) if cfg.experiment == "synth-oracle" else _load_dataset(cfg, _split_specs(cfg))
     out = _out_dir(cfg)
     tag = config_hash(cfg)
     _write_config_copy(cfg, out, tag)
-    return _EXPERIMENTS[cfg.experiment](cfg, out, tag)
+    return _EXPERIMENTS[cfg.experiment](cfg, dataset, splits, out, tag)
 
 
 def cmd_synth(args) -> int:

@@ -12,6 +12,7 @@ or below the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,8 @@ class SplitSpec:
     k_train images per subject are drawn without replacement per
     repetition; n_subjects limits the experiment to the first so many
     subjects in id order (None keeps all).  Repetition r uses the RNG
-    stream seeded with seed XOR r.
+    stream seeded with seed XOR r.  random_split gives the Split that
+    holds every repetition of a spec.
     """
 
     k_train: int = 5
@@ -53,10 +55,49 @@ class SplitSpec:
             raise ConfigError(f"n_subjects must be >= 2, got {self.n_subjects}")
 
 
-def _grouped(entries: Sequence[Entry], spec: SplitSpec) -> list[tuple[str, list[str]]]:
-    groups: dict[str, list[str]] = {}
-    for image_id, subject_id in entries:
-        groups.setdefault(str(subject_id), []).append(str(image_id))
+@dataclass(frozen=True, eq=False)
+class Split:
+    """Every repetition of a SplitSpec over a list of entries.
+
+    `rows` index the entries in canonical order (sorted subject, then
+    sorted image id) and `subjects` is each of those rows' subject id.
+    Repetition r's gallery rows are rows[train[r]] and its probe rows
+    rows[~train[r]], both in canonical order.
+    """
+
+    rows: np.ndarray      # (n,) intp
+    subjects: np.ndarray  # (n,) str, as objects
+    spec: SplitSpec
+
+    @cached_property
+    def train(self) -> np.ndarray:
+        """The (repetitions, n) boolean gallery mask, drawn on first use.
+
+        Per repetition r, an RNG seeded with seed XOR r permutes each
+        subject's rows in turn, in canonical order, and the first k_train
+        positions of each permutation are that subject's gallery.  The
+        draw waits for first use because importing numpy.random adds
+        about 2.7 MB of resident memory, which a CLI run then pays after
+        feature extraction, its memory peak, not during it.
+        """
+        sizes = np.unique(self.subjects, return_counts=True)[1]
+        train = np.zeros((self.spec.repetitions, self.rows.size), dtype=bool)
+        for rep, mask in enumerate(train):
+            rng = np.random.default_rng(self.spec.seed ^ rep)
+            for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+                mask[start + rng.permutation(int(size))[: self.spec.k_train]] = True
+        return train
+
+
+def random_split(entries: Sequence[Entry], spec: SplitSpec) -> Split:
+    """The Split of `spec` over the (image id, subject) entries.
+
+    Refuses a spec whose subject count or k_train the entries cannot
+    satisfy.
+    """
+    groups: dict[str, list[tuple[str, int]]] = {}
+    for row, (image_id, subject_id) in enumerate(entries):
+        groups.setdefault(str(subject_id), []).append((str(image_id), row))
     subjects = sorted(groups)
     if spec.n_subjects is not None:
         if spec.n_subjects > len(subjects):
@@ -64,38 +105,15 @@ def _grouped(entries: Sequence[Entry], spec: SplitSpec) -> list[tuple[str, list[
                 f"n_subjects {spec.n_subjects} exceeds available {len(subjects)}"
             )
         subjects = subjects[: spec.n_subjects]
-    out = []
-    for s in subjects:
-        images = sorted(groups[s])
-        if len(images) <= spec.k_train:
+    sizes = [len(groups[s]) for s in subjects]
+    for s, size in zip(subjects, sizes):
+        if size <= spec.k_train:
             raise ConfigError(
-                f"subject {s!r} has {len(images)} images; need more than "
+                f"subject {s!r} has {size} images; need more than "
                 f"k_train={spec.k_train} for a nonempty probe set"
             )
-        out.append((s, images))
-    return out
-
-
-def check_splits(entries: Sequence[Entry], specs: Sequence[SplitSpec]) -> None:
-    """Refuse, as random_split would, any of the specs whose subject count
-    or k_train the entries' subjects cannot satisfy."""
-    for spec in specs:
-        _grouped(entries, spec)
-
-
-def random_split(entries: Sequence[Entry], spec: SplitSpec, repetition_index: int) -> tuple[list[str], list[str]]:
-    """Deterministic per-(seed, repetition) gallery/probe id split."""
-    if repetition_index < 0:
-        raise DomainError(f"repetition_index must be >= 0, got {repetition_index}")
-    rng = np.random.default_rng(spec.seed ^ repetition_index)
-    train: list[str] = []
-    test: list[str] = []
-    for _, images in _grouped(entries, spec):
-        picked = rng.permutation(len(images))[: spec.k_train]
-        chosen = {images[j] for j in picked}
-        train.extend(i for i in images if i in chosen)
-        test.extend(i for i in images if i not in chosen)
-    return train, test
+    rows = np.array([row for s in subjects for _, row in sorted(groups[s])], dtype=np.intp)
+    return Split(rows, np.repeat(np.array(subjects, dtype=object), sizes), spec)
 
 
 def sem_value(values) -> float:
@@ -139,13 +157,6 @@ class EvalReport:
     rep_errors: np.ndarray
 
 
-def split_rows(entries: Sequence[Entry], spec: SplitSpec, repetition_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """random_split as row indices into entries, in the same order."""
-    row_of = {str(i): r for r, (i, _) in enumerate(entries)}
-    train, test = random_split(entries, spec, repetition_index)
-    return np.array([row_of[i] for i in train]), np.array([row_of[i] for i in test])
-
-
 def score_matrix(
     matrices: Sequence[np.ndarray],
     train_rows: np.ndarray,
@@ -166,18 +177,17 @@ def score_matrix(
     return posteriors, models[0].class_labels
 
 
-def run_error_experiment(entries: Sequence[Entry], spec: SplitSpec, matrices: Sequence[np.ndarray]) -> EvalReport:
-    """Mean percent misclassified over repeated random splits, each probe
-    taking the class of its highest (fused) posterior."""
-    subjects = [str(s) for _, s in entries]
+def run_error_experiment(split: Split, matrices: Sequence[np.ndarray]) -> EvalReport:
+    """Mean percent misclassified over the split's repetitions, each probe
+    taking the class of its highest (fused) posterior; `matrices` index
+    the entries the split was drawn from."""
     errors = []
-    for rep in range(spec.repetitions):
-        train, test = split_rows(entries, spec, rep)
-        posteriors, labels = score_matrix(matrices, train, test, [subjects[r] for r in train])
+    for train in split.train:
+        truths = split.subjects[~train]
+        posteriors, labels = score_matrix(matrices, split.rows[train], split.rows[~train], split.subjects[train])
         # np.argmax takes the first maximum, i.e. the lowest class index.
-        predicted = [labels[j] for j in np.argmax(posteriors, axis=1)]
-        wrong = sum(1 for r, label in zip(test, predicted) if str(label) != subjects[r])
-        errors.append(100.0 * wrong / len(test))
+        predicted = np.array(labels, dtype=object)[np.argmax(posteriors, axis=1)]
+        errors.append(100.0 * np.count_nonzero(predicted != truths) / truths.size)
     errors = np.array(errors)
     return EvalReport(mean_error=float(errors.mean()), sem=sem_value(errors), rep_errors=errors)
 
@@ -289,22 +299,6 @@ def equal_error_rate(roc: ROCCurve) -> EERResult:
     return EERResult(eer=float(eer), threshold_low=float(lo), threshold_high=float(hi))
 
 
-def _canonical_rows(entries: Sequence[Entry], spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the experiment's images in the order random_split lists
-    them (sorted subject, then sorted image id), their integer subject
-    codes, and the boolean train mask of every repetition over them."""
-    row_of = {str(i): r for r, (i, _) in enumerate(entries)}
-    ids = [i for _, images in _grouped(entries, spec) for i in images]
-    rows = np.array([row_of[i] for i in ids], dtype=np.intp)
-    code_of: dict[str, int] = {}
-    codes = np.array([code_of.setdefault(str(entries[r][1]), len(code_of)) for r in rows])
-    train = np.zeros((spec.repetitions, rows.size), dtype=bool)
-    for rep in range(spec.repetitions):
-        chosen = set(random_split(entries, spec, rep)[0])
-        train[rep] = [i in chosen for i in ids]
-    return rows, codes, train
-
-
 def _first_set(mask: np.ndarray, pos: np.ndarray, row_end: np.ndarray) -> np.ndarray:
     """out[k] = first position >= k in k's row where mask is set, or
     some value >= row_end[k] if none; out[mask.size] = mask.size."""
@@ -381,15 +375,16 @@ class _SortedBlock:
         return pick, unresolved
 
 
-def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, spec: SplitSpec) -> np.ndarray:
-    """Mean 1-NN percent error of every single feature over the splits.
+def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, split: Split) -> np.ndarray:
+    """Mean 1-NN percent error of every single feature over the
+    repetitions of a split drawn from `entries`.
 
     `values` is (n_images, n_features) with rows aligned with `entries`
     and must be finite.  A probe takes the subject of the training image
     with the smallest gap |probe - train| in float arithmetic; equal
-    gaps go to the lowest training index, train ids in the order
-    random_split lists them.  The result equals the brute-force argmin
-    over every (probe, train) gap exactly.
+    gaps go to the lowest training index, train rows in the split's
+    canonical order.  The result equals the brute-force argmin over
+    every (probe, train) gap exactly.
 
     Rows are permuted once into that canonical order (sorted subject,
     then sorted image id), so training index order is row order.  Each
@@ -412,7 +407,8 @@ def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, spec: 
         raise ConfigError("value matrix rows and entries do not align")
     if not np.isfinite(values).all():
         raise DomainError("feature values must be finite")
-    rows, codes, train = _canonical_rows(entries, spec)
+    rows, train = split.rows, split.train
+    codes = np.unique(split.subjects, return_inverse=True)[1]
     n, n_features = rows.size, values.shape[1]
     n_probes = (~train).sum(axis=1)
     total = np.zeros(n_features)
@@ -422,18 +418,18 @@ def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, spec: 
         sorted_block = _SortedBlock(block)
         canon = sorted_block.canon[:-1]
         labels = codes[canon]
-        for rep in range(spec.repetitions):
-            in_train = train[rep][canon]
+        for mask, n_probe in zip(train, n_probes):
+            in_train = mask[canon]
             pick, unresolved = sorted_block.nearest_train(in_train)
             predicted = labels[pick]
             if unresolved.any():
-                train_rows = np.flatnonzero(train[rep])
+                train_rows = np.flatnonzero(mask)
                 for k in np.flatnonzero(unresolved):
                     gaps = np.abs(sorted_block.values[k] - block[k // n, train_rows])
                     predicted[k] = codes[train_rows[np.argmin(gaps)]]
             wrong = ((predicted != labels) & ~in_train).reshape(-1, n).sum(axis=1)
-            total[start:stop] += 100.0 * (wrong / n_probes[rep])
-    return total / spec.repetitions
+            total[start:stop] += 100.0 * (wrong / n_probe)
+    return total / len(train)
 
 
 def _cell(value) -> str:

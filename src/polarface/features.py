@@ -29,7 +29,7 @@ import numpy as np
 from .bessel import bessel_j, build_root_table
 from .errors import ConfigError, DomainError
 from .fileio import atomic_write_text
-from .polar import PolarGrid, _polar_plan, _ray_count
+from .polar import PolarGrid, _bilinear_weights, _polar_plan, _ray_count
 
 
 @dataclass(frozen=True)
@@ -130,18 +130,9 @@ class FeatureTable:
 
     @classmethod
     def allocate(cls, ids, layout_id: str, dim: int) -> FeatureTable:
-        """An all-zero table, filled row by row with put."""
+        """An all-zero table, for the caller to fill through `values`."""
         ids = tuple(str(i) for i in ids)
         return cls(ids, layout_id, dim, np.zeros((len(ids), dim + (-dim) % CHUNK_WIDTH)))
-
-    def put(self, row: int, vector: FeatureVector) -> None:
-        """Write one image's vector into its row; refuses another layout or length."""
-        if (vector.layout_id, vector.values.size) != (self.layout_id, self.dim):
-            raise ConfigError(
-                f"feature layout {vector.layout_id!r} of length {vector.values.size} does not fit "
-                f"a table of layout {self.layout_id!r} and length {self.dim}"
-            )
-        self.values[row, : self.dim] = vector.values
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -394,9 +385,7 @@ def _bilinear_entries(samples, corner, fx, fy, w):
     """Flat pixel indices and weights of the four bilinear_sample terms of
     each plan sample, both (samples, 4)."""
     pixel = corner[samples][:, None] + np.array([0, 1, w, w + 1])
-    fxs, fys = fx[samples], fy[samples]
-    gx, gy = 1.0 - fxs, 1.0 - fys
-    return pixel, np.stack([gx * gy, fxs * gy, gx * fys, fxs * fys], axis=1)
+    return pixel, np.stack(_bilinear_weights(fx[samples], fy[samples]), axis=1)
 
 
 def _project(pixel, n_pixels, columns, ray, ring, weight, trig, radial):

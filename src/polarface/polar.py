@@ -27,6 +27,14 @@ def _as_image(image) -> np.ndarray:
     return img
 
 
+def _bilinear_weights(fx, fy):
+    """Weights of the top-left, top-right, bottom-left and bottom-right
+    pixels of a bilinear sample at offset (fx, fy) from the top-left one;
+    every bilinear sum of the package uses these, in this order."""
+    gx, gy = 1.0 - fx, 1.0 - fy
+    return gx * gy, fx * gy, gx * fy, fx * fy
+
+
 def bilinear_sample(image, x, y):
     """Sample `image` at (x, y) = (column, row) with bilinear interpolation.
 
@@ -44,14 +52,8 @@ def bilinear_sample(image, x, y):
     h, w = img.shape
     x0 = np.clip(np.floor(xs).astype(int), 0, w - 2)
     y0 = np.clip(np.floor(ys).astype(int), 0, h - 2)
-    fx = xs - x0
-    fy = ys - y0
-    val = (
-        (1.0 - fx) * (1.0 - fy) * img[y0, x0]
-        + fx * (1.0 - fy) * img[y0, x0 + 1]
-        + (1.0 - fx) * fy * img[y0 + 1, x0]
-        + fx * fy * img[y0 + 1, x0 + 1]
-    )
+    w00, w10, w01, w11 = _bilinear_weights(xs - x0, ys - y0)
+    val = w00 * img[y0, x0] + w10 * img[y0, x0 + 1] + w01 * img[y0 + 1, x0] + w11 * img[y0 + 1, x0 + 1]
     inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
     val = np.where(inside, val, 0.0)
     return float(val[0]) if scalar else val
@@ -101,15 +103,11 @@ def to_polar(image, angular_resolution: float = 0.5) -> PolarGrid:
     h, w = img.shape
     inside, corner, fx, fy, max_radius = _polar_plan(h, w, n_rays, float(angular_resolution))
     flat = img.ravel()
-    gx = 1.0 - fx
-    gy = 1.0 - fy
+    w00, w10, w01, w11 = _bilinear_weights(fx, fy)
     samples = np.zeros(inside.shape)
     # bilinear_sample's terms in its order, so samples match it bit for bit
     samples[inside] = (
-        gx * gy * flat[corner]
-        + fx * gy * flat[1:][corner]
-        + gx * fy * flat[w:][corner]
-        + fx * fy * flat[w + 1:][corner]
+        w00 * flat[corner] + w10 * flat[1:][corner] + w01 * flat[w:][corner] + w11 * flat[w + 1:][corner]
     )
     return PolarGrid(
         samples=samples,

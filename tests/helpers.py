@@ -42,7 +42,7 @@ def feature_table(ids, vectors) -> FeatureTable:
     """Stack one-layout FeatureVectors, vectors[r] into row r."""
     table = FeatureTable.allocate(ids, vectors[0].layout_id, vectors[0].values.size)
     for row, vector in enumerate(vectors):
-        table.put(row, vector)
+        table.values[row, : table.dim] = vector.values
     return table
 
 

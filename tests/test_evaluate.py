@@ -19,7 +19,6 @@ from polarface import (
     random_split,
     run_error_experiment,
     score_matrix,
-    split_rows,
     verification_pairs,
     verification_roc,
 )
@@ -33,6 +32,7 @@ from oracles import (
     per_split_embedding,
     per_split_posteriors,
     per_split_rep_errors,
+    random_split_ids,
 )
 
 
@@ -70,40 +70,40 @@ def test_split_spec_validation():
 
 
 def test_split_structure():
-    entries = toy_entries()
-    spec = SplitSpec(k_train=3, repetitions=2, seed=5)
-    train, test = random_split(entries, spec, 0)
-    assert len(train) == 4 * 3 and len(test) == 4 * 5
-    assert not set(train) & set(test)
-    assert set(train) | set(test) == {i for i, _ in entries}
-    per = {}
-    for i in train:
-        per[i.split("/")[0]] = per.get(i.split("/")[0], 0) + 1
-    assert all(v == 3 for v in per.values())
-    assert train == sorted(train) and test == sorted(test)
+    entries = toy_entries()[::-1]  # rows out of canonical order
+    split = random_split(entries, SplitSpec(k_train=3, repetitions=2, seed=5))
+    ids = [entries[r][0] for r in split.rows]
+    assert ids == sorted(i for i, _ in entries)  # canonical: sorted subject, then id
+    assert split.subjects.tolist() == [entries[r][1] for r in split.rows]
+    assert split.train.shape == (2, 32) and split.train.dtype == bool
+    for train in split.train:
+        assert np.count_nonzero(train) == 4 * 3
+        for subject in ("s0", "s1", "s2", "s3"):
+            assert np.count_nonzero(train[split.subjects == subject]) == 3
 
 
 def test_split_determinism_and_rep_variation():
     entries = toy_entries()
     spec = SplitSpec(k_train=4, repetitions=3, seed=9)
-    a0 = random_split(entries, spec, 0)
-    assert a0 == random_split(entries, spec, 0)
-    assert a0 != random_split(entries, spec, 1)
-    assert a0 != random_split(entries, SplitSpec(k_train=4, repetitions=3, seed=10), 0)
+    a, b = random_split(entries, spec), random_split(entries, spec)
+    assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rows", "subjects", "train"))
+    assert not np.array_equal(a.train[0], a.train[1])
+    assert not np.array_equal(a.train[0], random_split(entries, replace(spec, seed=10)).train[0])
 
 
 def test_split_subject_cap():
     entries = toy_entries(n_subjects=6)
-    spec = SplitSpec(k_train=2, n_subjects=3, repetitions=1)
-    train, test = random_split(entries, spec, 0)
-    subjects = {i.split("/")[0] for i in train} | {i.split("/")[0] for i in test}
-    assert subjects == {"s0", "s1", "s2"}  # sorted order, first three
+    split = random_split(entries, SplitSpec(k_train=2, n_subjects=3, repetitions=1))
+    assert set(split.subjects) == {"s0", "s1", "s2"}  # sorted order, first three
+    assert {entries[r][1] for r in split.rows} == {"s0", "s1", "s2"}
 
 
 def test_split_needs_spare_images():
     entries = toy_entries(per_subject=3)
     with pytest.raises(ConfigError):
-        random_split(entries, SplitSpec(k_train=3), 0)
+        random_split(entries, SplitSpec(k_train=3))
+    with pytest.raises(ConfigError):
+        random_split(entries, SplitSpec(k_train=1, n_subjects=5))
 
 
 def test_sem_against_stdlib():
@@ -125,7 +125,7 @@ def test_error_experiment_on_separable_data():
     entries = toy_entries()
     features = separable_features(entries)
     spec = SplitSpec(k_train=4, repetitions=5, seed=1)
-    report = run_error_experiment(entries, spec, [distances(entries, features)])
+    report = run_error_experiment(random_split(entries, spec), [distances(entries, features)])
     assert report.mean_error == 0.0
     assert report.sem == 0.0
     assert report.rep_errors.shape == (5,)
@@ -136,8 +136,8 @@ def test_error_experiment_is_deterministic():
     features = separable_features(entries, spread=0.5, noise=0.4)  # overlapping
     spec = SplitSpec(k_train=3, repetitions=4, seed=2)
     D = [distances(entries, features)]
-    r1 = run_error_experiment(entries, spec, D)
-    r2 = run_error_experiment(entries, spec, D)
+    r1 = run_error_experiment(random_split(entries, spec), D)
+    r2 = run_error_experiment(random_split(entries, spec), D)
     assert np.array_equal(r1.rep_errors, r2.rep_errors)
     assert 0.0 <= r1.mean_error <= 100.0
 
@@ -254,7 +254,7 @@ def test_per_feature_error_rates_informative_vs_constant():
     values[:, 0] = subject_idx  # perfectly informative
     values[:, 1] = 7.0          # constant: ties, chance level
     spec = SplitSpec(k_train=3, repetitions=4, seed=3)
-    errors = per_feature_error_rates(entries, values, spec)
+    errors = per_feature_error_rates(entries, values, random_split(entries, spec))
     assert errors[0] == 0.0
     assert errors[1] == pytest.approx(50.0)  # 1 - 1/L with L=2 balanced
 
@@ -265,9 +265,9 @@ def test_per_feature_chunking_matches_direct():
     entries = toy_entries(n_subjects=3, per_subject=4)
     values = rng.normal(size=(len(entries), 70))
     spec = SplitSpec(k_train=2, repetitions=2, seed=0)
-    full = per_feature_error_rates(entries, values, spec)
+    full = per_feature_error_rates(entries, values, random_split(entries, spec))
     for col in (0, 31, 32, 33, 63, 64, 69):
-        single = per_feature_error_rates(entries, values[:, [col]], spec)
+        single = per_feature_error_rates(entries, values[:, [col]], random_split(entries, spec))
         assert full[col] == pytest.approx(single[0], abs=1e-12)
 
 
@@ -278,12 +278,12 @@ def test_per_feature_error_rates_match_single_feature_oracle():
     entries = toy_entries(n_subjects=4, per_subject=5)
     values = rng.integers(0, 4, size=(len(entries), 7)).astype(float)
     spec = SplitSpec(k_train=2, repetitions=3, seed=1)
-    got = per_feature_error_rates(entries, values, spec)
+    got = per_feature_error_rates(entries, values, random_split(entries, spec))
     row_of = {image_id: r for r, (image_id, _) in enumerate(entries)}
     subject_of = dict(entries)
     want = np.zeros(values.shape[1])
     for rep in range(spec.repetitions):
-        train_ids, test_ids = random_split(entries, spec, rep)
+        train_ids, test_ids = random_split_ids(entries, spec, rep)
         train = [FeatureVector(values[row_of[i]], "toy") for i in train_ids]
         labels = [subject_of[i] for i in train_ids]
         for f in range(values.shape[1]):
@@ -335,7 +335,7 @@ def feature_map_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_per_feature_error_rates_equal_broadcast_oracle(case):
     entries, values, spec = case
-    got = per_feature_error_rates(entries, values, spec)
+    got = per_feature_error_rates(entries, values, random_split(entries, spec))
     assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
 
 
@@ -346,7 +346,7 @@ def test_per_feature_error_rates_rounding_ties_take_lowest_index():
     entries = [("s0/0", "s0"), ("s0/1", "s0"), ("s1/0", "s1"), ("s1/1", "s1")]
     values = np.array([[1e-14], [1e3], [2e-14], [5.0]])
     spec = SplitSpec(k_train=1, repetitions=4, seed=0)
-    got = per_feature_error_rates(entries, values, spec)
+    got = per_feature_error_rates(entries, values, random_split(entries, spec))
     # reps 0 and 1 train on s0/0 and s1/0 (0% wrong), rep 2 on s0/0 and
     # s1/1 (100%), rep 3 on s0/1 and s1/0 (50%)
     assert got[0] == 37.5
@@ -357,16 +357,16 @@ def test_per_feature_error_rates_input_contract():
     entries = toy_entries(n_subjects=2, per_subject=3)
     spec = SplitSpec(k_train=1, repetitions=1)
     with pytest.raises(ConfigError):
-        per_feature_error_rates(entries, np.zeros(len(entries)), spec)
+        per_feature_error_rates(entries, np.zeros(len(entries)), random_split(entries, spec))
     with pytest.raises(ConfigError):
-        per_feature_error_rates(entries, np.zeros((len(entries), 2, 2)), spec)
+        per_feature_error_rates(entries, np.zeros((len(entries), 2, 2)), random_split(entries, spec))
     with pytest.raises(ConfigError):
-        per_feature_error_rates(entries, np.zeros((len(entries) + 1, 2)), spec)
+        per_feature_error_rates(entries, np.zeros((len(entries) + 1, 2)), random_split(entries, spec))
     for bad in (np.nan, np.inf, -np.inf):
         values = np.zeros((len(entries), 3))
         values[2, 1] = bad
         with pytest.raises(DomainError):
-            per_feature_error_rates(entries, values, spec)
+            per_feature_error_rates(entries, values, random_split(entries, spec))
 
 
 def test_learning_and_subject_curves():
@@ -374,9 +374,9 @@ def test_learning_and_subject_curves():
     features = separable_features(entries)
     spec = SplitSpec(k_train=5, repetitions=2, seed=0)
     D = [distances(entries, features)]
-    lc = [run_error_experiment(entries, replace(spec, k_train=k), D) for k in (1, 3, 5)]
+    lc = [run_error_experiment(random_split(entries, replace(spec, k_train=k)), D) for k in (1, 3, 5)]
     assert all(r.mean_error == 0.0 for r in lc)
-    sc = [run_error_experiment(entries, replace(spec, n_subjects=c), D) for c in (2, 4)]
+    sc = [run_error_experiment(random_split(entries, replace(spec, n_subjects=c)), D) for c in (2, 4)]
     assert all(r.rep_errors.shape == (2,) for r in sc)
 
 
@@ -399,14 +399,22 @@ def test_csv_builders(tmp_path):
     assert written("k_train,mean,sem", [(3, 12.5, 0.5)]) == "k_train,mean,sem\n3,12.5,0.5\n"  # ints as str
 
 
-def test_split_rows_index_the_entries():
-    entries = toy_entries()[::-1]  # rows out of id order
-    spec = SplitSpec(k_train=3, repetitions=2, seed=4)
-    for rep in range(2):
-        train, test = split_rows(entries, spec, rep)
-        want_train, want_test = random_split(entries, spec, rep)
-        assert [entries[r][0] for r in train] == want_train
-        assert [entries[r][0] for r in test] == want_test
+def test_split_masks_equal_id_list_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n_subjects = int(rng.integers(2, 7))
+        k_train = int(rng.integers(1, 4))
+        entries = [(f"s{s}/{k}", f"s{s}") for s in range(n_subjects)
+                   for k in range(k_train + int(rng.integers(1, 5)))]
+        entries = [entries[j] for j in rng.permutation(len(entries))]  # not in canonical order
+        cap = None if rng.random() < 0.5 else int(rng.integers(2, n_subjects + 1))
+        spec = SplitSpec(k_train=k_train, n_subjects=cap, repetitions=int(rng.integers(1, 5)),
+                         seed=int(rng.integers(0, 2**16)))
+        split = random_split(entries, spec)
+        for rep, train in enumerate(split.train):
+            want_train, want_test = random_split_ids(entries, spec, rep)
+            assert [entries[r][0] for r in split.rows[train]] == want_train
+            assert [entries[r][0] for r in split.rows[~train]] == want_test
 
 
 def overlapping_tables(entries):
@@ -429,7 +437,7 @@ def test_error_experiments_equal_per_split_oracle(fused):
         *(replace(spec, k_train=k) for k in (1, 2, 4)),
         *(replace(spec, n_subjects=c) for c in (2, 4)),
     ]
-    reports = [run_error_experiment(entries, s, matrices) for s in specs]
+    reports = [run_error_experiment(random_split(entries, s), matrices) for s in specs]
     assert [r.rep_errors.tolist() for r in reports] == [per_split_rep_errors(tables, entries, s) for s in specs]
     assert reports[0].mean_error > 0.0
 
@@ -439,7 +447,8 @@ def test_score_and_embedding_matrices_equal_per_split_oracle():
     tables = overlapping_tables(entries)
     D_a, D_b = (distances(entries, values) for values in tables)
     subjects = [s for _, s in entries]
-    train, probe = split_rows(entries, SplitSpec(k_train=3, seed=6), 0)
+    split = random_split(entries, SplitSpec(k_train=3, seed=6))
+    train, probe = split.rows[split.train[0]], split.rows[~split.train[0]]
     train_labels = [subjects[r] for r in train]
     for matrices, values in (((D_a,), tables[:1]), ((D_a, D_b), tables)):
         scores, labels = score_matrix(matrices, train, probe, train_labels)
