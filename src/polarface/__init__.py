@@ -54,6 +54,7 @@ from .features import (
     FBTOperator,
     FeatureTable,
     FeatureVector,
+    apply_operators,
     dft_feature_frequencies,
     dft_features,
     dft_error_map,

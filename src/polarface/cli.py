@@ -53,6 +53,7 @@ from .evaluate import (
 from .features import (
     FBTConfig,
     FeatureTable,
+    apply_operators,
     dft_error_map,
     dft_operator,
     extract_dft,
@@ -67,9 +68,6 @@ from .features import (
 )
 from .fileio import atomic_write_text
 from .polar import to_polar
-
-# Features are extracted through the operators this many images at a time.
-_BLOCK = 16
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -135,19 +133,13 @@ def _load_dataset(cfg: RunConfig, specs=()) -> tuple[Dataset, list[Split]]:
 def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]:
     """One FeatureTable per mode, rows in dataset order.
 
-    Images are read and normalized one at a time, and every mode's
-    operator folds each one into a buffer of _BLOCK images, which it then
-    projects into table rows; images of another geometry than the first
-    are refused.
+    Images are read and normalized one at a time and go through
+    apply_operators, with one operator per mode; images of another
+    geometry than the first are refused.  The run then stops with an
+    error unless each mode's row of the first image is within 1e-12 of
+    the largest feature of the per-image reference.
     """
-    configs = {"fbt": cfg.fbt, "dft": cfg.dft}
-    modes = ("fbt", "dft") if cfg.mode == "fused" else (cfg.mode,)
     entries = list(dataset)
-    ids = [e.image_id for e in entries]
-    # Allocated before any image is read, a table gets a mapping of its own,
-    # not a place on the malloc heap, whose top every image's temporaries
-    # would then trim and regrow (a quarter more page faults in a fused run).
-    tables = {m: FeatureTable.allocate(ids, f"{m}-{configs[m].n_features}", configs[m].n_features) for m in modes}
 
     def load(row: int) -> np.ndarray:
         entry = entries[row]
@@ -161,45 +153,35 @@ def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]
             img = normalize_face(img, entry.eyes[0], entry.eyes[1], cfg.normalization)
         return img
 
-    first = load(0)  # fixes the geometry
-    operators = [(tables[m], _checked_operator(m, first, cfg)) for m in modes]
-    blocks = [np.empty((min(_BLOCK, len(entries)), *op.fold_shape)) for _, op in operators]
-
-    for start in range(0, len(entries), _BLOCK):
-        rows = range(start, min(start + _BLOCK, len(entries)))
-        for row in rows:
+    def images():
+        for row in range(len(entries)):
             img = first if row == 0 else load(row)
             if img.shape != first.shape:
                 raise DatasetError(
                     f"image {entries[row].image_id!r} is {img.shape} but {entries[0].image_id!r} "
                     f"is {first.shape}; all images must share one geometry"
                 )
-            for (_, op), block in zip(operators, blocks):
-                op.fold(img, block[row - start])
-        for (table, op), block in zip(operators, blocks):
-            table.values[start:rows.stop, : table.dim] = op.project(block[: len(rows)])
-    return tables
+            yield img
 
-
-def _checked_operator(mode: str, first: np.ndarray, cfg: RunConfig):
-    """The mode's operator for images shaped like `first`, stopped with an
-    error unless its features of `first` are within 1e-12 of the largest
-    one of the per-image reference's."""
-    if mode == "fbt":
-        # to_polar + fbt is the reference; run first, it also fills the
-        # caches the build reads
-        reference, want = "to_polar + fbt", fbt_features(fbt(to_polar(first, cfg.fbt.angular_resolution), cfg.fbt))
+    first = load(0)  # fixes the geometry
+    checks = {}  # mode -> (name of the per-image reference, its features of `first`, operator)
+    if cfg.mode != "dft":
+        # run first, the reference also fills the caches the build reads;
         # normalized faces are zero outside the mask, so it bounds the operator
-        operator = fbt_operator(first.shape, cfg.fbt, face_mask(cfg.normalization) if cfg.normalize else None)
-    else:
-        reference, want = "extract_dft", extract_dft(first, cfg.dft)
-        operator = dft_operator(first.shape, cfg.dft)
-    gap = float(np.max(np.abs(operator(first[None])[0] - want.values)))
-    if not gap <= 1e-12 * float(np.max(np.abs(want.values))):
-        raise PolarFaceError(
-            f"the {mode.upper()} operator differs from {reference} by {gap:.3g} on the first image"
-        )
-    return operator
+        checks["fbt"] = ("to_polar + fbt", fbt_features(fbt(to_polar(first, cfg.fbt.angular_resolution), cfg.fbt)),
+                         fbt_operator(first.shape, cfg.fbt, face_mask(cfg.normalization) if cfg.normalize else None))
+    if cfg.mode != "fbt":
+        checks["dft"] = "extract_dft", extract_dft(first, cfg.dft), dft_operator(first.shape, cfg.dft)
+    # sized after the DFT reference and operator, which refuse a lattice the
+    # image cannot hold before enumerating it
+    tables = {m: FeatureTable.allocate([e.image_id for e in entries], want.layout_id, want.values.size)
+              for m, (_, want, _) in checks.items()}
+    apply_operators([op for _, _, op in checks.values()], images(), [t.values[:, : t.dim] for t in tables.values()])
+    for m, (reference, want, _) in checks.items():
+        gap = float(np.max(np.abs(tables[m][0].values - want.values)))
+        if not gap <= 1e-12 * float(np.max(np.abs(want.values))):
+            raise PolarFaceError(f"the {m.upper()} operator differs from {reference} by {gap:.3g} on the first image")
+    return tables
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -309,13 +291,14 @@ def _cmc(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: 
 
 
 def _roc(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
+    # a claim is confirmed at or below a threshold ("distance") or at or above it ("similarity")
     if cfg.verification_score == "embedding":
         dists, truths, labels = _first_split(cfg, dataset, splits[0], lambda ms, *split: embedding_matrix(ms[0], *split))
-        claim = dists if cfg.score_orientation == "distance" else -dists
-        genuine, impostor = verification_pairs(claim, truths, labels, "similarity")
+        claims = dists if cfg.score_orientation == "distance" else -dists
     else:
-        scores, truths, labels = _first_split(cfg, dataset, splits[0], score_matrix)
-        genuine, impostor = verification_pairs(scores, truths, labels, cfg.score_orientation)
+        posteriors, truths, labels = _first_split(cfg, dataset, splits[0], score_matrix)
+        claims = 1.0 - posteriors if cfg.score_orientation == "distance" else posteriors
+    genuine, impostor = verification_pairs(claims, truths, labels)
     roc = verification_roc(genuine, impostor, cfg.score_orientation)
     eer = equal_error_rate(roc)
     write_csv(out / f"roc_{cfg.mode}_{tag}.csv", "threshold,p_verify,p_false_alarm",

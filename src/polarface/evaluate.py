@@ -140,7 +140,6 @@ class ROCCurve:
     thresholds: np.ndarray
     p_verify: np.ndarray
     p_false_alarm: np.ndarray
-    orientation: str
 
 
 @dataclass(frozen=True)
@@ -236,24 +235,17 @@ def cmc(scores: np.ndarray, true_subjects: Sequence[str], class_labels: Sequence
 
 
 def verification_pairs(
-    scores: np.ndarray,
+    claims: np.ndarray,
     true_subjects: Sequence[str],
     class_labels: Sequence,
-    orientation: str = "distance",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split claim scores into genuine and impostor sets.
-
-    Posterior scores are converted to the requested orientation:
-    "distance" uses 1 - posterior (confirm low), "similarity" keeps the
-    posterior (confirm high).
-    """
-    if orientation not in ("distance", "similarity"):
-        raise ConfigError(f"unknown score orientation {orientation!r}")
-    scores, truth = _truth_columns(scores, true_subjects, class_labels)
-    claim = scores if orientation == "similarity" else 1.0 - scores
-    mask = np.zeros_like(claim, dtype=bool)
+    """Split a claim score matrix, one row per probe and one column per
+    class, into genuine claims (each probe's own subject) and impostor
+    claims (every other class), both in row-major order."""
+    claims, truth = _truth_columns(claims, true_subjects, class_labels)
+    mask = np.zeros_like(claims, dtype=bool)
     mask[np.arange(truth.size), truth] = True
-    return claim[mask].ravel(), claim[~mask].ravel()
+    return claims[mask].ravel(), claims[~mask].ravel()
 
 
 def verification_roc(genuine, impostor, orientation: str = "distance") -> ROCCurve:
@@ -273,12 +265,7 @@ def verification_roc(genuine, impostor, orientation: str = "distance") -> ROCCur
     else:
         p_verify = np.array([np.mean(genuine >= t) for t in thresholds])
         p_false = np.array([np.mean(impostor >= t) for t in thresholds])
-    return ROCCurve(
-        thresholds=thresholds,
-        p_verify=p_verify,
-        p_false_alarm=p_false,
-        orientation=orientation,
-    )
+    return ROCCurve(thresholds=thresholds, p_verify=p_verify, p_false_alarm=p_false)
 
 
 def equal_error_rate(roc: ROCCurve) -> EERResult:

@@ -9,13 +9,14 @@ Two feature families over gray images:
 * Centered 2-D DFT magnitudes on the integer frequency lattice inside a
   configurable radius (cycles per image).
 
-Both produce flat FeatureVector values tagged with a layout id so that
-downstream stages can refuse to mix incompatible spectra.  Polar
+Both produce flat FeatureVector values tagged with a layout id (such as
+"fbt-186"), which a feature CSV writes as its third column.  Polar
 resampling and the FBT are linear in the pixels, and the DFT magnitudes
 are the modulus of a separable linear map, so a run extracts each
 spectrum through one operator per image shape (FBTOperator,
-DFTOperator); fbt(to_polar(image)) and extract_dft(image) are the
-per-image references they are checked against.
+DFTOperator), applied by apply_operators; fbt(to_polar(image)) and
+extract_dft(image) are the per-image references they are checked
+against.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class DFTConfig:
     def __post_init__(self):
         if not (self.max_cycles >= 0):
             raise ConfigError(f"max_cycles must be >= 0, got {self.max_cycles}")
-
-    @property
-    def n_features(self) -> int:
-        return len(dft_feature_frequencies(self.max_cycles))
 
 
 @dataclass(frozen=True)
@@ -229,16 +226,52 @@ _BUILD_CHUNK = 1024
 
 
 class _BlockOperator:
-    """A linear feature map for one image shape, applied in two steps:
+    """A linear feature map for one image `shape`, applied in two steps:
     fold(image, out) per image, into a block buffer of `fold_shape` rows,
     then project(block) to one feature row per image."""
 
     def __call__(self, images) -> np.ndarray:
-        """Feature rows, one per image of an (n, h, w) stack."""
-        folded = np.empty((len(images), *self.fold_shape))
-        for row, image in enumerate(images):
-            self.fold(image, folded[row])
-        return self.project(folded)
+        """Feature rows, one per image of an (n, h, w) stack, by apply_operators."""
+        rows = np.empty((len(images), self.n_features))
+        apply_operators([self], images, [rows])
+        return rows
+
+
+# A matrix product's rows can round differently with its row count, so
+# operators always project whole blocks of this many images.
+_BLOCK = 16
+
+
+def apply_operators(operators, images, outs) -> None:
+    """Write operators[i]'s feature row of the k-th image into outs[i][k].
+
+    Each image is checked against every operator's shape and for finite
+    pixels, then folded into a row of each operator's _BLOCK-row buffer.
+    Every projection is of the whole buffer, whatever its other rows hold,
+    so a row's bits depend only on its image and never on its position or
+    on how many images there are.
+    """
+    blocks = [np.zeros((_BLOCK, *op.fold_shape)) for op in operators]
+    count = 0
+
+    def project():
+        start = (count - 1) // _BLOCK * _BLOCK
+        for op, block, out in zip(operators, blocks, outs):
+            out[start:count] = op.project(block)[: count - start]
+
+    for count, image in enumerate(images, 1):
+        img = np.asarray(image, dtype=float)
+        for op in operators:
+            if img.shape != op.shape:
+                raise DomainError(f"operator for {op.shape} images got a {img.shape} image")
+        if not np.isfinite(img).all():
+            raise DomainError("image contains non-finite intensities")
+        for op, block in zip(operators, blocks):
+            op.fold(img, block[(count - 1) % _BLOCK])
+        if count % _BLOCK == 0:
+            project()
+    if count % _BLOCK:
+        project()
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +311,8 @@ class FBTOperator(_BlockOperator):
         """Shape of fold's output."""
         return (len(self.classes) * self.mirrors.shape[1] + self.residual_pixels.size,)
 
-    def fold(self, image, out=None) -> np.ndarray:
-        """The operator input of one image (into out if given)."""
-        img = np.asarray(image, dtype=float)
-        if img.shape != self.shape:
-            raise DomainError(f"operator for {self.shape} images got a {img.shape} image")
-        out = np.empty(self.fold_shape) if out is None else out
+    def fold(self, img, out) -> None:
+        """Write the operator input of one float image into out."""
         q, qx, qy, qxy = img.ravel()[self.mirrors]
         n = q.size
         for sy in (1, -1):
@@ -293,11 +322,9 @@ class FBTOperator(_BlockOperator):
                 if cls_y == sy:
                     (np.add if cls_x > 0 else np.subtract)(a, b, out=out[c * n:(c + 1) * n])
         out[len(self.classes) * n:] = img.ravel()[self.residual_pixels]
-        return out
 
     def project(self, folded) -> np.ndarray:
         """Feature rows of a stack of fold outputs."""
-        folded = np.asarray(folded, dtype=float)
         n = self.mirrors.shape[1]
         rows = np.empty((len(folded), self.features.size))
         for c, (start, stop, _, _) in enumerate(self.classes):
@@ -482,15 +509,19 @@ def dft_features(magnitudes: np.ndarray, config: DFTConfig = DFTConfig()) -> Fea
     if mag.ndim != 2:
         raise DomainError(f"magnitude plane must be 2-D, got shape {mag.shape}")
     h, w = mag.shape
-    cy, cx = h // 2, w // 2
+    _dft_radius(config, h, w)
     us, vs = _dft_lattice(config.max_cycles)
-    if (cx + us.min() < 0 or cx + us.max() >= w
-            or cy + vs.min() < 0 or cy + vs.max() >= h):
-        raise ConfigError(
-            f"max_cycles {config.max_cycles} exceeds the {w}x{h} frequency plane"
-        )
-    values = mag[cy + vs, cx + us]
+    values = mag[h // 2 + vs, w // 2 + us]
     return FeatureVector(values=values, layout_id=f"dft-{values.size}")
+
+
+def _dft_radius(config: DFTConfig, h: int, w: int) -> int:
+    """r = floor(max_cycles), refused unless the centered h x w plane holds
+    the lattice; checked before the lattice (about 3.14 r^2 cells) is made."""
+    r = int(math.floor(config.max_cycles))
+    if r > (h - 1) // 2 or r > (w - 1) // 2:
+        raise ConfigError(f"max_cycles {config.max_cycles} exceeds the {w}x{h} frequency plane")
+    return r
 
 
 def extract_dft(image, config: DFTConfig = DFTConfig()) -> FeatureVector:
@@ -524,19 +555,18 @@ class DFTOperator(_BlockOperator):
         """Shape of fold's output."""
         return (self.shape[0], self.rows.shape[1])
 
-    def fold(self, image, out=None) -> np.ndarray:
-        """The row-pass sums of one image (into out if given)."""
-        img = np.asarray(image, dtype=float)
-        if img.shape != self.shape:
-            raise DomainError(f"operator for {self.shape} images got a {img.shape} image")
-        if not np.isfinite(img).all():
-            raise DomainError("image contains non-finite intensities")
-        return np.matmul(img, self.rows, out=out)
+    @property
+    def n_features(self) -> int:
+        return self.cells.size
+
+    def fold(self, img, out) -> None:
+        """Write the row-pass sums of one float image into out."""
+        np.matmul(img, self.rows, out=out)
 
     def project(self, folded) -> np.ndarray:
         """Feature rows of an (images, h, 2(r+1)) stack of fold outputs."""
         r1 = self.rows.shape[1] // 2
-        sums = self.columns @ np.asarray(folded, dtype=float)  # one GEMM per image
+        sums = self.columns @ folded  # one GEMM per image
         c, s = sums[:, :r1], sums[:, r1:]  # the cos and the sin rows
         cC, cS, sC, sS = c[..., :r1], c[..., r1:], s[..., :r1], s[..., r1:]
         re = np.concatenate([cC - sS, cC + sS], axis=1)
@@ -547,9 +577,7 @@ class DFTOperator(_BlockOperator):
 def dft_operator(shape, config: DFTConfig = DFTConfig()) -> DFTOperator:
     """Build the DFTOperator of h x w images; see that class."""
     h, w = (int(v) for v in shape)
-    r = int(math.floor(config.max_cycles))
-    if r > (h - 1) // 2 or r > (w - 1) // 2:  # the bound of dft_features
-        raise ConfigError(f"max_cycles {config.max_cycles} exceeds the {w}x{h} frequency plane")
+    r = _dft_radius(config, h, w)
 
     def trig(n):  # [cos; sin] of 2 pi k t / n, k = 0..r, t = 0..n-1, the phase reduced exactly
         phase = (2.0 * math.pi / n) * (np.outer(np.arange(r + 1), np.arange(n)) % n)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from polarface import FBTConfig, FeatureTable, fbt_operator, synth_mix
+from polarface import FBTConfig, FeatureTable, apply_operators, fbt_operator, synth_mix
 
 
 def pseudo_face(size: int = 101) -> np.ndarray:
@@ -48,8 +48,7 @@ def feature_table(ids, vectors) -> FeatureTable:
 
 def fbt_feature_table(ids, images, config: FBTConfig = FBTConfig()) -> FeatureTable:
     """FBT features of same-shape images, extracted as the CLI does:
-    through one FBTOperator."""
-    images = np.stack([np.asarray(img, dtype=float) for img in images])
+    one FBTOperator applied by apply_operators."""
     table = FeatureTable.allocate(ids, f"fbt-{config.n_features}", config.n_features)
-    table.values[:, : table.dim] = fbt_operator(images.shape[1:], config)(images)
+    apply_operators([fbt_operator(np.shape(images[0]), config)], images, [table.values[:, : table.dim]])
     return table

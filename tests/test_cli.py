@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import read_feature_file
-from polarface import cli, load_pgm, save_pgm
+from polarface import cli, features, load_pgm, save_pgm
 from polarface.cli import main
 from polarface.config import EXPERIMENTS, MODES
 
@@ -274,6 +274,20 @@ def test_unsatisfiable_splits_refused_before_extraction(toy_faces, tmp_path, cap
                    "--out", tmp_path / "runs")
     assert_refusal(code, capsys, phrase)
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("mode", ["dft", "fused"])
+def test_oversized_max_cycles_refused_before_the_lattice_is_made(toy_faces, tmp_path, capsys, monkeypatch, mode):
+    # the lattice of 400 cycles has 502 625 cells; the 48 x 48 toy faces hold radius 23
+    def never(*_):
+        raise AssertionError("the DFT lattice was enumerated")
+
+    monkeypatch.setattr(features, "dft_feature_frequencies", never)
+    config = tmp_path / "run.ini"
+    config.write_text("[dft]\nmax_cycles = 400\n")
+    code = run_cli("experiment", "error-rate", "--config", config, "--dataset", toy_faces, "--mode", mode,
+                   "--k-train", "4", "--reps", "1", "--out", tmp_path / "runs")
+    assert_refusal(code, capsys, "max_cycles 400.0 exceeds the 48x48 frequency plane")
 
 
 def mixed_geometry_faces(root):

@@ -1,5 +1,5 @@
 """The DFT operator against a direct extended-precision DFT and against
-extract_dft, and its refusals."""
+extract_dft, its refusals, and the image checks both operators share."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_dft_features
-from polarface import ConfigError, DFTConfig, DomainError, cli, dft_operator, extract_dft
+from polarface import ConfigError, DFTConfig, DomainError, cli, dft_operator, extract_dft, fbt_operator
 
 
 @pytest.mark.parametrize(
@@ -42,22 +42,27 @@ def test_operator_matches_extract_dft_and_refuses_what_it_refuses(h, w, max_cycl
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
+def both_operators(shape):
+    """An FBT and a DFT operator of h x w images."""
+    return fbt_operator(shape), dft_operator(shape, DFTConfig(4.5))
+
+
 def test_operator_refuses_other_shapes():
-    op = dft_operator((40, 42), DFTConfig(5.0))
-    for image in (np.zeros((42, 40)), np.zeros((40, 43)), np.zeros(40 * 42)):
-        with pytest.raises(DomainError, match="operator for"):
-            op.fold(image)
-    with pytest.raises(DomainError):
-        op(np.zeros((1, 41, 42)))
+    for op in both_operators((40, 42)):
+        for image in (np.zeros((42, 40)), np.zeros((40, 43)), np.zeros(40 * 42)):
+            # refused alone and after an image of the right shape
+            for images in ([image], [np.ones((40, 42)), image]):
+                with pytest.raises(DomainError, match="operator for"):
+                    op(images)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_operator_refuses_non_finite_pixels(bad):
-    op = dft_operator((20, 20), DFTConfig(4.5))
     image = np.ones((20, 20))
     image[7, 3] = bad
-    with pytest.raises(DomainError, match="non-finite"):
-        op.fold(image)
+    for op in both_operators((20, 20)):
+        with pytest.raises(DomainError, match="non-finite"):
+            op(image[None])
 
 
 @pytest.mark.parametrize("shape", [(38, 60), (60, 38), (0, 60)])

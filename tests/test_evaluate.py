@@ -182,15 +182,15 @@ def test_cmc_alignment_errors():
 
 
 def test_verification_pairs_counts_and_orientation():
+    # claims are split as given, in either orientation
     labels = ("a", "b", "c")
     scores = np.array([[0.7, 0.2, 0.1], [0.3, 0.6, 0.1]])
-    genuine, impostor = verification_pairs(scores, ["a", "b"], labels, "distance")
-    assert genuine.shape == (2,) and impostor.shape == (4,)
-    assert genuine[0] == pytest.approx(1.0 - 0.7)
-    sim_g, _ = verification_pairs(scores, ["a", "b"], labels, "similarity")
-    assert sim_g[0] == pytest.approx(0.7)
+    for claims in (1.0 - scores, scores):
+        genuine, impostor = verification_pairs(claims, ["a", "b"], labels)
+        assert np.array_equal(genuine, claims[[0, 1], [0, 1]])
+        assert np.array_equal(impostor, claims[[0, 0, 1, 1], [1, 2, 0, 2]])
     with pytest.raises(ConfigError):
-        verification_pairs(scores, ["a", "b"], labels, "sideways")
+        verification_roc(*verification_pairs(scores, ["a", "b"], labels), "sideways")
 
 
 def test_verification_pairs_alignment_errors():
