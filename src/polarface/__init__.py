@@ -14,7 +14,6 @@ from .classifier import (
     classify,
     dissimilarity_matrix,
     fuse_max,
-    pairwise_distances,
     score,
     train_pfld,
 )

@@ -25,57 +25,29 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .features import CHUNK_WIDTH, FeatureTable
+from .features import FeatureTable
 
 _SVD_CUTOFF = 1e-10  # relative singular value cutoff in the least-squares solve
+_CHUNK = 64  # squares are summed over chunks of this many coordinates
 _TILE_FLOATS = 1 << 15  # one difference block: 256 KB of float64, small enough to stay in cache
 _MAX_IMAGES = 20_000  # the distance matrix of a table: 3.2 GB of float64 at this size
-
-
-def pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every row of A and every row of B.
-
-    Both operands are (rows, dim) with the same dim, a positive multiple
-    of CHUNK_WIDTH (64); feature tables are zero-padded to it.  Each
-    distance comes from explicit differences, not the Gram shortcut, so
-    d(a, b) == d(b, a) and d(a, a) == 0 exactly.  Squares are summed
-    within 64-wide chunks and the chunk sums are added in a fixed order,
-    so appending zero coordinates (which lands in pad positions or adds
-    all-zero chunks) cannot change any distance, not even its last bit.
-    B is walked in tiles of rows holding about _TILE_FLOATS values; a
-    distance does not depend on the tile it falls in.
-    """
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1] or not A.shape[1] or A.shape[1] % CHUNK_WIDTH:
-        raise DomainError(
-            f"operands must be 2-D with one width, a positive multiple of {CHUNK_WIDTH}; "
-            f"got {A.shape} and {B.shape}"
-        )
-    n_b, dim = B.shape
-    tile = max(1, _TILE_FLOATS // dim)
-    out = np.empty((A.shape[0], n_b))
-    chunks = np.empty((n_b, dim // CHUNK_WIDTH))
-    diff = np.empty((min(tile, n_b), dim))  # reused by every tile
-    for acc, row in zip(out, A):
-        for start in range(0, n_b, tile):
-            block = B[start:start + tile]
-            parts = np.subtract(block, row, out=diff[:len(block)]).reshape(-1, dim // CHUNK_WIDTH, CHUNK_WIDTH)
-            np.einsum("ijk,ijk->ij", parts, parts, out=chunks[start:start + tile])
-        acc[:] = chunks[:, 0]
-        for k in range(1, chunks.shape[1]):
-            acc += chunks[:, k]
-    return np.sqrt(out, out=out)
 
 
 def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
     """Euclidean distances between all rows of a feature table, (N, N).
 
-    Row i is computed against rows i..N-1 only, by pairwise_distances,
-    and mirrored into column i.  Since d(a, b) == d(b, a) exactly and a
-    distance does not depend on its tile, every sub-block equals
-    pairwise_distances over the same rows bit for bit: each gallery
-    dissimilarity matrix and probe embedding of a run is sliced from this
-    one matrix.  It holds N^2 float64, so tables of more than
-    _MAX_IMAGES images are refused before it is allocated.
+    Row i is computed against rows i..N-1 from explicit differences (not
+    the Gram shortcut) and mirrored into column i, so d(a, b) == d(b, a)
+    and d(a, a) == 0 exactly.  The differences fill the first dim columns
+    of a zeroed buffer whose width is dim rounded up to a multiple of
+    _CHUNK; squares are summed per chunk and the chunk sums added in a
+    fixed order.  The pad columns are never written, so appending zero
+    coordinates (landing in pad columns or adding all-zero chunks) cannot
+    change any distance, not even its last bit.  Rows are walked in tiles
+    of about _TILE_FLOATS buffer values and a distance does not depend on
+    its tile, so every block sliced from the matrix equals the distances
+    between those rows alone.  Tables of more than _MAX_IMAGES images
+    are refused before the N^2 float64 are allocated.
     """
     n = len(table)
     if n > _MAX_IMAGES:
@@ -84,9 +56,25 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
             f"at most {_MAX_IMAGES} images are supported"
         )
     X = table.values
+    dim = X.shape[1]
+    if not dim:
+        raise DomainError("a feature table needs at least one feature")
+    width = dim + (-dim) % _CHUNK
+    tile = max(1, _TILE_FLOATS // width)
+    diff = np.zeros((min(tile, n), width))  # reused by every tile
+    chunks = np.empty((n, width // _CHUNK))
     D = np.empty((n, n))
     for i in range(n):
-        D[i, i:] = pairwise_distances(X[i:i + 1], X[i:])[0]
+        for start in range(i, n, tile):
+            block = X[start:start + tile]
+            np.subtract(block, X[i], out=diff[:len(block), :dim])
+            parts = diff[:len(block)].reshape(len(block), -1, _CHUNK)
+            np.einsum("ijk,ijk->ij", parts, parts, out=chunks[start:start + tile])
+        acc = D[i, i:]
+        acc[:] = chunks[i:, 0]
+        for k in range(1, chunks.shape[1]):
+            acc += chunks[i:, k]
+        np.sqrt(acc, out=acc)
         D[i + 1:, i] = D[i, i + 1:]
     return D
 

@@ -176,7 +176,7 @@ def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]
     # image cannot hold before enumerating it
     tables = {m: FeatureTable.allocate([e.image_id for e in entries], want.layout_id, want.values.size)
               for m, (_, want, _) in checks.items()}
-    apply_operators([op for _, _, op in checks.values()], images(), [t.values[:, : t.dim] for t in tables.values()])
+    apply_operators([op for _, _, op in checks.values()], images(), [t.values for t in tables.values()])
     for m, (reference, want, _) in checks.items():
         gap = float(np.max(np.abs(tables[m][0].values - want.values)))
         if not gap <= 1e-12 * float(np.max(np.abs(want.values))):
@@ -204,7 +204,7 @@ def cmd_extract(args) -> int:
     for mode, table in tables.items():
         path = out / f"features_{mode}_{tag}.csv"
         write_feature_file(path, [(e.image_id, e.subject_id, table[r]) for r, e in enumerate(dataset)])
-        print(f"extract[{mode}]: {len(table)} images, {table.dim} features -> {path}")
+        print(f"extract[{mode}]: {len(table)} images, {table.values.shape[1]} features -> {path}")
     return 0
 
 
@@ -312,7 +312,7 @@ def _roc(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: 
 
 def _feature_map(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
     table = _feature_tables(dataset, cfg)[cfg.mode]
-    errors = per_feature_error_rates(dataset.id_subject_pairs(), table.values[:, : table.dim], splits[0])
+    errors = per_feature_error_rates(dataset.id_subject_pairs(), table.values, splits[0])
     if cfg.mode == "fbt":
         planes = fbt_error_map(errors, cfg.fbt.max_order, cfg.fbt.max_root)
         write_csv(out / f"feature_map_fbt_a_{tag}.csv", None, planes[0])

@@ -87,6 +87,10 @@ def load_pgm(path) -> np.ndarray:
             )
         dtype = ">u2" if bytes_per == 2 else "u1"
         pixels = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
+        over = np.flatnonzero(pixels > maxval)
+        if over.size:
+            i = over[0]
+            raise ParseError(f"{path}: pixel {i} value {pixels[i]} at byte {pos + i * bytes_per} exceeds maxval {maxval}")
         return pixels.reshape(height, width).astype(float)
 
     # N ASCII pixels take at least 2N - 1 bytes (one digit each, single
@@ -101,7 +105,7 @@ def load_pgm(path) -> np.ndarray:
         )
     values = np.empty(width * height)
     for i in range(width * height):
-        values[i] = int_token(f"pixel {i}", 0, 65535)
+        values[i] = int_token(f"pixel {i}", 0, maxval)
     return values.reshape(height, width).astype(float)
 
 
@@ -200,7 +204,10 @@ def load_dataset_dir(root, layout: str = "orl") -> Dataset:
             raise DatasetError(f"{root} is not a manifest file")
         entries = []
         base = root.parent
-        text = root.read_text(encoding="utf-8")
+        try:
+            text = root.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{root}: manifest is not UTF-8 text: {exc}") from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

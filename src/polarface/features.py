@@ -106,36 +106,29 @@ class FeatureVector:
     layout_id: str
 
 
-# The distance kernel sums squares over chunks of this many coordinates;
-# table rows are zero-padded to a multiple of it.
-CHUNK_WIDTH = 64
-
-
 @dataclass(frozen=True)
 class FeatureTable:
     """One layout's feature vectors for a list of images, one row each.
 
-    `values` is (n_images, dim rounded up to a multiple of CHUNK_WIDTH),
-    zero past column dim: the operand layout of the distance kernel.
-    table[r] is row r as a FeatureVector, a view of its first dim values.
+    `values` is (n_images, dim); table[r] is row r as a FeatureVector,
+    a view of `values`.
     """
 
     ids: tuple[str, ...]
     layout_id: str
-    dim: int  # unpadded vector length
     values: np.ndarray
 
     @classmethod
     def allocate(cls, ids, layout_id: str, dim: int) -> FeatureTable:
         """An all-zero table, for the caller to fill through `values`."""
         ids = tuple(str(i) for i in ids)
-        return cls(ids, layout_id, dim, np.zeros((len(ids), dim + (-dim) % CHUNK_WIDTH)))
+        return cls(ids, layout_id, np.zeros((len(ids), dim)))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, row: int) -> FeatureVector:
-        return FeatureVector(self.values[row, : self.dim], self.layout_id)
+        return FeatureVector(self.values[row], self.layout_id)
 
 
 @lru_cache(maxsize=32)

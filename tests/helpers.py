@@ -42,7 +42,7 @@ def feature_table(ids, vectors) -> FeatureTable:
     """Stack one-layout FeatureVectors, vectors[r] into row r."""
     table = FeatureTable.allocate(ids, vectors[0].layout_id, vectors[0].values.size)
     for row, vector in enumerate(vectors):
-        table.values[row, : table.dim] = vector.values
+        table.values[row] = vector.values
     return table
 
 
@@ -50,5 +50,5 @@ def fbt_feature_table(ids, images, config: FBTConfig = FBTConfig()) -> FeatureTa
     """FBT features of same-shape images, extracted as the CLI does:
     one FBTOperator applied by apply_operators."""
     table = FeatureTable.allocate(ids, f"fbt-{config.n_features}", config.n_features)
-    apply_operators([fbt_operator(np.shape(images[0]), config)], images, [table.values[:, : table.dim]])
+    apply_operators([fbt_operator(np.shape(images[0]), config)], images, [table.values])
     return table

@@ -28,7 +28,6 @@ from polarface import (
     fbt,
     fbt_features,
     fuse_max,
-    pairwise_distances,
     to_polar,
     train_pfld,
 )
@@ -108,15 +107,21 @@ def row_space_projector(A: np.ndarray) -> np.ndarray:
     return keep @ keep.T
 
 
-def distances_to(X: np.ndarray, row: np.ndarray) -> np.ndarray:
+def padded_rows(values) -> np.ndarray:
+    """Vectors stacked as rows, zero-padded to a multiple of 64 columns."""
+    X = np.atleast_2d(np.asarray(values, dtype=float))
+    return np.pad(X, ((0, 0), (0, (-X.shape[1]) % 64)))
+
+
+def distances_to(X, row) -> np.ndarray:
     """Euclidean distance from every row of X to `row`, one row at a time.
 
     Both operands are zero-padded to a multiple of 64 columns; squares
     are summed within 64-wide chunks and the chunk sums added in order,
-    the reduction pairwise_distances must reproduce bit for bit.
+    the reduction dissimilarity_matrix must reproduce bit for bit.
     """
-    diff = X - row
-    parts = diff.reshape(X.shape[0], -1, 64)
+    diff = padded_rows(X) - padded_rows(row)
+    parts = diff.reshape(diff.shape[0], -1, 64)
     chunks = np.einsum("ijk,ijk->ij", parts, parts)
     acc = chunks[:, 0].copy()
     for k in range(1, chunks.shape[1]):
@@ -196,32 +201,23 @@ def per_feature_error_rates_broadcast(entries, values, spec, block: int = 16) ->
     return total / spec.repetitions
 
 
-def padded_rows(values) -> np.ndarray:
-    """Vectors stacked as rows, zero-padded to a multiple of 64 columns."""
-    X = np.atleast_2d(np.asarray(values, dtype=float))
-    return np.pad(X, ((0, 0), (0, (-X.shape[1]) % 64)))
-
-
 def per_split_posteriors(value_tables, train_rows, train_labels):
     """The per-split path that one dissimilarity matrix per run replaced.
 
-    Per (n_images, dim) value table, the split's gallery rows are stacked
-    and padded, their own distance matrix trains a PFLD, and every probe
-    is embedded by its distances to that gallery, one probe at a time.
+    Per (n_images, dim) value table, the split's gallery rows are
+    stacked, their own distance matrix trains a PFLD, and every probe is
+    embedded by its distances to that gallery, one probe at a time.
     Returns the class labels and a function from probe rows to the
     max-rule fused posterior matrix.
     """
     fits = []
     for values in value_tables:
-        G = padded_rows(np.asarray(values)[train_rows])
-        fits.append((train_pfld(pairwise_distances(G, G), list(train_labels)), G, values))
+        G = np.asarray(values)[train_rows]
+        fits.append((train_pfld(np.array([distances_to(G, g) for g in G]), list(train_labels)), G, values))
 
     def posteriors(probe_rows):
         return fuse_max(*(
-            (model.class_labels, np.array([
-                classify(model, pairwise_distances(padded_rows(values[p]), G)[0])[1]
-                for p in probe_rows
-            ]))
+            (model.class_labels, np.array([classify(model, distances_to(G, values[p]))[1] for p in probe_rows]))
             for model, G, values in fits
         ))
 
@@ -248,7 +244,7 @@ def per_split_rep_errors(value_tables, entries, spec) -> list[float]:
 def per_split_embedding(values, train_rows, probe_rows, train_labels):
     """Nearest-gallery distance per subject from stacked per-split operands."""
     values = np.asarray(values)
-    d = pairwise_distances(padded_rows(values[probe_rows]), padded_rows(values[train_rows]))
+    d = np.array([distances_to(values[train_rows], values[p]) for p in probe_rows])
     gallery_labels = np.array([str(label) for label in train_labels], dtype=object)
     labels = tuple(sorted(set(gallery_labels)))
     return np.stack([d[:, gallery_labels == label].min(axis=1) for label in labels], axis=1), labels

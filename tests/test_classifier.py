@@ -11,7 +11,6 @@ from polarface import (
     classify,
     dissimilarity_matrix,
     fuse_max,
-    pairwise_distances,
     score,
     train_pfld,
 )
@@ -22,7 +21,6 @@ from oracles import (
     distances_to,
     min_norm_lstsq,
     nearest_neighbor_single_feature,
-    padded_rows,
     row_space_projector,
 )
 
@@ -73,9 +71,10 @@ def test_distance_matrix_against_brute_force(n, d, seed):
 
 @st.composite
 def widths_and_counts(draw):
-    """A width that pads across chunks and an image count up to a little
-    past the rows of one 256 KB tile at that width."""
-    d = draw(st.sampled_from([60, 186, 1201]))
+    """A width of up to 21 chunks, often one that pads across a chunk,
+    and an image count up to a little past the rows of one 256 KB tile
+    at that width."""
+    d = draw(st.one_of(st.sampled_from([60, 186, 1201]), st.integers(1, 1300)))
     return d, draw(st.integers(2, 32768 // (d + (-d) % 64) + 20))
 
 
@@ -83,50 +82,26 @@ def widths_and_counts(draw):
 @example((60, 530), 0)  # 512 rows of width 64 fill one tile
 @example((186, 200), 1)  # 170 rows of width 192 fill one tile
 @example((1201, 60), 2)  # 26 rows of width 1216 fill one tile
-@settings(max_examples=25, deadline=None)
+@example((100, 600), 3)  # 600 rows of width 128 span three tiles
+@example((1201, 100), 4)  # the DFT layout: 19 chunks, four tiles
+@settings(max_examples=40, deadline=None)
 def test_one_matrix_slices_equal_per_split_distances(shape, seed):
-    # The triangular build equals the full square, and every gallery
-    # block and probe row sliced from it equals the distances the
-    # per-split path computes from its own stacked operands.
+    # Every row of the triangular build equals the row-loop oracle, and
+    # every gallery block and probe row sliced from it equals the
+    # distances the per-split path computes from its own stacked rows.
     d, n = shape
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(n, d)) * 10.0
     values[rng.integers(n)] = values[0]  # a duplicate image
-    table = table_of(values)
-    D = dissimilarity_matrix(table)
-    assert np.array_equal(D, pairwise_distances(table.values, table.values))
+    D = dissimilarity_matrix(table_of(values))
+    assert np.array_equal(D, [distances_to(values, row) for row in values])
     order = rng.permutation(n)
     cut = int(rng.integers(1, n))
     train, probes = order[:cut], order[cut:]
-    G = padded_rows(values[train])
-    assert np.array_equal(D[np.ix_(train, train)], pairwise_distances(G, G))
+    G = values[train]
+    assert np.array_equal(D[np.ix_(train, train)], [distances_to(G, row) for row in G])
     for p in probes:
-        assert np.array_equal(D[p, train], pairwise_distances(padded_rows(values[p]), G)[0])
-
-
-def padded(X):
-    return np.pad(X, ((0, 0), (0, (-X.shape[1]) % 64)))
-
-
-@given(st.integers(1, 4), st.integers(1, 600), st.integers(1, 1300), st.integers(0, 2**32 - 1))
-@example(n_a=1, n_b=600, d=100, seed=0)  # 600 rows of width 128 span three tiles
-@example(n_a=3, n_b=100, d=1201, seed=1)  # the DFT layout: 19 chunks, four tiles
-@settings(max_examples=40, deadline=None)
-def test_pairwise_distances_match_row_loop_oracle(n_a, n_b, d, seed):
-    rng = np.random.default_rng(seed)
-    A = padded(rng.normal(size=(n_a, d)) * 100.0)
-    B = padded(rng.normal(size=(n_b, d)) * 100.0)
-    want = np.array([distances_to(B, row) for row in A])
-    assert np.array_equal(pairwise_distances(A, B), want)
-
-
-def test_pairwise_distances_rejects_unpadded_operands():
-    with pytest.raises(DomainError):
-        pairwise_distances(np.zeros((2, 60)), np.zeros((3, 60)))
-    with pytest.raises(DomainError):
-        pairwise_distances(np.zeros((2, 64)), np.zeros((3, 128)))
-    with pytest.raises(DomainError):
-        pairwise_distances(np.zeros((2, 0)), np.zeros((3, 0)))
+        assert np.array_equal(D[p, train], distances_to(G, values[p]))
 
 
 def test_distance_matrix_refuses_oversized_tables():
@@ -136,10 +111,14 @@ def test_distance_matrix_refuses_oversized_tables():
         dissimilarity_matrix(table)
 
 
-def test_table_rows_are_padded_views():
+def test_distance_matrix_refuses_featureless_tables():
+    with pytest.raises(DomainError, match="at least one feature"):
+        dissimilarity_matrix(FeatureTable.allocate(["a", "b"], "toy", 0))
+
+
+def test_table_rows_are_views():
     table = table_of([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert table.values.shape == (2, 64) and not table.values[:, 3:].any()
-    assert len(table) == 2 and table.dim == 3
+    assert len(table) == 2
     assert np.array_equal(table[1].values, [4.0, 5.0, 6.0]) and table[1].layout_id == "toy"
     assert np.shares_memory(table[1].values, table.values)
     assert [v.values.tolist() for v in table] == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
@@ -250,19 +229,21 @@ def test_fusion_rejects_different_label_sets():
 
 
 def test_appending_zero_features_changes_nothing():
-    rng = np.random.default_rng(3)
-    base = rng.normal(size=(10, 20))
+    # 20 -> 23 columns stays inside one chunk; 60 -> 70 and 64 -> 65 add an all-zero chunk
     labels = ["a"] * 5 + ["b"] * 5
-    probe = rng.normal(size=20)
-    rows = np.vstack([base, probe])  # ten gallery images, then the probe
-    D0 = dissimilarity_matrix(table_of(rows, layout="plain"))
-    D1 = dissimilarity_matrix(table_of(np.hstack([rows, np.zeros((11, 3))]), layout="padded"))
-    assert np.array_equal(D0, D1)
-    m0 = train_pfld(D0[:10, :10], labels)
-    m1 = train_pfld(D1[:10, :10], labels)
-    _, p0 = classify(m0, D0[10, :10])
-    _, p1 = classify(m1, D1[10, :10])
-    assert np.array_equal(p0, p1)
+    for width, extra in ((20, 3), (60, 10), (64, 1)):
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(10, width))
+        probe = rng.normal(size=width)
+        rows = np.vstack([base, probe])  # ten gallery images, then the probe
+        D0 = dissimilarity_matrix(table_of(rows, layout="plain"))
+        D1 = dissimilarity_matrix(table_of(np.hstack([rows, np.zeros((11, extra))]), layout="padded"))
+        assert np.array_equal(D0, D1)
+        m0 = train_pfld(D0[:10, :10], labels)
+        m1 = train_pfld(D1[:10, :10], labels)
+        _, p0 = classify(m0, D0[10, :10])
+        _, p1 = classify(m1, D1[10, :10])
+        assert np.array_equal(p0, p1)
 
 
 def test_single_feature_nearest_neighbor_and_ties():

@@ -362,3 +362,12 @@ def test_oversized_ascii_pgm_header_exits_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("polarface: error:")
+
+
+def test_non_utf8_manifest_exits_two(toy_faces, tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(f"{toy_faces}/s1/1.pgm,s1\n".encode() + b"\xff\n")
+    out = tmp_path / "runs"
+    code = run_cli("experiment", "error-rate", "--layout", "flat-manifest", "--dataset", manifest, "--out", out)
+    assert_refusal(code, capsys, "manifest.csv: manifest is not UTF-8 text")
+    assert not out.exists()

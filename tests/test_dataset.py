@@ -15,7 +15,7 @@ from polarface import (
     normalize_face,
     save_pgm,
 )
-from polarface.errors import ConfigError, DatasetError, DomainError, ParseError
+from polarface.errors import ConfigError, DatasetError, DomainError, ParseError, PolarFaceError
 
 
 def test_binary_pgm_round_trip(tmp_path):
@@ -69,6 +69,9 @@ def test_parse_errors_name_byte_offsets(tmp_path):
         (b"P5\n2 2\n255\nXY", "expected 4 bytes, found 2"),
         (b"P2\n3 2\n255\n1 2 3 4", "need at least 11 bytes, found 8"),
         (b"P2\n1073741824 1073741824\n255\n1 2 3\n", "need at least 2305843009213693951 bytes"),
+        (b"P2\n2 2\n10\n1 2 300 4", "pixel 2 300 at byte 14 outside [0, 10]"),
+        (b"P5\n2 2\n100\n" + bytes([1, 2, 250, 4]), "pixel 2 value 250 at byte 13 exceeds maxval 100"),
+        (b"P5\n2 1\n1000\n" + bytes([3, 232, 3, 233]), "pixel 1 value 1001 at byte 14 exceeds maxval 1000"),
     ]
     for blob, fragment in cases:
         path = tmp_path / "bad.pgm"
@@ -135,6 +138,58 @@ def test_flat_manifest_errors_carry_line_numbers(tmp_path):
         with pytest.raises(ParseError) as err:
             load_dataset_dir(manifest, "flat-manifest")
         assert fragment in str(err.value)
+
+
+# Valid inputs for the fuzzers below to mutate: both graymap formats, one
+# with a comment and one 16-bit, and a manifest with every line kind.
+_PGM_SEEDS = (
+    b"P2\n# c\n3 2\n255\n0 1 2\n3 4 5\n",
+    b"P5\n3 2\n255\n" + bytes(range(6)),
+    b"P5\n2 1\n65535\n" + bytes([1, 0, 0, 2]),
+)
+_MANIFEST_SEEDS = (b"# faces\ns1/1.pgm, s1\n\ns1/2.pgm, s1, 10.5, 20, 30, 20.25\ns2/1.pgm,s2\n",)
+
+
+@st.composite
+def mutated(draw, seeds):
+    """A seed with one to four bytes replaced, inserted or deleted, or cut short."""
+    data = bytearray(draw(st.sampled_from(seeds)))
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b" \n#,.-0123456789P"))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(("replace", "insert", "delete", "truncate")))
+        if kind == "insert":
+            data.insert(pos, draw(byte))
+        elif kind == "truncate":
+            del data[pos:]
+        elif pos < len(data):
+            if kind == "replace":
+                data[pos] = draw(byte)
+            else:
+                del data[pos]
+    return bytes(data)
+
+
+@given(mutated(_PGM_SEEDS))
+@settings(max_examples=300, deadline=None)
+def test_mutated_graymaps_load_or_raise_polarface_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(blob)
+    try:
+        load_pgm(path)
+    except PolarFaceError:
+        pass
+
+
+@given(mutated(_MANIFEST_SEEDS))
+@settings(max_examples=300, deadline=None)
+def test_mutated_manifests_load_or_raise_polarface_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz_manifest.csv"
+    path.write_bytes(blob)
+    try:
+        load_dataset_dir(path, "flat-manifest")
+    except PolarFaceError:
+        pass
 
 
 def test_flat_manifest_needs_file(tmp_path):
