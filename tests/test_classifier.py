@@ -104,6 +104,21 @@ def test_one_matrix_slices_equal_per_split_distances(shape, seed):
         assert np.array_equal(D[p, train], distances_to(G, values[p]))
 
 
+@given(st.integers(1, 4), st.integers(1, 600), st.integers(1, 1300), st.integers(0, 2**32 - 1))
+@example(n_a=1, n_b=600, d=100, seed=0)  # 600 rows of width 128 span three tiles
+@example(n_a=3, n_b=100, d=1201, seed=1)  # the DFT layout: 19 chunks, four tiles
+@settings(max_examples=40, deadline=None)
+def test_pairwise_distances_match_row_loop_oracle(n_a, n_b, d, seed):
+    # The block of distances from the rows of A to the rows of B, cut
+    # from one matrix over both, equals the row-loop oracle.
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n_a, d)) * 100.0
+    B = rng.normal(size=(n_b, d)) * 100.0
+    D = dissimilarity_matrix(table_of(np.vstack([A, B])))
+    want = np.array([distances_to(B, row) for row in A])
+    assert np.array_equal(D[:n_a, n_a:], want)
+
+
 def test_distance_matrix_refuses_oversized_tables():
     # refused from the image count, before the N x N matrix is allocated
     table = FeatureTable.allocate([f"im{k}" for k in range(20_001)], "toy", 1)
