@@ -119,6 +119,8 @@ def save_pgm(path, image, maxval: int = 255, binary: bool = True) -> None:
         raise DomainError(f"image must be 2-D, got shape {img.shape}")
     if not (1 <= maxval <= 65535):
         raise ConfigError(f"maxval must be in [1, 65535], got {maxval}")
+    if not np.isfinite(img).all():
+        raise DomainError("image contains non-finite intensities")
     h, w = img.shape
     pixels = np.clip(np.rint(img), 0, maxval)
     if binary:

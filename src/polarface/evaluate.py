@@ -286,72 +286,64 @@ def equal_error_rate(roc: ROCCurve) -> EERResult:
     return EERResult(eer=float(eer), threshold_low=float(lo), threshold_high=float(hi))
 
 
-def _first_set(mask: np.ndarray, pos: np.ndarray, row_end: np.ndarray) -> np.ndarray:
-    """out[k] = first position >= k in k's row where mask is set, or
-    some value >= row_end[k] if none; out[mask.size] = mask.size."""
-    first = np.minimum.accumulate(np.where(mask, pos, row_end)[::-1])[::-1]
-    return np.append(first, mask.size)
-
-
-def _last_set_before(mask: np.ndarray, pos: np.ndarray, row_start: np.ndarray) -> np.ndarray:
-    """out[k] = last position < k in k's row where mask is set, or some
-    value < row_start[k] if none; out[0] = -1."""
-    last = np.maximum.accumulate(np.where(mask, pos, row_start - 1))
-    return np.concatenate([[-1], last])
-
-
 class _SortedBlock:
     """The columns of a (features, images) block, each stably sorted and
     laid end to end in one flat array of rows of length n.
 
     Equal values form runs; within a run the images keep canonical
-    order.  Arrays indexed by a flat position carry one pad element, so
-    the out-of-row positions -1 and size land on it and are masked out.
+    order.  Lookups also read the out-of-row positions -1 and size, and
+    mask out what they find there; values, canon and run_end carry one
+    pad element for size.
     """
 
     def __init__(self, block: np.ndarray):
-        n = block.shape[1]
-        canon = np.argsort(block, axis=1, kind="stable").ravel()
-        size = canon.size
-        self.pos = np.arange(size)
-        self.row_start = self.pos - self.pos % n
-        self.row_end = self.row_start + n
-        self.canon = np.append(canon, 0)  # canonical index of each value
-        self.values = np.append(block.ravel()[canon + self.row_start], 0.0)
+        self.n = n = block.shape[1]
+        order = np.argsort(block, axis=1, kind="stable")
+        size = order.size
+        self.canon = np.append(order.ravel(), 0)  # canonical index of each value
+        self.values = np.append(np.take_along_axis(block, order, axis=1).ravel(), 0.0)
         new_run = np.ones(size, dtype=bool)
         new_run[1:] = self.values[1:size] != self.values[: size - 1]
         new_run[::n] = True
-        self.run_start = np.maximum.accumulate(np.where(new_run, self.pos, 0))
-        self.run_end = np.append(_first_set(new_run, self.pos, self.row_end)[1:], size)
+        starts = np.flatnonzero(new_run)
+        run = np.cumsum(new_run) - 1
+        self.run_start = starts[run]
+        self.run_end = np.append(np.append(starts[1:], size)[run], size)
 
-    def nearest_train(self, train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat position of every value's nearest train value, the lowest
-        canonical index among ties, given the train mask in sorted order.
+    def nearest_train(self, train: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat position of each probe's nearest train value, the lowest
+        canonical index among ties, given the train mask in sorted order
+        and the flat positions of the probes.
 
-        Returns the positions and a mask of the values whose answer is
+        Returns the positions and a mask of the probes whose answer is
         not settled: a train value beyond the winning run rounds to the
         same gap, so the lowest index may lie farther out.
         """
-        v, canon = self.values, self.canon
-        row_start, row_end = self.row_start, self.row_end
-        run_start, run_end = self.run_start, self.run_end[:-1]
-        p = v[:-1]
-        first = _first_set(train, self.pos, row_end)
-        last = _last_set_before(train, self.pos, row_start)
-        own = first[run_start]
-        below = last[run_start]
-        above = first[run_end]
+        v, canon, run_start, run_end = self.values, self.canon, self.run_start, self.run_end
+        # count[q] train values lie before position q: after[count[q]] is
+        # the first train position >= q and before[count[q]] the last < q.
+        count = np.zeros(train.size + 1, dtype=np.intp)
+        np.cumsum(train, out=count[1:])
+        bounds = np.concatenate(([-1], np.flatnonzero(train), [train.size]))
+        before, after = bounds[:-1], bounds[1:]
+        row_start = probes // self.n * self.n
+        row_end = row_start + self.n
+        p = v[probes]
+        run_end_p = run_end[probes]
+        at_run = count[run_start[probes]]
+        own, below = after[at_run], before[at_run]
+        above = after[count[run_end_p]]
         has_below, has_above = below >= row_start, above < row_end
-        below_run = run_start[below]
-        below = first[below_run]  # the run's first train value: lowest index
-        beyond_below = last[below_run]
-        beyond_above = first[self.run_end[above]]
+        at_below_run = count[run_start[below]]
+        below = after[at_below_run]  # the run's first train value: lowest index
+        beyond_below = before[at_below_run]
+        beyond_above = after[count[run_end[above]]]
         gap_below = np.abs(p - v[below])
         gap_above = np.abs(p - v[above])
         below_wins = has_below & (~has_above | (gap_below <= gap_above))
         above_wins = has_above & (~has_below | (gap_above <= gap_below))
         take_above = above_wins & ~(below_wins & (canon[below] < canon[above]))
-        in_own_run = own < run_end
+        in_own_run = own < run_end_p
         pick = np.where(in_own_run, own, np.where(take_above, above, below))
         unresolved = ~in_own_run & (
             (below_wins & (beyond_below >= row_start)
@@ -377,9 +369,9 @@ def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, split:
     then sorted image id), so training index order is row order.  Each
     column is sorted once, stably, in blocks of _FEATURE_BLOCK features:
     equal values form runs whose members keep canonical order, and the
-    first train row of a run has its lowest index.  Per repetition,
-    running minima and maxima over the train mask in sorted order give
-    every probe its nearest train run below and above.  A probe whose
+    first train row of a run has its lowest index.  Per repetition, a
+    running count of train values in sorted order gives every probe, and
+    only the probes, its nearest train run below and above.  A probe whose
     own run holds a train row takes that row (gap 0).  Otherwise the
     smaller gap wins, and equal gaps go to the lower of the two runs'
     first indices.  Rounding is monotone, so a farther train value can
@@ -407,14 +399,17 @@ def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, split:
         labels = codes[canon]
         for mask, n_probe in zip(train, n_probes):
             in_train = mask[canon]
-            pick, unresolved = sorted_block.nearest_train(in_train)
+            probes = np.flatnonzero(~in_train)
+            pick, unresolved = sorted_block.nearest_train(in_train, probes)
             predicted = labels[pick]
             if unresolved.any():
                 train_rows = np.flatnonzero(mask)
-                for k in np.flatnonzero(unresolved):
+                for j in np.flatnonzero(unresolved):
+                    k = probes[j]
                     gaps = np.abs(sorted_block.values[k] - block[k // n, train_rows])
-                    predicted[k] = codes[train_rows[np.argmin(gaps)]]
-            wrong = ((predicted != labels) & ~in_train).reshape(-1, n).sum(axis=1)
+                    predicted[j] = codes[train_rows[np.argmin(gaps)]]
+            # every feature row holds the same n_probe probes
+            wrong = (predicted != labels[probes]).reshape(-1, n_probe).sum(axis=1)
             total[start:stop] += 100.0 * (wrong / n_probe)
     return total / len(train)
 

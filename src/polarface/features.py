@@ -584,11 +584,14 @@ def dft_operator(shape, config: DFTConfig = DFTConfig()) -> DFTOperator:
 
 def synth_radial(cycles: float, size: int) -> np.ndarray:
     """Concentric ring pattern, `cycles` full periods across the image
-    diagonal, intensities mapped to [0, 1]; 0.5 at the exact center."""
+    diagonal, intensities mapped to [0, 1]; 0.5 at the exact center.
+    Refuses cycles whose phase at the corners, the largest, is not finite."""
     if size < 2:
         raise DomainError(f"size must be >= 2, got {size}")
     c = (size - 1) / 2.0
     rimg = math.hypot(c, c)
+    if not math.isfinite(math.pi * cycles * rimg):
+        raise DomainError(f"radial cycles {cycles} give a non-finite pattern")
     ys, xs = np.mgrid[0:size, 0:size].astype(float)
     r = np.hypot(xs - c, ys - c)
     return 0.5 + 0.5 * np.sin(math.pi * cycles * r / rimg)

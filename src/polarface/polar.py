@@ -50,10 +50,13 @@ def bilinear_sample(image, x, y):
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise DomainError("sample coordinates must be finite")
     h, w = img.shape
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 2)
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 2)
+    # + 0.0 turns the floor of -0.0 into 0.0, so its weights keep their signs
+    x0 = np.clip(np.floor(xs), 0, w - 2) + 0.0
+    y0 = np.clip(np.floor(ys), 0, h - 2) + 0.0
     w00, w10, w01, w11 = _bilinear_weights(xs - x0, ys - y0)
-    val = w00 * img[y0, x0] + w10 * img[y0, x0 + 1] + w01 * img[y0 + 1, x0] + w11 * img[y0 + 1, x0 + 1]
+    top = (y0 * w + x0).astype(np.intp)
+    flat = img.ravel()
+    val = w00 * flat[top] + w10 * flat[top + 1] + w01 * flat[top + w] + w11 * flat[top + w + 1]
     inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
     val = np.where(inside, val, 0.0)
     return float(val[0]) if scalar else val

@@ -1,6 +1,8 @@
-"""Shared image builders for the tests (not fixtures, plain functions)."""
+"""Shared image builders and input mutators for the tests (not fixtures,
+plain functions)."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from polarface import FBTConfig, FeatureTable, apply_operators, fbt_operator, synth_mix
 
@@ -52,3 +54,23 @@ def fbt_feature_table(ids, images, config: FBTConfig = FBTConfig()) -> FeatureTa
     table = FeatureTable.allocate(ids, f"fbt-{config.n_features}", config.n_features)
     apply_operators([fbt_operator(np.shape(images[0]), config)], images, [table.values])
     return table
+
+
+@st.composite
+def mutated(draw, seeds):
+    """A seed with one to four bytes replaced, inserted or deleted, or cut short."""
+    data = bytearray(draw(st.sampled_from(seeds)))
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b" \n#,.-0123456789P[]=%"))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(("replace", "insert", "delete", "truncate")))
+        if kind == "insert":
+            data.insert(pos, draw(byte))
+        elif kind == "truncate":
+            del data[pos:]
+        elif pos < len(data):
+            if kind == "replace":
+                data[pos] = draw(byte)
+            else:
+                del data[pos]
+    return bytes(data)

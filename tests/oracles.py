@@ -310,6 +310,25 @@ def read_feature_file(path) -> list[tuple[str, str, FeatureVector]]:
     return rows
 
 
+def bilinear_sample_2d(image, x, y):
+    """bilinear_sample by 2-D indexing from integer corners: the form the
+    flat-index sampler replaced."""
+    img = np.asarray(image, dtype=float)
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    h, w = img.shape
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 2)
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 2)
+    fx, fy = xs - x0, ys - y0
+    gx, gy = 1.0 - fx, 1.0 - fy
+    val = (gx * gy * img[y0, x0] + fx * gy * img[y0, x0 + 1]
+           + gx * fy * img[y0 + 1, x0] + fx * fy * img[y0 + 1, x0 + 1])
+    inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
+    val = np.where(inside, val, 0.0)
+    return float(val[0]) if scalar else val
+
+
 def normalize_face_complex(image, left_eye, right_eye, config: NormalizationConfig = NormalizationConfig()):
     """Eye normalization over the whole crop grid in complex arithmetic,
     masked afterwards: the form normalize_face replaced."""

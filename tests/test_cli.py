@@ -27,6 +27,18 @@ def test_synth_bad_cycles_exits_two(tmp_path, capsys):
     assert "polarface: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, cycles", [("radial", "nan"), ("radial", "inf"), ("radial", "1e308"), ("mix", "nan,2")]
+)
+def test_synth_non_finite_pattern_exits_two(tmp_path, capsys, kind, cycles):
+    # these once wrote an all-zero image and exited 0
+    out = tmp_path / "x.pgm"
+    assert run_cli("synth", kind, cycles, "16", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polarface: error: bad cycles value")
+    assert not out.exists()
+
+
 def test_missing_dataset_exits_two(tmp_path, capsys):
     code = run_cli(
         "experiment", "error-rate",

@@ -4,9 +4,10 @@ import dataclasses
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import mutated
 from polarface import (
     DFTConfig,
     FBTConfig,
@@ -18,7 +19,7 @@ from polarface import (
     resolved_text,
 )
 from polarface.config import EXPERIMENTS, LAYOUTS, MODES, ORIENTATIONS, VERIFICATION_SCORES
-from polarface.errors import ConfigError
+from polarface.errors import ConfigError, PolarFaceError
 
 
 def test_defaults():
@@ -222,6 +223,29 @@ def test_resolved_text_round_trips(tmp_path_factory, cfg):
     loaded = load_run_config(path)
     assert loaded == dataclasses.replace(cfg, out=RunConfig().out, workers=RunConfig().workers)
     assert resolved_text(loaded) == resolved_text(cfg)
+
+
+# Valid config files for the fuzzer below to mutate: the defaults, and a
+# run that sets the optional values the defaults leave empty.
+_INI_SEEDS = tuple(
+    resolved_text(cfg).encode("utf-8")
+    for cfg in (
+        RunConfig(),
+        RunConfig(mode="dft", normalize=True, k_values=(1, 3), subject_counts=(2, 4),
+                  split=SplitSpec(k_train=2, n_subjects=10, seed=7)),
+    )
+)
+
+
+@given(mutated(_INI_SEEDS))
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_files_load_or_raise_polarface_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path.write_bytes(blob)
+    try:
+        load_run_config(path)
+    except PolarFaceError:
+        pass
 
 
 def test_hash_ignores_execution_details_only():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mutated
 from oracles import normalize_face_complex
 from polarface import (
     Dataset,
@@ -86,6 +87,11 @@ def test_save_pgm_validation(tmp_path):
         save_pgm(tmp_path / "x.pgm", np.zeros(5))
     with pytest.raises(ConfigError):
         save_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval=0)
+    for binary in (True, False):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                save_pgm(tmp_path / "x.pgm", np.array([[0.0, bad], [1.0, 2.0]]), binary=binary)
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_orl_tree_enumeration(tmp_path):
@@ -148,26 +154,6 @@ _PGM_SEEDS = (
     b"P5\n2 1\n65535\n" + bytes([1, 0, 0, 2]),
 )
 _MANIFEST_SEEDS = (b"# faces\ns1/1.pgm, s1\n\ns1/2.pgm, s1, 10.5, 20, 30, 20.25\ns2/1.pgm,s2\n",)
-
-
-@st.composite
-def mutated(draw, seeds):
-    """A seed with one to four bytes replaced, inserted or deleted, or cut short."""
-    data = bytearray(draw(st.sampled_from(seeds)))
-    byte = st.one_of(st.integers(0, 255), st.sampled_from(b" \n#,.-0123456789P"))
-    for _ in range(draw(st.integers(1, 4))):
-        pos = draw(st.integers(0, len(data)))
-        kind = draw(st.sampled_from(("replace", "insert", "delete", "truncate")))
-        if kind == "insert":
-            data.insert(pos, draw(byte))
-        elif kind == "truncate":
-            del data[pos:]
-        elif pos < len(data):
-            if kind == "replace":
-                data[pos] = draw(byte)
-            else:
-                del data[pos]
-    return bytes(data)
 
 
 @given(mutated(_PGM_SEEDS))

@@ -353,6 +353,19 @@ def test_per_feature_error_rates_rounding_ties_take_lowest_index():
     assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
 
 
+def test_per_feature_error_rates_resolve_ties_at_the_probes_flat_position():
+    # the rounding tie above, in the second feature of a block: in reps 0
+    # and 1 the tied probe 1e3 is the block's probe 3 but sits at flat
+    # position 7, after two train values, and its direct argmin must read
+    # that position; position 3 holds the s1 probe of the first feature
+    entries = [("s0/0", "s0"), ("s0/1", "s0"), ("s1/0", "s1"), ("s1/1", "s1")]
+    values = np.array([[0.0, 1e-14], [1.0, 1e3], [2.0, 2e-14], [3.0, 5.0]])
+    spec = SplitSpec(k_train=1, repetitions=4, seed=0)
+    got = per_feature_error_rates(entries, values, random_split(entries, spec))
+    assert got[1] == 37.5
+    assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
+
+
 def test_per_feature_error_rates_input_contract():
     entries = toy_entries(n_subjects=2, per_subject=3)
     spec = SplitSpec(k_train=1, repetitions=1)

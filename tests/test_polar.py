@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import bilinear_sample_2d
 from polarface import PolarGrid, bilinear_sample, to_polar
 from polarface.errors import ConfigError, DomainError
 
@@ -49,6 +50,40 @@ def test_bilinear_exact_on_bilinear_functions(a, b, c, d, x, y):
     want = a + b * x + c * y + d * x * y
     got = bilinear_sample(img, np.array([x]), np.array([y]))[0]
     assert got == pytest.approx(want, abs=1e-9 * (1.0 + abs(want)))
+
+
+# Pixels with signed zeros and negatives, so that a flipped sign of a zero
+# weight would show in the sum.
+_PIXELS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 255.0)), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def bilinear_cases(draw):
+    h, w = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    img = np.array(draw(st.lists(_PIXELS, min_size=h * w, max_size=h * w))).reshape(h, w)
+
+    def coordinate(side):
+        # the borders, -0.0, points just outside and anywhere in between
+        edges = (0.0, -0.0, side - 1.0, side - 2.0, np.nextafter(side - 1.0, 0.0), np.nextafter(-0.0, -1.0))
+        return st.one_of(st.sampled_from(edges), st.floats(-2.0, side + 1.0), st.integers(-1, side).map(float))
+
+    if draw(st.booleans()):
+        return img, draw(coordinate(w)), draw(coordinate(h))
+    n = draw(st.integers(1, 8))
+    xs = draw(st.lists(coordinate(w), min_size=n, max_size=n))
+    ys = draw(st.lists(coordinate(h), min_size=n, max_size=n))
+    return img, np.array(xs), np.array(ys)
+
+
+@given(bilinear_cases())
+# x = -0.0 on the bottom border sums four signed zeros: the result is -0.0
+@example((np.array([[-1.0, 1.0], [-0.0, 1.0]]), np.array([-0.0]), np.array([1.0])))
+@settings(max_examples=300)
+def test_bilinear_sample_equals_2d_indexing_bit_for_bit(case):
+    img, x, y = case
+    got, want = bilinear_sample(img, x, y), bilinear_sample_2d(img, x, y)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_bilinear_outside_is_zero():
