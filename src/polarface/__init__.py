@@ -14,7 +14,6 @@ from .classifier import (
     classify,
     dissimilarity_matrix,
     fuse_max,
-    score,
     train_pfld,
 )
 from .config import RunConfig, config_hash, load_run_config, resolved_text
@@ -32,7 +31,6 @@ from .errors import ConfigError, DatasetError, DomainError, ParseError, PolarFac
 from .evaluate import (
     CMCCurve,
     EERResult,
-    EvalReport,
     ROCCurve,
     SplitSpec,
     cmc,

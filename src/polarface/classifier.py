@@ -137,30 +137,25 @@ def _posterior(raw: np.ndarray) -> np.ndarray:
 
 
 def classify(model: TrainedModel, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw discriminant outputs and posteriors of one probe, each
-    (n_classes,) with columns following model.class_labels.
+    """Raw discriminant outputs and posteriors of probes, each
+    (n_probes, n_classes) with columns following model.class_labels.
 
-    `distances` is the probe's row of the dissimilarity matrix, columns
-    in training order; its scores never depend on any other probe.
+    `distances` is (n_probes, n_train): rows of the dissimilarity matrix,
+    columns in training order.  Each probe's embedding is multiplied by
+    the weights as its own vector-matrix product (a stack of 1 x
+    (n_train + 1) matrices, not one 2-D product, which BLAS may block
+    differently for different probe counts), so a row's scores never
+    depend on the other probes of the call.
     """
-    if distances.shape != model.mean_offset.shape:
+    if distances.ndim != 2 or distances.shape[1:] != model.mean_offset.shape:
         raise ConfigError(
             f"{distances.shape} probe distances do not fit {model.mean_offset.size} training images"
         )
-    raw = np.concatenate([distances - model.mean_offset, [1.0]]) @ model.weights
-    return raw, _posterior(raw)
-
-
-def score(model: TrainedModel, distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw discriminant outputs and posteriors of probes, each (n_probes, n_classes).
-
-    `distances` is (n_probes, n_train); row r of each result is the
-    matching part of classify(model, distances[r]).
-    """
-    if len(distances) == 0:
+    if not len(distances):
         raise ConfigError("need at least one probe")
-    raw, posterior = zip(*(classify(model, row) for row in distances))
-    return np.array(raw), np.array(posterior)
+    embedded = np.hstack([distances - model.mean_offset, np.ones((len(distances), 1))])
+    raw = (embedded[:, None, :] @ model.weights)[:, 0]
+    return raw, _posterior(raw)
 
 
 def fuse_max(*scored: tuple[tuple, np.ndarray]) -> np.ndarray:

@@ -46,6 +46,7 @@ from .evaluate import (
     random_split,
     run_error_experiment,
     score_matrix,
+    sem_value,
     verification_pairs,
     verification_roc,
     write_csv,
@@ -260,10 +261,15 @@ def _write_summary(out: Path, tag: str, rows) -> int:
     return 0
 
 
+def _mean_sem(errors: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of per-repetition percent errors."""
+    return float(errors.mean()), sem_value(errors)
+
+
 def _error_rate(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
-    report = run_error_experiment(splits[0], _matrices(dataset, cfg))
-    print(f"error-rate[{cfg.mode}]: error {report.mean_error:.3f} sem {report.sem:.3f}")
-    return _write_summary(out, tag, [(f"error-rate-{cfg.mode}", report.mean_error, report.sem, None)])
+    mean, sem = _mean_sem(run_error_experiment(splits[0], _matrices(dataset, cfg)))
+    print(f"error-rate[{cfg.mode}]: error {mean:.3f} sem {sem:.3f}")
+    return _write_summary(out, tag, [(f"error-rate-{cfg.mode}", mean, sem, None)])
 
 
 def _curve(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
@@ -273,12 +279,12 @@ def _curve(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag
     name = cfg.experiment
     field, values, prefix = _CURVES[name]
     matrices = _matrices(dataset, cfg)
-    points = [(v, run_error_experiment(split, matrices)) for v, split in zip(getattr(cfg, values), splits)]
-    write_csv(out / f"{name.replace('-', '_')}_{cfg.mode}_{tag}.csv", f"{field},mean,sem",
-              [(v, r.mean_error, r.sem) for v, r in points])
-    for v, report in points:
-        print(f"{name}[{cfg.mode}] {prefix}={v}: error {report.mean_error:.3f} sem {report.sem:.3f}")
-    return _write_summary(out, tag, [(f"{name}-{prefix}{v}-{cfg.mode}", r.mean_error, r.sem, None) for v, r in points])
+    points = [(v, *_mean_sem(run_error_experiment(split, matrices)))
+              for v, split in zip(getattr(cfg, values), splits)]
+    write_csv(out / f"{name.replace('-', '_')}_{cfg.mode}_{tag}.csv", f"{field},mean,sem", points)
+    for v, mean, sem in points:
+        print(f"{name}[{cfg.mode}] {prefix}={v}: error {mean:.3f} sem {sem:.3f}")
+    return _write_summary(out, tag, [(f"{name}-{prefix}{v}-{cfg.mode}", mean, sem, None) for v, mean, sem in points])
 
 
 def _cmc(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
@@ -377,9 +383,12 @@ def cmd_experiment(args) -> int:
     return _EXPERIMENTS[cfg.experiment](cfg, dataset, splits, out, tag)
 
 
+_MAX_PATTERN = 4096  # pixels per side; the float64 coordinate grids alone take 268 MB at this size
+
+
 def cmd_synth(args) -> int:
-    if args.size < 2:
-        raise ConfigError(f"pattern size must be at least 2, got {args.size}")
+    if not 2 <= args.size <= _MAX_PATTERN:
+        raise ConfigError(f"pattern size must be between 2 and {_MAX_PATTERN}, got {args.size}")
     try:
         if args.kind == "radial":
             image = synth_radial(float(args.cycles), args.size)

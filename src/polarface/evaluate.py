@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifier import fuse_max, score, train_pfld
+from .classifier import classify, fuse_max, train_pfld
 from .errors import ConfigError, DomainError
 from .fileio import atomic_write_text
 
@@ -149,13 +149,6 @@ class EERResult:
     threshold_high: float
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    mean_error: float
-    sem: float
-    rep_errors: np.ndarray
-
-
 def score_matrix(
     matrices: Sequence[np.ndarray],
     train_rows: np.ndarray,
@@ -170,14 +163,14 @@ def score_matrix(
     """
     models = [train_pfld(D[np.ix_(train_rows, train_rows)], train_labels) for D in matrices]
     posteriors = fuse_max(*(
-        (model.class_labels, score(model, D[np.ix_(probe_rows, train_rows)])[1])
+        (model.class_labels, classify(model, D[np.ix_(probe_rows, train_rows)])[1])
         for model, D in zip(models, matrices)
     ))
     return posteriors, models[0].class_labels
 
 
-def run_error_experiment(split: Split, matrices: Sequence[np.ndarray]) -> EvalReport:
-    """Mean percent misclassified over the split's repetitions, each probe
+def run_error_experiment(split: Split, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """Percent misclassified in each of the split's repetitions, each probe
     taking the class of its highest (fused) posterior; `matrices` index
     the entries the split was drawn from."""
     errors = []
@@ -187,8 +180,7 @@ def run_error_experiment(split: Split, matrices: Sequence[np.ndarray]) -> EvalRe
         # np.argmax takes the first maximum, i.e. the lowest class index.
         predicted = np.array(labels, dtype=object)[np.argmax(posteriors, axis=1)]
         errors.append(100.0 * np.count_nonzero(predicted != truths) / truths.size)
-    errors = np.array(errors)
-    return EvalReport(mean_error=float(errors.mean()), sem=sem_value(errors), rep_errors=errors)
+    return np.array(errors)
 
 
 def embedding_matrix(
@@ -210,12 +202,15 @@ def embedding_matrix(
 def _truth_columns(scores, true_subjects: Sequence[str], class_labels: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """The score matrix as floats and the column of each probe's true
     subject; refuses a matrix that is not one row per probe and one
-    column per class, and a subject that is not a class."""
+    column per class, a non-finite score, and a subject that is not a
+    class."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != len(true_subjects):
         raise ConfigError("score matrix and true subject list do not align")
     if scores.shape[1] != len(class_labels):
         raise ConfigError("score matrix and class label list do not align")
+    if not np.isfinite(scores).all():
+        raise DomainError("scores must be finite")
     index_of = {label: j for j, label in enumerate(class_labels)}
     try:
         return scores, np.array([index_of[t] for t in true_subjects], dtype=np.intp)
@@ -226,12 +221,11 @@ def _truth_columns(scores, true_subjects: Sequence[str], class_labels: Sequence)
 def cmc(scores: np.ndarray, true_subjects: Sequence[str], class_labels: Sequence) -> CMCCurve:
     """Cumulative match curve; tied scores take the worst rank."""
     scores, truth = _truth_columns(scores, true_subjects, class_labels)
-    hits = np.zeros(scores.shape[1])
-    for row, j in zip(scores, truth):
-        rank = int(np.sum(row >= row[j]))  # worst rank among ties
-        hits[rank - 1] += 1
-    proportions = np.cumsum(hits) / scores.shape[0]
-    return CMCCurve(proportions=proportions)
+    n_probes, n_classes = scores.shape
+    own = scores[np.arange(n_probes), truth]
+    ranks = np.count_nonzero(scores >= own[:, None], axis=1)  # worst rank among ties
+    hits = np.bincount(ranks - 1, minlength=n_classes)
+    return CMCCurve(proportions=np.cumsum(hits) / n_probes)
 
 
 def verification_pairs(
@@ -250,7 +244,13 @@ def verification_pairs(
 
 def verification_roc(genuine, impostor, orientation: str = "distance") -> ROCCurve:
     """Verification and false-alarm rates over 100 equally spaced
-    thresholds spanning the observed score range."""
+    thresholds spanning the observed score range.
+
+    Each score set is sorted once; the number of scores at or below (at
+    or above) every threshold is read from it by binary search.  These
+    are exact counts, so each rate equals the mean of the boolean
+    comparison.
+    """
     if orientation not in ("distance", "similarity"):
         raise ConfigError(f"unknown score orientation {orientation!r}")
     genuine = np.asarray(genuine, dtype=float)
@@ -258,14 +258,17 @@ def verification_roc(genuine, impostor, orientation: str = "distance") -> ROCCur
     if genuine.size == 0 or impostor.size == 0:
         raise DomainError("both genuine and impostor score sets must be nonempty")
     pool = np.concatenate([genuine, impostor])
+    if not np.isfinite(pool).all():
+        raise DomainError("verification scores must be finite")
     thresholds = np.linspace(pool.min(), pool.max(), 100)
-    if orientation == "distance":
-        p_verify = np.array([np.mean(genuine <= t) for t in thresholds])
-        p_false = np.array([np.mean(impostor <= t) for t in thresholds])
-    else:
-        p_verify = np.array([np.mean(genuine >= t) for t in thresholds])
-        p_false = np.array([np.mean(impostor >= t) for t in thresholds])
-    return ROCCurve(thresholds=thresholds, p_verify=p_verify, p_false_alarm=p_false)
+
+    def rate(scores):
+        ordered = np.sort(scores)
+        if orientation == "distance":
+            return np.searchsorted(ordered, thresholds, "right") / scores.size
+        return (scores.size - np.searchsorted(ordered, thresholds, "left")) / scores.size
+
+    return ROCCurve(thresholds=thresholds, p_verify=rate(genuine), p_false_alarm=rate(impostor))
 
 
 def equal_error_rate(roc: ROCCurve) -> EERResult:

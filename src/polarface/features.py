@@ -470,30 +470,20 @@ def dft_magnitude(image) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def dft_feature_frequencies(max_cycles: float) -> tuple[tuple[int, int], ...]:
-    """Integer (u, v) pairs with sqrt(u^2+v^2) <= max_cycles.
+def dft_feature_frequencies(max_cycles: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only integer index arrays u, v of the lattice cells with
+    sqrt(u^2+v^2) <= max_cycles.
 
     Sorted by (radius, angle in [0, 2pi), u); DC first.  Conjugate pairs
     are both kept.
     """
     rmax = int(math.floor(max_cycles))
-    pts = []
-    for v in range(-rmax, rmax + 1):
-        for u in range(-rmax, rmax + 1):
-            if u * u + v * v <= max_cycles * max_cycles:
-                radius = math.hypot(u, v)
-                angle = math.atan2(v, u) % (2.0 * math.pi)
-                pts.append((radius, angle, u, v))
-    pts.sort(key=lambda p: (p[0], p[1], p[2]))
-    return tuple((u, v) for _, _, u, v in pts)
-
-
-@lru_cache(maxsize=32)
-def _dft_lattice(max_cycles: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only u and v index arrays of dft_feature_frequencies."""
-    lattice = np.array(dft_feature_frequencies(max_cycles))
+    v, u = np.mgrid[-rmax:rmax + 1, -rmax:rmax + 1].reshape(2, -1)
+    keep = u * u + v * v <= max_cycles * max_cycles
+    u, v = u[keep], v[keep]
+    lattice = np.stack([u, v])[:, np.lexsort((u, np.arctan2(v, u) % (2.0 * np.pi), u * u + v * v))]
     lattice.setflags(write=False)
-    return lattice[:, 0], lattice[:, 1]
+    return lattice[0], lattice[1]
 
 
 def dft_features(magnitudes: np.ndarray, config: DFTConfig = DFTConfig()) -> FeatureVector:
@@ -503,7 +493,7 @@ def dft_features(magnitudes: np.ndarray, config: DFTConfig = DFTConfig()) -> Fea
         raise DomainError(f"magnitude plane must be 2-D, got shape {mag.shape}")
     h, w = mag.shape
     _dft_radius(config, h, w)
-    us, vs = _dft_lattice(config.max_cycles)
+    us, vs = dft_feature_frequencies(config.max_cycles)
     values = mag[h // 2 + vs, w // 2 + us]
     return FeatureVector(values=values, layout_id=f"dft-{values.size}")
 
@@ -576,7 +566,7 @@ def dft_operator(shape, config: DFTConfig = DFTConfig()) -> DFTOperator:
         phase = (2.0 * math.pi / n) * (np.outer(np.arange(r + 1), np.arange(n)) % n)
         return np.concatenate([np.cos(phase), np.sin(phase)])
 
-    us, vs = _dft_lattice(config.max_cycles)
+    us, vs = dft_feature_frequencies(config.max_cycles)
     u, v = np.abs(us), np.where(us < 0, -vs, vs)
     cells = np.where(v >= 0, v, r + 1 - v) * (r + 1) + u
     return DFTOperator((h, w), np.ascontiguousarray(trig(w).T), trig(h), cells)
@@ -633,7 +623,7 @@ def dft_error_map(errors: np.ndarray, config: DFTConfig = DFTConfig()) -> np.nda
     Returns a (2r+1) x (2r+1) plane, r = floor(max_cycles), NaN where no
     feature was selected.
     """
-    us, vs = _dft_lattice(config.max_cycles)
+    us, vs = dft_feature_frequencies(config.max_cycles)
     errors = np.asarray(errors, dtype=float)
     if errors.size != us.size:
         raise ConfigError(

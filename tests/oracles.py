@@ -10,6 +10,7 @@ no longer exports.
 """
 
 import csv
+import math
 from pathlib import Path
 
 import mpmath
@@ -23,7 +24,6 @@ from polarface import (
     NormalizationConfig,
     ParseError,
     bilinear_sample,
-    classify,
     dft_feature_frequencies,
     fbt,
     fbt_features,
@@ -201,6 +201,60 @@ def per_feature_error_rates_broadcast(entries, values, spec, block: int = 16) ->
     return total / spec.repetitions
 
 
+def classify_rows(model, distances) -> tuple[np.ndarray, np.ndarray]:
+    """Raw outputs and posteriors of a (n_probes, n_train) distance matrix,
+    one probe at a time: each row's embedding [d - mean_offset, 1] times
+    the weights as a 1-D vector-matrix product, then the logistic squash
+    of every class normalized to sum 1 (uniform where all underflow)."""
+    raw = np.array([np.concatenate([row - model.mean_offset, [1.0]]) @ model.weights for row in distances])
+    posterior = []
+    for r in raw:
+        tail = np.exp(-np.abs(r))
+        p = np.where(r >= 0, 1.0 / (1.0 + tail), tail / (1.0 + tail))
+        total = p.sum()
+        posterior.append(p / total if total > 0.0 else np.full(p.size, 1.0 / p.size))
+    return raw, np.array(posterior)
+
+
+def cmc_loop(scores, true_subjects, class_labels) -> np.ndarray:
+    """CMC proportions one probe at a time: a probe's rank is the number
+    of classes scoring at least its true subject's score (the worst rank
+    among ties)."""
+    scores = np.asarray(scores, dtype=float)
+    hits = np.zeros(scores.shape[1])
+    for row, subject in zip(scores, true_subjects):
+        j = list(class_labels).index(subject)
+        hits[int(np.sum(row >= row[j])) - 1] += 1
+    return np.cumsum(hits) / scores.shape[0]
+
+
+def roc_loop(genuine, impostor, orientation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thresholds, verification and false-alarm rates one threshold at a
+    time: the mean of each score set's comparison with every threshold."""
+    genuine = np.asarray(genuine, dtype=float)
+    impostor = np.asarray(impostor, dtype=float)
+    pool = np.concatenate([genuine, impostor])
+    thresholds = np.linspace(pool.min(), pool.max(), 100)
+    accept = np.less_equal if orientation == "distance" else np.greater_equal
+    p_verify = np.array([np.mean(accept(genuine, t)) for t in thresholds])
+    p_false = np.array([np.mean(accept(impostor, t)) for t in thresholds])
+    return thresholds, p_verify, p_false
+
+
+def dft_lattice_loop(max_cycles: float) -> tuple[tuple[int, int], ...]:
+    """The (u, v) cells with sqrt(u^2+v^2) <= max_cycles from a double
+    loop, sorted by (math.hypot radius, math.atan2 angle in [0, 2pi), u):
+    the form dft_feature_frequencies's array lattice replaced."""
+    rmax = int(math.floor(max_cycles))
+    pts = []
+    for v in range(-rmax, rmax + 1):
+        for u in range(-rmax, rmax + 1):
+            if u * u + v * v <= max_cycles * max_cycles:
+                pts.append((math.hypot(u, v), math.atan2(v, u) % (2.0 * math.pi), u, v))
+    pts.sort(key=lambda p: (p[0], p[1], p[2]))
+    return tuple((u, v) for _, _, u, v in pts)
+
+
 def per_split_posteriors(value_tables, train_rows, train_labels):
     """The per-split path that one dissimilarity matrix per run replaced.
 
@@ -217,7 +271,7 @@ def per_split_posteriors(value_tables, train_rows, train_labels):
 
     def posteriors(probe_rows):
         return fuse_max(*(
-            (model.class_labels, np.array([classify(model, distances_to(G, values[p]))[1] for p in probe_rows]))
+            (model.class_labels, classify_rows(model, np.array([distances_to(G, values[p]) for p in probe_rows]))[1])
             for model, G, values in fits
         ))
 
@@ -269,7 +323,7 @@ def direct_dft_features(image, max_cycles: float) -> np.ndarray:
     cos_k, sin_k = np.cos(turn * k), np.sin(turn * k)
     ys, xs = np.divmod(np.arange(n), w)
     pixels = img.ravel()
-    lattice = np.array(dft_feature_frequencies(max_cycles)).reshape(-1, 2)
+    lattice = np.stack(dft_feature_frequencies(max_cycles), axis=1)
     out = np.empty(len(lattice), dtype=np.longdouble)
     block = 32  # lattice cells at a time; each block's phases are (block, h w)
     for lo in range(0, len(lattice), block):

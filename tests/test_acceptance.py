@@ -169,7 +169,7 @@ def test_c5_appended_zero_features_are_inert(verdict):
         train = [ids.index(i) for i in train_ids]
         gallery = D[np.ix_(train, train)]
         model = train_pfld(gallery, [subject_of[i] for i in train_ids])
-        posteriors = np.array([classify(model, D[ids.index(p), train])[1] for p in probe_ids])
+        posteriors = classify(model, D[np.ix_([ids.index(p) for p in probe_ids], train)])[1]
         return gallery, [model.class_labels[j] for j in np.argmax(posteriors, axis=1)], posteriors
 
     dist0, labels0, post0 = run(0)
@@ -186,11 +186,11 @@ def test_c6_jittered_synthetic_identification_is_exact(verdict):
     triples = jittered_mix_images()
     table = fbt_feature_table([image_id for image_id, _, _ in triples], [img for _, _, img in triples])
     entries = [(image_id, subject) for image_id, subject, _ in triples]
-    report = run_error_experiment(
+    errors = run_error_experiment(
         random_split(entries, SplitSpec(k_train=5, repetitions=10, seed=0)), [dissimilarity_matrix(table)]
     )
-    ok = report.mean_error == 0.0 and report.rep_errors.shape == (10,)
-    verdict("C6", ok, f"10x10 jittered mixes, k=5, 10 splits: error {report.mean_error:.3f}%")
+    ok = errors.mean() == 0.0 and errors.shape == (10,)
+    verdict("C6", ok, f"10x10 jittered mixes, k=5, 10 splits: error {errors.mean():.3f}%")
 
 
 def test_c7_curve_and_estimator_properties(verdict):
@@ -267,9 +267,9 @@ def test_c9_orl_error_bands(verdict, orl_tables):
     entries, fbt_table, dft_table = orl_tables
     split = random_split(entries, SplitSpec(k_train=5, repetitions=10, seed=0))
     err = {
-        "fbt": run_error_experiment(split, [fbt_table]).mean_error,
-        "dft": run_error_experiment(split, [dft_table]).mean_error,
-        "fused": run_error_experiment(split, [fbt_table, dft_table]).mean_error,
+        "fbt": run_error_experiment(split, [fbt_table]).mean(),
+        "dft": run_error_experiment(split, [dft_table]).mean(),
+        "fused": run_error_experiment(split, [fbt_table, dft_table]).mean(),
     }
     ok = (
         err["fbt"] <= 7.0
@@ -299,7 +299,7 @@ def test_c10_orl_learning_curves_mostly_monotone(verdict, orl_tables):
         for seed in range(10):
             errs = [
                 run_error_experiment(random_split(entries, SplitSpec(k_train=k, repetitions=1, seed=seed)),
-                                     matrices).mean_error
+                                     matrices).mean()
                 for k in (1, 3, 5)
             ]
             if errs[0] >= errs[1] >= errs[2]:

@@ -11,13 +11,13 @@ from polarface import (
     classify,
     dissimilarity_matrix,
     fuse_max,
-    score,
     train_pfld,
 )
 from polarface.errors import ConfigError, DomainError
 
 from helpers import feature_table
 from oracles import (
+    classify_rows,
     distances_to,
     min_norm_lstsq,
     nearest_neighbor_single_feature,
@@ -141,8 +141,8 @@ def test_table_rows_are_views():
 
 def test_training_set_is_classified_perfectly():
     model, D, ids, subject_of = toy_model(n_per=4, classes=("a", "b", "c"))
-    for k, i in enumerate(ids):
-        _, posterior = classify(model, D[k])
+    _, posteriors = classify(model, D)
+    for posterior, i in zip(posteriors, ids):
         assert model.class_labels[int(np.argmax(posterior))] == subject_of[i]
 
 
@@ -152,24 +152,29 @@ def test_embed_probe_distances():
     assert D.shape == (len(ids), len(ids))
     assert D[2, 2] == 0.0 and D[3, 3] == 0.0
     assert np.all(D >= 0.0)
-    with pytest.raises(ConfigError):
-        classify(model, D[2, :-1])
-    with pytest.raises(ConfigError):
-        classify(model, D[2:4])
+    # classify takes a matrix of probe rows: a 1-D row, a wrong width,
+    # zero probes and a stack of matrices are refused
+    for bad in (D[2], D[2:4, :-1], D[:0], D[None]):
+        with pytest.raises(ConfigError):
+            classify(model, bad)
 
 
-def test_score_rows_are_classify_rows():
-    model, D, _, _ = toy_model(n_per=5, classes=("a", "b", "c"), dim=70)
-    raw, posterior = score(model, D)
-    assert raw.shape == posterior.shape == (15, 3)
-    for k, row in enumerate(D):
-        one_raw, one_posterior = classify(model, row)
-        assert np.array_equal(one_raw, raw[k])
-        assert np.array_equal(one_posterior, posterior[k])
-    with pytest.raises(ConfigError):
-        score(model, D[:, :-1])
-    with pytest.raises(ConfigError):
-        score(model, D[:0])
+@given(st.integers(0, 2**32 - 1), st.integers(2, 70), st.integers(2, 8))
+@settings(max_examples=20, deadline=None)
+def test_classify_rows_do_not_depend_on_the_probe_count(seed, n_train, n_classes):
+    # every probe is its own vector-matrix product; one 2-D product may
+    # sum in a different order for different probe counts
+    rng = np.random.default_rng(seed)
+    D = dissimilarity_matrix(table_of(rng.normal(size=(n_train + 30, 9))))
+    model = train_pfld(D[:n_train, :n_train], [f"s{k % n_classes}" for k in range(n_train)])
+    probes = D[n_train:, :n_train]
+    raw, posterior = classify(model, probes)
+    assert raw.shape == posterior.shape == (30, min(n_classes, n_train))
+    for a, b in ((0, 1), (4, 6), (11, 18), (0, 30)):  # 1, 2, 7 and all probes
+        part_raw, part_posterior = classify(model, probes[a:b])
+        want_raw, want_posterior = classify_rows(model, probes[a:b])
+        assert np.array_equal(part_raw, want_raw) and np.array_equal(part_posterior, want_posterior)
+        assert np.array_equal(part_raw, raw[a:b]) and np.array_equal(part_posterior, posterior[a:b])
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -200,7 +205,8 @@ def test_lstsq_matches_min_norm_oracle(seed, deficient):
 
 def test_posterior_is_a_distribution():
     model, D, _, _ = toy_model(classes=("a", "b", "c"))
-    raw, posterior = classify(model, D[0])
+    raw, posterior = classify(model, D[:1])
+    raw, posterior = raw[0], posterior[0]
     assert posterior.shape == (3,)
     assert np.all(posterior >= 0.0)
     assert np.sum(posterior) == pytest.approx(1.0, abs=1e-12)
@@ -219,18 +225,18 @@ def test_mirror_symmetric_probe_scores_near_half():
     # deterministic argmax on whatever side rounding lands
     D = dissimilarity_matrix(table_of([[-1.0], [1.0], [0.0]], ids=["left", "right", "probe"]))
     model = train_pfld(D[:2, :2], ["a", "b"])
-    _, posterior = classify(model, D[2, :2])
-    assert posterior[0] == pytest.approx(0.5, abs=1e-12)
-    assert model.class_labels[int(np.argmax(posterior))] in ("a", "b")
+    _, posterior = classify(model, D[2:, :2])
+    assert posterior[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert model.class_labels[int(np.argmax(posterior[0]))] in ("a", "b")
 
 
 def test_fusion_prefers_the_more_confident_classifier():
     model, D, _, _ = toy_model(classes=("a", "b"))
-    _, pa = classify(model, D[0])   # confident "a"
-    _, pb = classify(model, D[-1])  # confident "b"
+    _, pa = classify(model, D[:1])   # confident "a"
+    _, pb = classify(model, D[-1:])  # confident "b"
     labels = model.class_labels
-    fused = fuse_max((labels, pa[None]), (labels, pb[None]))
-    assert np.array_equal(fused[0], np.maximum(pa, pb))
+    fused = fuse_max((labels, pa), (labels, pb))
+    assert np.array_equal(fused, np.maximum(pa, pb))
     stronger = pa if np.max(pa) >= np.max(pb) else pb
     assert np.argmax(fused[0]) == np.argmax(stronger)
     assert np.array_equal(fuse_max((labels, fused)), fused)
@@ -240,7 +246,7 @@ def test_fusion_rejects_different_label_sets():
     m1, D1, _, _ = toy_model(classes=("a", "b"))
     m2, D2, _, _ = toy_model(classes=("a", "c"))
     with pytest.raises(ConfigError):
-        fuse_max((m1.class_labels, score(m1, D1)[1]), (m2.class_labels, score(m2, D2)[1]))
+        fuse_max((m1.class_labels, classify(m1, D1)[1]), (m2.class_labels, classify(m2, D2)[1]))
 
 
 def test_appending_zero_features_changes_nothing():
@@ -256,8 +262,8 @@ def test_appending_zero_features_changes_nothing():
         assert np.array_equal(D0, D1)
         m0 = train_pfld(D0[:10, :10], labels)
         m1 = train_pfld(D1[:10, :10], labels)
-        _, p0 = classify(m0, D0[10, :10])
-        _, p1 = classify(m1, D1[10, :10])
+        _, p0 = classify(m0, D0[10:, :10])
+        _, p1 = classify(m1, D1[10:, :10])
         assert np.array_equal(p0, p1)
 
 

@@ -39,6 +39,21 @@ def test_synth_non_finite_pattern_exits_two(tmp_path, capsys, kind, cycles):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("size", ["100000", "4097", "1"])
+def test_synth_size_out_of_range_exits_two(tmp_path, capsys, monkeypatch, size):
+    # 100000 once asked numpy for a 149 GiB grid and ended in a traceback;
+    # the refusal must come before any pattern array is made
+    def never(*args):
+        raise AssertionError("pattern drawn before the size was checked")
+
+    monkeypatch.setattr(cli, "synth_radial", never)
+    out = tmp_path / "x.pgm"
+    assert run_cli("synth", "radial", "3", size, out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polarface: error: pattern size must be between 2 and 4096")
+    assert not out.exists()
+
+
 def test_missing_dataset_exits_two(tmp_path, capsys):
     code = run_cli(
         "experiment", "error-rate",

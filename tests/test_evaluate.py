@@ -27,12 +27,14 @@ from polarface.evaluate import sem_value, write_csv
 
 from helpers import feature_table
 from oracles import (
+    cmc_loop,
     nearest_neighbor_single_feature,
     per_feature_error_rates_broadcast,
     per_split_embedding,
     per_split_posteriors,
     per_split_rep_errors,
     random_split_ids,
+    roc_loop,
 )
 
 
@@ -125,10 +127,10 @@ def test_error_experiment_on_separable_data():
     entries = toy_entries()
     features = separable_features(entries)
     spec = SplitSpec(k_train=4, repetitions=5, seed=1)
-    report = run_error_experiment(random_split(entries, spec), [distances(entries, features)])
-    assert report.mean_error == 0.0
-    assert report.sem == 0.0
-    assert report.rep_errors.shape == (5,)
+    errors = run_error_experiment(random_split(entries, spec), [distances(entries, features)])
+    assert errors.mean() == 0.0
+    assert sem_value(errors) == 0.0
+    assert errors.shape == (5,)
 
 
 def test_error_experiment_is_deterministic():
@@ -138,8 +140,8 @@ def test_error_experiment_is_deterministic():
     D = [distances(entries, features)]
     r1 = run_error_experiment(random_split(entries, spec), D)
     r2 = run_error_experiment(random_split(entries, spec), D)
-    assert np.array_equal(r1.rep_errors, r2.rep_errors)
-    assert 0.0 <= r1.mean_error <= 100.0
+    assert np.array_equal(r1, r2)
+    assert 0.0 <= r1.mean() <= 100.0
 
 
 def test_cmc_hand_example():
@@ -179,6 +181,42 @@ def test_cmc_alignment_errors():
         cmc(np.zeros((2, 3)), ["a"], ("a", "b", "c"))
     with pytest.raises(DomainError):
         cmc(np.zeros((1, 2)), ["zz"], ("a", "b"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cmc_and_roc_refuse_non_finite_scores(bad):
+    # a NaN true-subject score once ranked 0 and was counted at the last rank
+    scores = np.array([[0.9, 0.1], [0.2, 0.8]])
+    scores[1, 1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        cmc(scores, ["a", "b"], ("a", "b"))
+    with pytest.raises(DomainError, match="finite"):
+        verification_roc(scores[0], scores[1])
+
+
+@st.composite
+def tied_score_cases(draw):
+    """An integer-valued score matrix, so ties are common, with the
+    probes' true subjects."""
+    n_probes, n_classes = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    labels = tuple(f"s{j}" for j in range(n_classes))
+    cells = st.integers(-3, 3).map(float)
+    scores = np.array(draw(st.lists(st.lists(cells, min_size=n_classes, max_size=n_classes),
+                                    min_size=n_probes, max_size=n_probes)))
+    truths = draw(st.lists(st.sampled_from(labels), min_size=n_probes, max_size=n_probes))
+    return scores, truths, labels
+
+
+@given(tied_score_cases())
+@settings(max_examples=200, deadline=None)
+def test_cmc_and_roc_equal_their_loop_oracles_under_ties(case):
+    scores, truths, labels = case
+    assert np.array_equal(cmc(scores, truths, labels).proportions, cmc_loop(scores, truths, labels))
+    genuine, impostor = verification_pairs(scores, truths, labels)
+    for orientation in ("distance", "similarity"):
+        roc = verification_roc(genuine, impostor, orientation)
+        want = roc_loop(genuine, impostor, orientation)
+        assert all(np.array_equal(a, b) for a, b in zip((roc.thresholds, roc.p_verify, roc.p_false_alarm), want))
 
 
 def test_verification_pairs_counts_and_orientation():
@@ -388,9 +426,9 @@ def test_learning_and_subject_curves():
     spec = SplitSpec(k_train=5, repetitions=2, seed=0)
     D = [distances(entries, features)]
     lc = [run_error_experiment(random_split(entries, replace(spec, k_train=k)), D) for k in (1, 3, 5)]
-    assert all(r.mean_error == 0.0 for r in lc)
+    assert all(r.mean() == 0.0 for r in lc)
     sc = [run_error_experiment(random_split(entries, replace(spec, n_subjects=c)), D) for c in (2, 4)]
-    assert all(r.rep_errors.shape == (2,) for r in sc)
+    assert all(r.shape == (2,) for r in sc)
 
 
 def test_csv_builders(tmp_path):
@@ -450,9 +488,9 @@ def test_error_experiments_equal_per_split_oracle(fused):
         *(replace(spec, k_train=k) for k in (1, 2, 4)),
         *(replace(spec, n_subjects=c) for c in (2, 4)),
     ]
-    reports = [run_error_experiment(random_split(entries, s), matrices) for s in specs]
-    assert [r.rep_errors.tolist() for r in reports] == [per_split_rep_errors(tables, entries, s) for s in specs]
-    assert reports[0].mean_error > 0.0
+    rep_errors = [run_error_experiment(random_split(entries, s), matrices) for s in specs]
+    assert [e.tolist() for e in rep_errors] == [per_split_rep_errors(tables, entries, s) for s in specs]
+    assert rep_errors[0].mean() > 0.0
 
 
 def test_score_and_embedding_matrices_equal_per_split_oracle():

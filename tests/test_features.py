@@ -25,7 +25,7 @@ from polarface import (
 from polarface.errors import ConfigError, DomainError
 from polarface.features import dft_error_map, fbt_error_map, write_feature_file
 
-from oracles import extract_fbt, read_feature_file, spectrum_from_features
+from oracles import dft_lattice_loop, extract_fbt, read_feature_file, spectrum_from_features
 
 SMALL = FBTConfig(max_order=4, max_root=3, angular_resolution=5.0)
 
@@ -183,21 +183,21 @@ def test_dft_dc_is_scaled_mean():
 
 
 def test_frequency_lattice_counts():
-    assert len(dft_feature_frequencies(0.0)) == 1
-    assert len(dft_feature_frequencies(1.0)) == 5
-    assert len(dft_feature_frequencies(1.5)) == 9
+    assert dft_feature_frequencies(0.0)[0].size == 1
+    assert dft_feature_frequencies(1.0)[0].size == 5
+    assert dft_feature_frequencies(1.5)[0].size == 9
     brute = sum(
         1
         for u in range(-20, 21)
         for v in range(-20, 21)
         if u * u + v * v <= 19.5**2
     )
-    assert len(dft_feature_frequencies(19.5)) == brute
+    assert dft_feature_frequencies(19.5)[0].size == brute
     assert abs(brute - 1200) <= 12  # within 1% of the nominal 1200
 
 
 def test_frequency_lattice_ordering():
-    freqs = dft_feature_frequencies(3.0)
+    freqs = list(zip(*(a.tolist() for a in dft_feature_frequencies(3.0))))
     assert freqs[0] == (0, 0)
     assert freqs[1] == (1, 0)  # angle 0 before angle pi/2
     radii = [math.hypot(u, v) for u, v in freqs]
@@ -211,19 +211,24 @@ def test_dft_features_select_plane_values():
     mag = dft_magnitude(img)
     cfg = DFTConfig(max_cycles=4.5)
     vec = dft_features(mag, cfg)
-    freqs = dft_feature_frequencies(4.5)
-    assert vec.layout_id == f"dft-{len(freqs)}"
-    for (u, v), value in zip(freqs, vec.values):
+    us, vs = dft_feature_frequencies(4.5)
+    assert vec.layout_id == f"dft-{us.size}"
+    for u, v, value in zip(us, vs, vec.values):
         assert value == mag[16 + v, 16 + u]
 
 
 def test_dft_lattice_cache_is_read_only():
-    from polarface.features import _dft_lattice
+    us, vs = dft_feature_frequencies(19.5)
+    assert dft_feature_frequencies(19.5)[0] is us
+    for lattice in (us, vs):
+        with pytest.raises(ValueError):
+            lattice[0] = 1
 
-    us, vs = _dft_lattice(19.5)
-    assert list(zip(us.tolist(), vs.tolist())) == list(dft_feature_frequencies(19.5))
-    with pytest.raises(ValueError):
-        us[0] = 1
+
+@pytest.mark.parametrize("max_cycles", [0, 0.5, 1, 1.5, 2, 2.5, 3, 4.5, 7.07, 10, 12.3, 19.5, 25, 40, 63.5])
+def test_dft_lattice_equals_double_loop_oracle(max_cycles):
+    us, vs = dft_feature_frequencies(max_cycles)
+    assert list(zip(us.tolist(), vs.tolist())) == list(dft_lattice_loop(max_cycles))
 
 
 def test_dft_features_plane_bound():
@@ -243,13 +248,13 @@ def test_fbt_error_map_layout():
 
 def test_dft_error_map_scatter():
     cfg = DFTConfig(max_cycles=2.0)
-    freqs = dft_feature_frequencies(2.0)
-    errors = np.arange(len(freqs), dtype=float)
+    us, vs = dft_feature_frequencies(2.0)
+    errors = np.arange(us.size, dtype=float)
     plane = dft_error_map(errors, cfg)
     assert plane.shape == (5, 5)
-    assert np.sum(~np.isnan(plane)) == len(freqs)
+    assert np.sum(~np.isnan(plane)) == us.size
     assert plane[2, 2] == 0.0  # DC mapped to the center
-    for (u, v), e in zip(freqs, errors):
+    for u, v, e in zip(us, vs, errors):
         assert plane[2 + v, 2 + u] == e
 
 
