@@ -62,7 +62,6 @@ from .features import (
     fbt_error_map,
     fbt_features,
     fbt_operator,
-    inverse_fbt,
     synth_angular,
     synth_mix,
     synth_radial,

@@ -11,7 +11,8 @@ Every experiment drops a canonical copy of its effective configuration
 hash is embedded in each output file name, so rerunning an identical
 configuration overwrites the previous files with byte-identical ones.
 Exit codes: 0 success, 1 failed self-check (synth-oracle), 2 bad input,
-I/O trouble or a feature operator that fails its check on the first image.
+I/O trouble, a request too large for memory or a feature operator that
+fails its check on the first image.
 """
 
 from __future__ import annotations
@@ -412,6 +413,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PolarFaceError, OSError) as exc:
         print(f"polarface: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"polarface: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

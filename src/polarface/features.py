@@ -183,29 +183,6 @@ def fbt(grid: PolarGrid, config: FBTConfig) -> FBSpectrum:
     return FBSpectrum(A=A, B=B, R=grid.max_radius)
 
 
-def inverse_fbt(spectrum: FBSpectrum, n_rays: int, n_rings: int) -> PolarGrid:
-    """Evaluate the truncated Fourier-Bessel series on a polar grid.
-
-    The returned grid has rays at 360/n_rays degree steps and rings at
-    1 px steps; its center is a placeholder since a reconstruction has no
-    Cartesian anchor.
-    """
-    if n_rays < 1 or n_rings < 1:
-        raise DomainError(f"need n_rays >= 1 and n_rings >= 1, got {n_rays}, {n_rings}")
-    res = 360.0 / n_rays
-    basis, _ = _radial_tables(spectrum.max_order, spectrum.max_root, n_rings, spectrum.R)
-    cosn, sinn = _trig_tables(spectrum.max_order, n_rays, res)
-    rad_a = np.einsum("ni,nir->nr", spectrum.A, basis)
-    rad_b = np.einsum("ni,nir->nr", spectrum.B, basis)
-    samples = cosn.T @ rad_a + sinn.T @ rad_b
-    return PolarGrid(
-        samples=samples,
-        center=(0.0, 0.0),
-        max_radius=spectrum.R,
-        angular_resolution=res,
-    )
-
-
 def fbt_features(spectrum: FBSpectrum) -> FeatureVector:
     """Flatten A then B, order-major and root-minor, zero B_0 row included."""
     values = np.concatenate([spectrum.A.ravel(), spectrum.B.ravel()])

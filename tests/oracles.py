@@ -23,7 +23,10 @@ from polarface import (
     FeatureVector,
     NormalizationConfig,
     ParseError,
+    PolarGrid,
+    bessel_j,
     bilinear_sample,
+    build_root_table,
     dft_feature_frequencies,
     fbt,
     fbt_features,
@@ -343,6 +346,24 @@ def spectrum_from_features(values, max_order: int, max_root: int, R: float) -> F
     A = values[:half].reshape(max_order + 1, max_root).copy()
     B = values[half:].reshape(max_order + 1, max_root).copy()
     return FBSpectrum(A=A, B=B, R=R)
+
+
+def inverse_fbt(spectrum: FBSpectrum, n_rays: int, n_rings: int) -> PolarGrid:
+    """Evaluate the truncated Fourier-Bessel series on a polar grid.
+
+    The returned grid has rays at 360/n_rays degree steps and rings at
+    1 px steps; its center is a placeholder since a reconstruction has no
+    Cartesian anchor.
+    """
+    res = 360.0 / n_rays
+    alpha = build_root_table(spectrum.max_order, spectrum.max_root).roots
+    orders = np.arange(spectrum.max_order + 1)[:, None]
+    basis = bessel_j(orders[:, :, None], alpha[:, :, None] * np.arange(n_rings, dtype=float) / spectrum.R)
+    angles = orders * (np.deg2rad(res) * np.arange(n_rays))
+    rad_a = np.einsum("ni,nir->nr", spectrum.A, basis)
+    rad_b = np.einsum("ni,nir->nr", spectrum.B, basis)
+    samples = np.cos(angles).T @ rad_a + np.sin(angles).T @ rad_b
+    return PolarGrid(samples=samples, center=(0.0, 0.0), max_radius=spectrum.R, angular_resolution=res)
 
 
 def read_feature_file(path) -> list[tuple[str, str, FeatureVector]]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import fbt_feature_table, feature_table, jittered_mix_images, pseudo_face
-from oracles import bisect_root_on_series, frozen_roots, min_norm_lstsq, row_space_projector
+from oracles import bisect_root_on_series, frozen_roots, inverse_fbt, min_norm_lstsq, row_space_projector
 from polarface import (
     FBTConfig,
     FeatureVector,
@@ -26,7 +26,6 @@ from polarface import (
     dissimilarity_matrix,
     equal_error_rate,
     fbt,
-    inverse_fbt,
     load_dataset_dir,
     random_split,
     run_error_experiment,

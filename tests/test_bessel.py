@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarface import bessel_j, bessel_roots, build_root_table
+from polarface import bessel_j, bessel_roots, build_root_table, to_polar
 from polarface.errors import DomainError
 
 from oracles import bisect_root_on_series, frozen_roots
@@ -42,12 +42,12 @@ def test_bessel_j_against_mpmath_grid():
         for n in (0, 1, 2, 5, 13, 30):
             mine = bessel_j(n, xs)
             ref = np.array([float(mpmath.besselj(n, float(x))) for x in xs])
-            assert np.max(np.abs(mine - ref)) < 1e-12
+            assert np.max(np.abs(mine - ref)) < 1e-14
 
 
 def test_bessel_j_array_orders_against_mpmath():
-    # every order meets arguments across [0, 200], both sides of the
-    # series/recurrence crossover and the turning point x ~ n
+    # every order meets arguments across [0, 200], around x = 7 and around
+    # the turning point x ~ n
     rng = np.random.default_rng(2718)
     orders, xs = [], []
     for n in range(61):
@@ -59,12 +59,12 @@ def test_bessel_j_array_orders_against_mpmath():
     mine = bessel_j(orders, xs)
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.besselj(int(n), float(x))) for n, x in zip(orders, xs)])
-    assert np.max(np.abs(mine - ref)) < 1e-12
+    assert np.max(np.abs(mine - ref)) < 1e-14
 
 
 def test_bessel_j_scalar_and_array_forms_agree():
-    # every element starts its recurrence from its own index, so a value
-    # does not depend on the batch it is computed in
+    # every element takes its own node count, so a value does not depend
+    # on the batch it is computed in
     xs = np.array([0.0, 0.5, 6.9, 7.0, 7.0 + 1e-9, 7.1, 42.0, 199.5])
     arr = bessel_j(3, xs)
     for x, v in zip(xs, arr):
@@ -77,6 +77,22 @@ def test_bessel_j_scalar_and_array_forms_agree():
     for n in orders:
         assert np.array_equal(grid[n], bessel_j(int(n), xs))
     assert np.array_equal(bessel_j(orders, 42.0), grid[:, 6])
+
+
+def test_bessel_j_batches_at_radial_table_scale_equal_scalar_calls():
+    # the default FBT's (31, 3, 91) radial basis call on the 118 x 140
+    # normalized grid, and a batch of identical pairs long enough to span
+    # several evaluation blocks
+    grid = to_polar(np.zeros((140, 118)), 0.5)
+    alpha = build_root_table(30, 3).roots
+    orders = np.arange(31)[:, None, None]
+    xs = alpha[:, :, None] * np.arange(float(grid.n_rings)) / grid.max_radius
+    basis = bessel_j(orders, xs)
+    assert basis.shape == (31, 3, 91)
+    for (n, i, r), v in np.ndenumerate(basis):
+        assert bessel_j(n, float(xs[n, i, r])) == v
+    batch = bessel_j(np.full(9000, 30), np.full(9000, 150.0))
+    assert np.all(batch == bessel_j(30, 150.0))
 
 
 def test_bessel_j_at_zero():

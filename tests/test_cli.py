@@ -54,6 +54,18 @@ def test_synth_size_out_of_range_exits_two(tmp_path, capsys, monkeypatch, size):
     assert not out.exists()
 
 
+def test_out_of_memory_exits_two(toy_faces, tmp_path, capsys, monkeypatch):
+    # an oversized request fails in numpy's allocator; the stage raises the
+    # error itself here, so the test allocates nothing
+    def oversized(*_):
+        raise MemoryError("Unable to allocate 14.2 PiB for an array with shape (1000000000000000, 2)")
+
+    monkeypatch.setattr(cli, "run_error_experiment", oversized)
+    code = run_cli("experiment", "error-rate", "--dataset", toy_faces, "--mode", "dft",
+                   "--k-train", "4", "--reps", "1", "--out", tmp_path / "runs")
+    assert_refusal(code, capsys, "out of memory: Unable to allocate 14.2 PiB")
+
+
 def test_missing_dataset_exits_two(tmp_path, capsys):
     code = run_cli(
         "experiment", "error-rate",

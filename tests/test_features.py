@@ -16,7 +16,6 @@ from polarface import (
     extract_dft,
     fbt,
     fbt_features,
-    inverse_fbt,
     synth_angular,
     synth_mix,
     synth_radial,
@@ -25,7 +24,7 @@ from polarface import (
 from polarface.errors import ConfigError, DomainError
 from polarface.features import dft_error_map, fbt_error_map, write_feature_file
 
-from oracles import dft_lattice_loop, extract_fbt, read_feature_file, spectrum_from_features
+from oracles import dft_lattice_loop, extract_fbt, inverse_fbt, read_feature_file, spectrum_from_features
 
 SMALL = FBTConfig(max_order=4, max_root=3, angular_resolution=5.0)
 
