@@ -65,7 +65,6 @@ from .features import (
     synth_angular,
     synth_mix,
     synth_radial,
-    write_feature_file,
 )
 from .polar import PolarGrid, bilinear_sample, to_polar
 

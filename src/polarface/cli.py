@@ -6,8 +6,10 @@ Three subcommands:
 * ``experiment``  run an identification / verification experiment
 * ``synth``       write a synthetic polar test pattern as a PGM
 
-Every experiment drops a canonical copy of its effective configuration
-(``run_config_<hash>.ini``) next to its outputs, and the same 8-digit
+``extract`` and ``experiment`` compute every output before _write_outputs
+creates ``--out``, so a run that exits with an error leaves it as it was.
+The writer drops a canonical copy of the effective configuration
+(``run_config_<hash>.ini``) next to the outputs, and the same 8-digit
 hash is embedded in each output file name, so rerunning an identical
 configuration overwrites the previous files with byte-identical ones.
 Exit codes: 0 success, 1 failed self-check (synth-oracle), 2 bad input,
@@ -41,6 +43,7 @@ from .evaluate import (
     Split,
     SplitSpec,
     cmc,
+    csv_text,
     embedding_matrix,
     equal_error_rate,
     per_feature_error_rates,
@@ -50,7 +53,6 @@ from .evaluate import (
     sem_value,
     verification_pairs,
     verification_roc,
-    write_csv,
 )
 from .features import (
     FBTConfig,
@@ -66,7 +68,6 @@ from .features import (
     synth_angular,
     synth_mix,
     synth_radial,
-    write_feature_file,
 )
 from .fileio import atomic_write_text
 from .polar import to_polar
@@ -123,8 +124,9 @@ def _resolve(args) -> RunConfig:
 
 def _load_dataset(cfg: RunConfig, specs=()) -> tuple[Dataset, list[Split]]:
     """The run's dataset and the split of each spec the experiment
-    draws; a spec the dataset cannot satisfy is refused here, before any
-    image is read."""
+    draws.  Every split is drawn here, before any image is read, so a
+    spec the dataset cannot satisfy is refused in milliseconds rather
+    than after feature extraction."""
     if not cfg.dataset:
         raise ConfigError("no dataset given (use --dataset or [run] dataset)")
     dataset = load_dataset_dir(cfg.dataset, layout=cfg.layout)
@@ -186,27 +188,38 @@ def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]
     return tables
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+# output stem ("summary", "cmc_fbt", ...) -> (CSV header or None, rows)
+Tables = dict[str, tuple[str | None, object]]
+_SUMMARY = "experiment_id,mean,sem,eer"
+
+
+def _write_outputs(cfg: RunConfig, tables: Tables) -> dict[str, Path]:
+    """Render every table, then create --out and write the config copy and
+    each table as <stem>_<hash>.csv; returns each stem's path.  A cell
+    csv_text refuses therefore leaves no file."""
+    tag = config_hash(cfg)
+    texts = {stem: csv_text(header, rows) for stem, (header, rows) in tables.items()}
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_config_copy(cfg: RunConfig, out: Path, tag: str) -> None:
     atomic_write_text(out / f"run_config_{tag}.ini", resolved_text(cfg))
+    paths = {stem: out / f"{stem}_{tag}.csv" for stem in texts}
+    for stem, text in texts.items():
+        atomic_write_text(paths[stem], text)
+    return paths
+
+
+def _feature_rows(dataset: Dataset, table: FeatureTable):
+    """A feature CSV's rows, made as they are rendered: ids, layout id, values."""
+    return ((e.image_id, e.subject_id, table.layout_id, *row.tolist()) for e, row in zip(dataset, table.values))
 
 
 def cmd_extract(args) -> int:
     cfg = _resolve(args)
     dataset, _ = _load_dataset(cfg)
     tables = _feature_tables(dataset, cfg)
-    out = _out_dir(cfg)
-    tag = config_hash(cfg)
-    _write_config_copy(cfg, out, tag)
+    paths = _write_outputs(cfg, {f"features_{m}": (None, _feature_rows(dataset, t)) for m, t in tables.items()})
     for mode, table in tables.items():
-        path = out / f"features_{mode}_{tag}.csv"
-        write_feature_file(path, [(e.image_id, e.subject_id, table[r]) for r, e in enumerate(dataset)])
-        print(f"extract[{mode}]: {len(table)} images, {table.values.shape[1]} features -> {path}")
+        print(f"extract[{mode}]: {len(table)} images, {table.values.shape[1]} features -> {paths[f'features_{mode}']}")
     return 0
 
 
@@ -222,7 +235,7 @@ def _oracle_peaks(image) -> list[tuple[int, int]]:
     return [(int(n), int(j) + 1) for n, j in zip(*np.unravel_index(order, mod.shape)) if n or j]
 
 
-def _synth_oracle(cfg: RunConfig, dataset, splits, out: Path, tag: str) -> int:
+def _synth_oracle(cfg: RunConfig, dataset, splits) -> tuple[int, Tables]:
     """Peak-location self-checks on analytically understood patterns;
     exit code 1 if any check fails.  Reads no dataset."""
     checks = (
@@ -237,8 +250,8 @@ def _synth_oracle(cfg: RunConfig, dataset, splits, out: Path, tag: str) -> int:
         exp_text, obs_text = ("+".join(f"({n};{i})" for n, i in sorted(cells)) for cells in (expected, observed))
         rows.append((name, exp_text, obs_text, status))
         print(f"synth-oracle {name}: expected {exp_text} observed {obs_text} {status}")
-    write_csv(out / f"synth_oracle_{tag}.csv", "check,expected,observed,status", rows)
-    return 0 if all(row[3] == "PASS" for row in rows) else 1
+    code = 0 if all(row[3] == "PASS" for row in rows) else 1
+    return code, {"synth_oracle": ("check,expected,observed,status", rows)}
 
 
 def _matrices(dataset: Dataset, cfg: RunConfig) -> list[np.ndarray]:
@@ -257,23 +270,18 @@ def _first_split(cfg: RunConfig, dataset: Dataset, split: Split, scorer) -> tupl
     return scores, split.subjects[~train], labels
 
 
-def _write_summary(out: Path, tag: str, rows) -> int:
-    write_csv(out / f"summary_{tag}.csv", "experiment_id,mean,sem,eer", rows)
-    return 0
-
-
 def _mean_sem(errors: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of per-repetition percent errors."""
     return float(errors.mean()), sem_value(errors)
 
 
-def _error_rate(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
+def _error_rate(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple[int, Tables]:
     mean, sem = _mean_sem(run_error_experiment(splits[0], _matrices(dataset, cfg)))
     print(f"error-rate[{cfg.mode}]: error {mean:.3f} sem {sem:.3f}")
-    return _write_summary(out, tag, [(f"error-rate-{cfg.mode}", mean, sem, None)])
+    return 0, {"summary": (_SUMMARY, [(f"error-rate-{cfg.mode}", mean, sem, None)])}
 
 
-def _curve(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
+def _curve(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple[int, Tables]:
     """An error-rate curve, one split per point of the config's list (see
     _CURVES); the SplitSpec field the points set heads the CSV's first
     column."""
@@ -282,22 +290,22 @@ def _curve(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag
     matrices = _matrices(dataset, cfg)
     points = [(v, *_mean_sem(run_error_experiment(split, matrices)))
               for v, split in zip(getattr(cfg, values), splits)]
-    write_csv(out / f"{name.replace('-', '_')}_{cfg.mode}_{tag}.csv", f"{field},mean,sem", points)
     for v, mean, sem in points:
         print(f"{name}[{cfg.mode}] {prefix}={v}: error {mean:.3f} sem {sem:.3f}")
-    return _write_summary(out, tag, [(f"{name}-{prefix}{v}-{cfg.mode}", mean, sem, None) for v, mean, sem in points])
+    summary = [(f"{name}-{prefix}{v}-{cfg.mode}", mean, sem, None) for v, mean, sem in points]
+    return 0, {f"{name.replace('-', '_')}_{cfg.mode}": (f"{field},mean,sem", points), "summary": (_SUMMARY, summary)}
 
 
-def _cmc(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
+def _cmc(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple[int, Tables]:
     scores, truths, labels = _first_split(cfg, dataset, splits[0], score_matrix)
     curve = cmc(scores, truths, labels)
-    write_csv(out / f"cmc_{cfg.mode}_{tag}.csv", "rank,proportion", zip(curve.ranks, curve.proportions))
     rank1_error = 100.0 * (1.0 - float(curve.proportions[0]))
     print(f"cmc[{cfg.mode}]: rank-1 error {rank1_error:.3f} over {len(truths)} probes")
-    return _write_summary(out, tag, [(f"cmc-{cfg.mode}", rank1_error, 0.0, None)])
+    return 0, {f"cmc_{cfg.mode}": ("rank,proportion", zip(curve.ranks, curve.proportions)),
+               "summary": (_SUMMARY, [(f"cmc-{cfg.mode}", rank1_error, 0.0, None)])}
 
 
-def _roc(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
+def _roc(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple[int, Tables]:
     # a claim is confirmed at or below a threshold ("distance") or at or above it ("similarity")
     if cfg.verification_score == "embedding":
         dists, truths, labels = _first_split(cfg, dataset, splits[0], lambda ms, *split: embedding_matrix(ms[0], *split))
@@ -308,32 +316,31 @@ def _roc(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: 
     genuine, impostor = verification_pairs(claims, truths, labels)
     roc = verification_roc(genuine, impostor, cfg.score_orientation)
     eer = equal_error_rate(roc)
-    write_csv(out / f"roc_{cfg.mode}_{tag}.csv", "threshold,p_verify,p_false_alarm",
-              zip(roc.thresholds, roc.p_verify, roc.p_false_alarm))
     print(
         f"roc[{cfg.mode}]: eer {100.0 * eer.eer:.3f} between thresholds "
         f"{eer.threshold_low:.6g} and {eer.threshold_high:.6g}"
     )
-    return _write_summary(out, tag, [(f"roc-{cfg.mode}", 100.0 * eer.eer, 0.0, eer.eer)])
+    curve = ("threshold,p_verify,p_false_alarm", zip(roc.thresholds, roc.p_verify, roc.p_false_alarm))
+    return 0, {f"roc_{cfg.mode}": curve, "summary": (_SUMMARY, [(f"roc-{cfg.mode}", 100.0 * eer.eer, 0.0, eer.eer)])}
 
 
-def _feature_map(cfg: RunConfig, dataset: Dataset, splits: list[Split], out: Path, tag: str) -> int:
+def _feature_map(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple[int, Tables]:
     table = _feature_tables(dataset, cfg)[cfg.mode]
     errors = per_feature_error_rates(dataset.id_subject_pairs(), table.values, splits[0])
     if cfg.mode == "fbt":
         planes = fbt_error_map(errors, cfg.fbt.max_order, cfg.fbt.max_root)
-        write_csv(out / f"feature_map_fbt_a_{tag}.csv", None, planes[0])
-        write_csv(out / f"feature_map_fbt_b_{tag}.csv", None, planes[1])
+        tables = {"feature_map_fbt_a": (None, planes[0]), "feature_map_fbt_b": (None, planes[1])}
     else:
-        write_csv(out / f"feature_map_dft_{tag}.csv", None, dft_error_map(errors, cfg.dft))
+        tables = {"feature_map_dft": (None, dft_error_map(errors, cfg.dft))}
     print(
         f"feature-map[{cfg.mode}]: best {errors.min():.3f} "
         f"worst {errors.max():.3f} over {errors.size} features"
     )
-    return _write_summary(out, tag, [
+    tables["summary"] = (_SUMMARY, [
         (f"feature-map-{cfg.mode}-best", float(errors.min()), 0.0, None),
         (f"feature-map-{cfg.mode}-worst", float(errors.max()), 0.0, None),
     ])
+    return 0, tables
 
 
 # curve experiment -> (SplitSpec field its points set, config list of the
@@ -343,7 +350,7 @@ _CURVES = {
     "subject-curve": ("n_subjects", "subject_counts", "n"),
 }
 
-# experiment type -> run(cfg, dataset, splits, out dir, hash tag) -> exit code
+# experiment type -> run(cfg, dataset, splits) -> (exit code, tables to write)
 _EXPERIMENTS = {
     "error-rate": _error_rate,
     "learning-curve": _curve,
@@ -376,12 +383,11 @@ def _split_specs(cfg: RunConfig) -> list[SplitSpec]:
 def cmd_experiment(args) -> int:
     cfg = _resolve(args)
     _refuse_unrunnable(cfg)
-    # a run refused for its dataset or a split leaves no output directory or config copy
+    # every split is drawn with the dataset, so a bad one is refused before any image is read
     dataset, splits = (None, []) if cfg.experiment == "synth-oracle" else _load_dataset(cfg, _split_specs(cfg))
-    out = _out_dir(cfg)
-    tag = config_hash(cfg)
-    _write_config_copy(cfg, out, tag)
-    return _EXPERIMENTS[cfg.experiment](cfg, dataset, splits, out, tag)
+    code, tables = _EXPERIMENTS[cfg.experiment](cfg, dataset, splits)
+    _write_outputs(cfg, tables)
+    return code
 
 
 _MAX_PATTERN = 4096  # pixels per side; the float64 coordinate grids alone take 268 MB at this size

@@ -19,13 +19,13 @@ import numpy as np
 
 from .classifier import classify, fuse_max, train_pfld
 from .errors import ConfigError, DomainError
-from .fileio import atomic_write_text
 
 Entry = tuple[str, str]  # (image id, subject id)
 
 # Features sorted together in per_feature_error_rates; every intermediate
 # is (block, n_images), 100 KB at 32 x 400.
 _FEATURE_BLOCK = 32
+_MAX_MASK = 1 << 30  # booleans in one Split's gallery mask (repetitions x rows): 1 GiB
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def random_split(entries: Sequence[Entry], spec: SplitSpec) -> Split:
     """The Split of `spec` over the (image id, subject) entries.
 
     Refuses a spec whose subject count or k_train the entries cannot
-    satisfy.
+    satisfy, or whose gallery mask would hold more than _MAX_MASK
+    booleans.
     """
     groups: dict[str, list[tuple[str, int]]] = {}
     for row, (image_id, subject_id) in enumerate(entries):
@@ -113,6 +114,10 @@ def random_split(entries: Sequence[Entry], spec: SplitSpec) -> Split:
                 f"k_train={spec.k_train} for a nonempty probe set"
             )
     rows = np.array([row for s in subjects for _, row in sorted(groups[s])], dtype=np.intp)
+    cells = spec.repetitions * rows.size
+    if cells > _MAX_MASK:
+        raise ConfigError(f"{spec.repetitions} repetitions of {rows.size} images need a {cells / 2**30:.3g} GiB "
+                          f"gallery mask; at most {_MAX_MASK / 2**30:g} GiB is supported")
     return Split(rows, np.repeat(np.array(subjects, dtype=object), sizes), spec)
 
 
@@ -420,13 +425,19 @@ def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, split:
 def _cell(value) -> str:
     if value is None:
         return ""
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    text = str(value)
+    if "," in text or "\n" in text:
+        raise ConfigError(f"a CSV cell may not contain a comma or newline: {text!r}")
+    return text
 
 
-def write_csv(path, header: str | None, rows) -> None:
-    """Write a header line (none when header is None) and one line per row:
-    floats (numpy float64 included) as .17g, None as an empty cell,
-    anything else as str."""
+def csv_text(header: str | None, rows) -> str:
+    """The one CSV format: a header line (none when header is None) and
+    one line per row; floats (numpy float64 included) as .17g, None as
+    an empty cell, anything else as str, refused if it holds a comma or
+    newline."""
     lines = [] if header is None else [header]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -29,7 +29,6 @@ import numpy as np
 
 from .bessel import bessel_j, build_root_table
 from .errors import ConfigError, DomainError
-from .fileio import atomic_write_text
 from .polar import PolarGrid, _bilinear_weights, _polar_plan, _ray_count
 
 
@@ -50,10 +49,7 @@ class FBTConfig:
             raise ConfigError(f"max_order must be >= 0, got {self.max_order}")
         if self.max_root < 1:
             raise ConfigError(f"max_root must be >= 1, got {self.max_root}")
-        if not (self.angular_resolution > 0):
-            raise ConfigError(
-                f"angular_resolution must be positive, got {self.angular_resolution}"
-            )
+        _ray_count(self.angular_resolution)  # refuses one that is not positive or does not divide 360
 
     @property
     def n_features(self) -> int:
@@ -612,18 +608,3 @@ def dft_error_map(errors: np.ndarray, config: DFTConfig = DFTConfig()) -> np.nda
     plane[vs + rmax, us + rmax] = errors.ravel()
     return plane
 
-
-def write_feature_file(path, rows) -> None:
-    """Write features as comma-separated text.
-
-    One image per row: image-id, subject-id, layout_id, then the values
-    with full float64 round-trip precision.
-    """
-    lines = []
-    for image_id, subject_id, vec in rows:
-        for field in (str(image_id), str(subject_id), vec.layout_id):
-            if "," in field or "\n" in field:
-                raise ConfigError(f"feature file field may not contain commas: {field!r}")
-        vals = ",".join(f"{v:.17g}" for v in vec.values)
-        lines.append(f"{image_id},{subject_id},{vec.layout_id},{vals}")
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

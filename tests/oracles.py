@@ -367,7 +367,8 @@ def inverse_fbt(spectrum: FBSpectrum, n_rays: int, n_rings: int) -> PolarGrid:
 
 
 def read_feature_file(path) -> list[tuple[str, str, FeatureVector]]:
-    """Read a feature file written by polarface.write_feature_file."""
+    """Read a feature file written by `polarface extract`: one row per
+    image of image id, subject id, layout id, then the values."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -1,5 +1,7 @@
 """End-to-end command-line runs on the toy dataset."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,7 @@ def test_out_of_memory_exits_two(toy_faces, tmp_path, capsys, monkeypatch):
     code = run_cli("experiment", "error-rate", "--dataset", toy_faces, "--mode", "dft",
                    "--k-train", "4", "--reps", "1", "--out", tmp_path / "runs")
     assert_refusal(code, capsys, "out of memory: Unable to allocate 14.2 PiB")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_missing_dataset_exits_two(tmp_path, capsys):
@@ -263,6 +266,8 @@ def test_subject_curve_without_counts_fails_before_reading(toy_faces, truncated_
         ("[dft]\nmax_cycles = inf\n", "dft.max_cycles must be a finite number"),
         ("[normalize]\nellipse_axes = nan,nan\n", "normalize.ellipse_axes must be"),
         ("[DEFAULT]\nmode = dft\n[run]\nlayout = orl\n", "unknown config section [DEFAULT]"),
+        # refused when the config loads, although a dft run never resamples to polar
+        ("[fbt]\nangular_resolution = 0.7\n", "angular_resolution 0.7 does not divide 360 evenly"),
     ],
 )
 def test_bad_config_files_exit_two(toy_faces, tmp_path, capsys, body, phrase):
@@ -299,6 +304,8 @@ def test_bad_curve_points_refused_before_any_output(toy_faces, tmp_path, capsys,
         (("feature-map", "--k-train", "7"), "", "need more than k_train=7"),
         (("learning-curve",), "[experiment]\nk_values = 1,3,7\n", "need more than k_train=7"),
         (("subject-curve",), "[experiment]\nsubject_counts = 2,4\n", "n_subjects 4 exceeds available 3"),
+        # a 14.2 PiB gallery mask: refused before numpy is asked for it
+        (("error-rate", "--k-train", "2", "--reps", "1000000000000000"), "", "GiB gallery mask"),
     ],
 )
 def test_unsatisfiable_splits_refused_before_extraction(toy_faces, tmp_path, capsys, monkeypatch, args, body, phrase):
@@ -327,6 +334,19 @@ def test_oversized_max_cycles_refused_before_the_lattice_is_made(toy_faces, tmp_
     code = run_cli("experiment", "error-rate", "--config", config, "--dataset", toy_faces, "--mode", mode,
                    "--k-train", "4", "--reps", "1", "--out", tmp_path / "runs")
     assert_refusal(code, capsys, "max_cycles 400.0 exceeds the 48x48 frequency plane")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_comma_in_an_image_id_leaves_no_output(toy_faces, tmp_path, capsys):
+    # every table is rendered before --out is made, so a cell the CSV
+    # format refuses leaves no file behind
+    faces = tmp_path / "faces"
+    shutil.copytree(toy_faces / "s1", faces / "s,1")
+    shutil.copytree(toy_faces / "s2", faces / "s2")
+    out = tmp_path / "runs"
+    code = run_cli("extract", "--dataset", faces, "--mode", "dft", "--out", out)
+    assert_refusal(code, capsys, "a CSV cell may not contain a comma or newline: 's,1/1.pgm'")
+    assert not out.exists()
 
 
 def mixed_geometry_faces(root):
@@ -352,6 +372,7 @@ def test_mixed_image_geometry_is_refused(tmp_path, capsys):
             "--k-train", "1", "--reps", "1", "--out", tmp_path / mode,
         )
         assert_refusal(code, capsys, "'s2/2.pgm' is (80, 64) but 's1/1.pgm' is (112, 92)")
+        assert not (tmp_path / mode).exists()
     # normalization crops every image to one geometry, so the same tree passes
     assert run_cli(
         "experiment", "error-rate", "--dataset", faces / "manifest.csv", "--layout", "flat-manifest",

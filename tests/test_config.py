@@ -113,6 +113,7 @@ def test_bad_values_rejected(tmp_path):
         "[experiment]\ntype = tsne\n",
         "[experiment]\nk_values = 1,x\n",
         "[fbt]\nangular_resolution = fine\n",
+        "[fbt]\nangular_resolution = 0.7\n",  # 360 / 0.7 rays is not a whole number
         "[experiment]\nk_values =\n",
         "[dft]\nmax_cycles = inf\n",
         "[normalize]\nellipse_axes = nan,nan\n",
@@ -197,7 +198,7 @@ def run_configs(draw):
         k_values=draw(counts(1).filter(bool)),  # k_train >= 1
         subject_counts=draw(counts(2)),  # n_subjects >= 2
         verification_score=draw(st.sampled_from(VERIFICATION_SCORES)),
-        fbt=FBTConfig(draw(st.integers(0, 40)), draw(st.integers(1, 10)), draw(positive)),
+        fbt=FBTConfig(draw(st.integers(0, 40)), draw(st.integers(1, 10)), 360 / draw(st.integers(1, 720))),
         dft=DFTConfig(draw(st.floats(min_value=0.0, allow_infinity=False))),
         split=SplitSpec(
             k_train=draw(st.integers(1, 20)),

@@ -23,7 +23,7 @@ from polarface import (
     verification_roc,
 )
 from polarface.errors import ConfigError, DomainError
-from polarface.evaluate import sem_value, write_csv
+from polarface.evaluate import csv_text, sem_value
 
 from helpers import feature_table
 from oracles import (
@@ -431,12 +431,8 @@ def test_learning_and_subject_curves():
     assert all(r.shape == (2,) for r in sc)
 
 
-def test_csv_builders(tmp_path):
-    path = tmp_path / "out.csv"
-
-    def written(header, rows):
-        write_csv(path, header, rows)
-        return path.read_text()
+def test_csv_builders():
+    written = csv_text
 
     cmc_text = written("rank,proportion", zip(np.arange(1, 3), np.array([0.5, 1.0])))
     assert cmc_text == "rank,proportion\n1,0.5\n2,1\n"

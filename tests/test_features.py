@@ -22,7 +22,8 @@ from polarface import (
     to_polar,
 )
 from polarface.errors import ConfigError, DomainError
-from polarface.features import dft_error_map, fbt_error_map, write_feature_file
+from polarface.evaluate import csv_text
+from polarface.features import dft_error_map, fbt_error_map
 
 from oracles import dft_lattice_loop, extract_fbt, inverse_fbt, read_feature_file, spectrum_from_features
 
@@ -263,15 +264,15 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 @given(st.lists(finite_floats, min_size=1, max_size=8), st.integers(0, 5))
 @settings(max_examples=40, deadline=None)
 def test_feature_file_round_trip(values, tag):
-    from polarface import FeatureVector
-
-    rows = [(f"img{tag}", f"s{tag}", FeatureVector(np.array(values), f"toy-{len(values)}"))]
+    # a feature row as the extract command writes it: ids, layout, values
+    rows = [(f"img{tag}", f"s{tag}", f"toy-{len(values)}", *values)]
     import tempfile, os
 
     fd, path = tempfile.mkstemp(suffix=".csv")
     os.close(fd)
     try:
-        write_feature_file(path, rows)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(csv_text(None, rows))
         back = read_feature_file(path)
     finally:
         os.unlink(path)
@@ -282,8 +283,6 @@ def test_feature_file_round_trip(values, tag):
 
 
 def test_feature_file_errors(tmp_path):
-    from polarface import FeatureVector
-
     path = tmp_path / "bad.csv"
     path.write_text("only,three,fields\n")
     with pytest.raises(Exception) as exc:
@@ -292,8 +291,9 @@ def test_feature_file_errors(tmp_path):
     path.write_text("a,b,layout,notafloat\n")
     with pytest.raises(Exception):
         read_feature_file(path)
-    with pytest.raises(ConfigError):
-        write_feature_file(tmp_path / "x.csv", [("has,comma", "s", FeatureVector(np.zeros(1), "t"))])
+    for field in ("has,comma", "has\nnewline"):
+        with pytest.raises(ConfigError):
+            csv_text(None, [(field, "s", "t", 0.0)])
 
 
 def test_synth_pattern_values_and_ranges():
