@@ -52,6 +52,7 @@ from .features import (
     FeatureTable,
     FeatureVector,
     apply_operators,
+    dft_feature_columns,
     dft_feature_frequencies,
     dft_features,
     dft_error_map,

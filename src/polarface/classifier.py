@@ -46,8 +46,11 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
     change any distance, not even its last bit.  Rows are walked in tiles
     of about _TILE_FLOATS buffer values and a distance does not depend on
     its tile, so every block sliced from the matrix equals the distances
-    between those rows alone.  Tables of more than _MAX_IMAGES images
-    are refused before the N^2 float64 are allocated.
+    between those rows alone.  A table that stores repeated layout
+    features once (FeatureTable.columns) has each stored column scaled
+    by the square root of its repeat count first, so a distance is that
+    of the layout's rows within rounding.  Tables of more than
+    _MAX_IMAGES images are refused before the N^2 float64 are allocated.
     """
     n = len(table)
     if n > _MAX_IMAGES:
@@ -57,6 +60,8 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
         )
     X = table.values
     dim = X.shape[1]
+    if table.columns is not None:
+        X = X * np.sqrt(np.bincount(table.columns, minlength=dim))
     if not dim:
         raise DomainError("a feature table needs at least one feature")
     width = dim + (-dim) % _CHUNK

@@ -59,6 +59,7 @@ from .features import (
     FeatureTable,
     apply_operators,
     dft_error_map,
+    dft_feature_columns,
     dft_operator,
     extract_dft,
     fbt,
@@ -139,9 +140,10 @@ def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]
 
     Images are read and normalized one at a time and go through
     apply_operators, with one operator per mode; images of another
-    geometry than the first are refused.  The run then stops with an
-    error unless each mode's row of the first image is within 1e-12 of
-    the largest feature of the per-image reference.
+    geometry than the first are refused.  The DFT table stores each
+    conjugate pair once (dft_feature_columns).  The run then stops with
+    an error unless each mode's row of the first image, in layout order,
+    is within 1e-12 of the largest feature of the per-image reference.
     """
     entries = list(dataset)
 
@@ -168,21 +170,23 @@ def _feature_tables(dataset: Dataset, cfg: RunConfig) -> dict[str, FeatureTable]
             yield img
 
     first = load(0)  # fixes the geometry
-    checks = {}  # mode -> (name of the per-image reference, its features of `first`, operator)
+    checks = {}  # mode -> (name of the per-image reference, its features of `first`, operator, table columns)
     if cfg.mode != "dft":
         # run first, the reference also fills the caches the build reads;
         # normalized faces are zero outside the mask, so it bounds the operator
         checks["fbt"] = ("to_polar + fbt", fbt_features(fbt(to_polar(first, cfg.fbt.angular_resolution), cfg.fbt)),
-                         fbt_operator(first.shape, cfg.fbt, face_mask(cfg.normalization) if cfg.normalize else None))
+                         fbt_operator(first.shape, cfg.fbt, face_mask(cfg.normalization) if cfg.normalize else None),
+                         None)
     if cfg.mode != "fbt":
-        checks["dft"] = "extract_dft", extract_dft(first, cfg.dft), dft_operator(first.shape, cfg.dft)
-    # sized after the DFT reference and operator, which refuse a lattice the
-    # image cannot hold before enumerating it
-    tables = {m: FeatureTable.allocate([e.image_id for e in entries], want.layout_id, want.values.size)
-              for m, (_, want, _) in checks.items()}
-    apply_operators([op for _, _, op in checks.values()], images(), [t.values for t in tables.values()])
-    for m, (reference, want, _) in checks.items():
-        gap = float(np.max(np.abs(tables[m][0].values - want.values)))
+        # the reference and the operator refuse a lattice the image cannot
+        # hold before it is enumerated
+        checks["dft"] = ("extract_dft", extract_dft(first, cfg.dft), dft_operator(first.shape, cfg.dft),
+                         dft_feature_columns(cfg.dft.max_cycles))
+    tables = {m: FeatureTable.allocate([e.image_id for e in entries], want.layout_id, op.n_features, columns)
+              for m, (_, want, op, columns) in checks.items()}
+    apply_operators([op for _, _, op, _ in checks.values()], images(), [t.values for t in tables.values()])
+    for m, (reference, want, _, _) in checks.items():
+        gap = float(np.max(np.abs(tables[m].expand(tables[m][0].values) - want.values)))
         if not gap <= 1e-12 * float(np.max(np.abs(want.values))):
             raise PolarFaceError(f"the {m.upper()} operator differs from {reference} by {gap:.3g} on the first image")
     return tables
@@ -209,8 +213,9 @@ def _write_outputs(cfg: RunConfig, tables: Tables) -> dict[str, Path]:
 
 
 def _feature_rows(dataset: Dataset, table: FeatureTable):
-    """A feature CSV's rows, made as they are rendered: ids, layout id, values."""
-    return ((e.image_id, e.subject_id, table.layout_id, *row.tolist()) for e, row in zip(dataset, table.values))
+    """A feature CSV's rows, made as they are rendered: ids, layout id, values in layout order."""
+    return ((e.image_id, e.subject_id, table.layout_id, *table.expand(row).tolist())
+            for e, row in zip(dataset, table.values))
 
 
 def cmd_extract(args) -> int:
@@ -219,7 +224,7 @@ def cmd_extract(args) -> int:
     tables = _feature_tables(dataset, cfg)
     paths = _write_outputs(cfg, {f"features_{m}": (None, _feature_rows(dataset, t)) for m, t in tables.items()})
     for mode, table in tables.items():
-        print(f"extract[{mode}]: {len(table)} images, {table.values.shape[1]} features -> {paths[f'features_{mode}']}")
+        print(f"extract[{mode}]: {len(table)} images, {table.n_features} features -> {paths[f'features_{mode}']}")
     return 0
 
 
@@ -326,7 +331,7 @@ def _roc(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple[int, Ta
 
 def _feature_map(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple[int, Tables]:
     table = _feature_tables(dataset, cfg)[cfg.mode]
-    errors = per_feature_error_rates(dataset.id_subject_pairs(), table.values, splits[0])
+    errors = table.expand(per_feature_error_rates(dataset.id_subject_pairs(), table.values, splits[0]))
     if cfg.mode == "fbt":
         planes = fbt_error_map(errors, cfg.fbt.max_order, cfg.fbt.max_root)
         tables = {"feature_map_fbt_a": (None, planes[0]), "feature_map_fbt_b": (None, planes[1])}

@@ -64,8 +64,8 @@ class DFTConfig:
     max_cycles: float = 19.5
 
     def __post_init__(self):
-        if not (self.max_cycles >= 0):
-            raise ConfigError(f"max_cycles must be >= 0, got {self.max_cycles}")
+        if not 0 <= self.max_cycles < math.inf:
+            raise ConfigError(f"max_cycles must be a finite number >= 0, got {self.max_cycles}")
 
 
 @dataclass(frozen=True)
@@ -107,18 +107,32 @@ class FeatureTable:
     """One layout's feature vectors for a list of images, one row each.
 
     `values` is (n_images, dim); table[r] is row r as a FeatureVector,
-    a view of `values`.
+    a view of `values`.  A layout whose features repeat (the DFT's
+    conjugate pairs) stores each distinct feature once: `columns` then
+    gives the stored column of every layout feature, and `expand` reads
+    values back in layout order.  `columns` is None when every layout
+    feature has its own column.
     """
 
     ids: tuple[str, ...]
     layout_id: str
     values: np.ndarray
+    columns: np.ndarray | None = None
 
     @classmethod
-    def allocate(cls, ids, layout_id: str, dim: int) -> FeatureTable:
+    def allocate(cls, ids, layout_id: str, dim: int, columns=None) -> FeatureTable:
         """An all-zero table, for the caller to fill through `values`."""
         ids = tuple(str(i) for i in ids)
-        return cls(ids, layout_id, np.zeros((len(ids), dim)))
+        return cls(ids, layout_id, np.zeros((len(ids), dim)), columns)
+
+    @property
+    def n_features(self) -> int:
+        """Features per row in the layout, repeats included."""
+        return self.values.shape[1] if self.columns is None else self.columns.size
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """`values` over the stored columns (last axis), read back in layout order."""
+        return values if self.columns is None else values[..., self.columns]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -448,7 +462,7 @@ def dft_feature_frequencies(max_cycles: float) -> tuple[np.ndarray, np.ndarray]:
     sqrt(u^2+v^2) <= max_cycles.
 
     Sorted by (radius, angle in [0, 2pi), u); DC first.  Conjugate pairs
-    are both kept.
+    are both kept; dft_feature_columns stores each once.
     """
     rmax = int(math.floor(max_cycles))
     v, u = np.mgrid[-rmax:rmax + 1, -rmax:rmax + 1].reshape(2, -1)
@@ -457,6 +471,28 @@ def dft_feature_frequencies(max_cycles: float) -> tuple[np.ndarray, np.ndarray]:
     lattice = np.stack([u, v])[:, np.lexsort((u, np.arctan2(v, u) % (2.0 * np.pi), u * u + v * v))]
     lattice.setflags(write=False)
     return lattice[0], lattice[1]
+
+
+@lru_cache(maxsize=32)
+def dft_feature_columns(max_cycles: float) -> np.ndarray:
+    """Read-only stored column of each dft_feature_frequencies cell.
+
+    A real image's spectrum has |F(u, v)| = |F(-u, -v)|, so a DFT
+    FeatureTable stores DC and the first cell of each conjugate pair, in
+    lattice order, as columns 0, 1, ...; the second cell of a pair reads
+    its mate's column.
+    """
+    us, vs = dft_feature_frequencies(max_cycles)
+    side = 2 * int(math.floor(max_cycles)) + 1
+    key = (vs + side // 2) * side + us + side // 2  # plane cell; its mate's is side^2 - 1 - key
+    cell = np.empty(side * side, dtype=np.intp)
+    cell[key] = np.arange(key.size)
+    mate = cell[side * side - 1 - key]
+    first = np.arange(key.size) <= mate
+    stored = np.cumsum(first) - 1
+    columns = np.where(first, stored, stored[mate])
+    columns.setflags(write=False)
+    return columns
 
 
 def dft_features(magnitudes: np.ndarray, config: DFTConfig = DFTConfig()) -> FeatureVector:
@@ -487,8 +523,9 @@ def extract_dft(image, config: DFTConfig = DFTConfig()) -> FeatureVector:
 
 @dataclass(frozen=True, eq=False)
 class DFTOperator(_BlockOperator):
-    """extract_dft(image).values as a separable linear map and a modulus,
-    for one image shape.
+    """extract_dft(image).values, each conjugate pair once (see
+    dft_feature_columns), as a separable linear map and a modulus, for
+    one image shape.
 
     The features are |F(u, v)| / sqrt(h w) on the lattice of radius r =
     floor(max_cycles), F the 2-D DFT.  A real image has |F(u, v)| =
@@ -497,14 +534,14 @@ class DFTOperator(_BlockOperator):
     gives the (h, 2(r+1)) sums [C | S].  project(folded) is the column
     pass: `columns` = [cos; sin](2 pi v y / h), v = 0..r, times each
     folded image gives cC, cS, sC and sS, and F(u, +-v) = (cC -+ sS) -
-    i (cS +- sC); each lattice cell is then read from that (2(r+1),
-    r+1) plane, u < 0 at (-u, -v).
+    i (cS +- sC); each stored lattice cell is then read from that
+    (2(r+1), r+1) plane, u < 0 at (-u, -v).
     """
 
     shape: tuple[int, int]
     rows: np.ndarray  # (w, 2(r+1))
     columns: np.ndarray  # (2(r+1), h)
-    cells: np.ndarray  # flat plane index of each feature; plane rows v = 0..r, then -0..-r
+    cells: np.ndarray  # flat plane index of each stored feature; plane rows v = 0..r, then -0..-r
 
     @property
     def fold_shape(self) -> tuple[int, int]:
@@ -539,7 +576,8 @@ def dft_operator(shape, config: DFTConfig = DFTConfig()) -> DFTOperator:
         phase = (2.0 * math.pi / n) * (np.outer(np.arange(r + 1), np.arange(n)) % n)
         return np.concatenate([np.cos(phase), np.sin(phase)])
 
-    us, vs = dft_feature_frequencies(config.max_cycles)
+    stored = np.unique(dft_feature_columns(config.max_cycles), return_index=True)[1]  # first cell of each column
+    us, vs = (a[stored] for a in dft_feature_frequencies(config.max_cycles))
     u, v = np.abs(us), np.where(us < 0, -vs, vs)
     cells = np.where(v >= 0, v, r + 1 - v) * (r + 1) + u
     return DFTOperator((h, w), np.ascontiguousarray(trig(w).T), trig(h), cells)

@@ -9,6 +9,7 @@ from polarface import (
     FeatureTable,
     FeatureVector,
     classify,
+    dft_feature_columns,
     dissimilarity_matrix,
     fuse_max,
     train_pfld,
@@ -117,6 +118,40 @@ def test_pairwise_distances_match_row_loop_oracle(n_a, n_b, d, seed):
     D = dissimilarity_matrix(table_of(np.vstack([A, B])))
     want = np.array([distances_to(B, row) for row in A])
     assert np.array_equal(D[:n_a, n_a:], want)
+
+
+def dft_table(values, max_cycles):
+    """A DFT-layout table: stored columns, and the index to the lattice."""
+    columns = dft_feature_columns(max_cycles)
+    return FeatureTable(tuple(map(str, range(len(values)))), f"dft-{columns.size}", values, columns)
+
+
+@given(st.integers(2, 40), st.sampled_from([0.0, 1.0, 4.5, 12.3, 19.5]), st.floats(0.0, 50.0),
+       st.integers(0, 2**32 - 1))
+@example(n=30, max_cycles=19.5, offset=0.0, seed=0)  # the 1201-cell layout: 601 stored columns
+@example(n=30, max_cycles=19.5, offset=50.0, seed=1)
+@settings(max_examples=40, deadline=None)
+def test_dft_layout_distances_match_the_expanded_rows(n, max_cycles, offset, seed):
+    # A stored pair column weighs sqrt(2), and the scaled copy rounds each
+    # value by up to half an ulp: a distance is off by at most about
+    # 2 eps (|a| + |b|) beyond the kernel's own rounding.  On the
+    # 1201-cell layout that is within 2e-15 of the distance itself.  The
+    # matrix stays exactly symmetric with a zero diagonal.
+    rng = np.random.default_rng(seed)
+    stored = dft_feature_columns(max_cycles).max() + 1
+    values = offset + rng.normal(size=(n, stored)) * 10.0
+    values[rng.integers(n)] = values[0]  # a duplicate image
+    table = dft_table(values, max_cycles)
+    D = dissimilarity_matrix(table)
+    full = table.expand(values)
+    want = np.array([distances_to(full, row) for row in full])
+    norms = np.linalg.norm(full, axis=1)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(D - want) <= 2e-15 * want + 2 * eps * (norms[:, None] + norms[None, :]))
+    if max_cycles == 19.5:
+        assert np.all(np.abs(D - want) <= 2e-15 * want)
+    assert np.array_equal(D, D.T)
+    assert not np.diag(D).any()
 
 
 def test_distance_matrix_refuses_oversized_tables():
@@ -265,6 +300,17 @@ def test_appending_zero_features_changes_nothing():
         _, p0 = classify(m0, D0[10:, :10])
         _, p1 = classify(m1, D1[10:, :10])
         assert np.array_equal(p0, p1)
+    # a table that stores repeated features once: the appended columns
+    # are new lattice cells, one stored once and the others in pairs
+    rng = np.random.default_rng(4)
+    columns = dft_feature_columns(4.5)
+    rows = rng.normal(size=(11, columns.max() + 1))
+    D0 = dissimilarity_matrix(dft_table(rows, 4.5))
+    for extra in (3, 64):
+        more = np.concatenate([columns, rows.shape[1] + np.arange(extra), rows.shape[1] + np.arange(1, extra)])
+        padded = np.hstack([rows, np.zeros((11, extra))])
+        D1 = dissimilarity_matrix(FeatureTable(tuple(map(str, range(11))), "padded", padded, more))
+        assert np.array_equal(D0, D1)
 
 
 def test_single_feature_nearest_neighbor_and_ties():

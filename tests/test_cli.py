@@ -129,6 +129,18 @@ def test_extract_round_trips_both_spectra(toy_faces, tmp_path):
         assert np.all(np.isfinite(vec.values))
 
 
+def test_dft_stdout_counts_every_lattice_cell(toy_faces, tmp_path, capsys):
+    # the table stores each conjugate pair once; what the user sees is the layout
+    out = tmp_path / "runs"
+    assert run_cli("extract", "--dataset", toy_faces, "--mode", "dft", "--out", out) == 0
+    assert "extract[dft]: 21 images, 1201 features ->" in capsys.readouterr().out
+    assert run_cli(
+        "experiment", "feature-map", "--dataset", toy_faces, "--mode", "dft",
+        "--k-train", "4", "--reps", "2", "--out", out,
+    ) == 0
+    assert "over 1201 features" in capsys.readouterr().out
+
+
 def test_cmc_and_roc_runs(toy_faces, tmp_path, capsys):
     out = tmp_path / "runs"
     assert run_cli(

@@ -7,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_dft_features
-from polarface import ConfigError, DFTConfig, DomainError, cli, dft_operator, extract_dft, fbt_operator
+from polarface import (
+    ConfigError,
+    DFTConfig,
+    DomainError,
+    cli,
+    dft_feature_columns,
+    dft_feature_frequencies,
+    dft_operator,
+    extract_dft,
+    fbt_operator,
+)
 
 
 @pytest.mark.parametrize(
@@ -20,7 +30,7 @@ def test_operator_matches_direct_longdouble_dft(shape, max_cycles):
     rng = np.random.default_rng(shape[0] * shape[1])
     images = np.stack([rng.uniform(0.0, 255.0, shape), rng.uniform(-1.0, 1.0, shape)])
     images[1] -= images[1].mean()
-    got = dft_operator(shape, DFTConfig(max_cycles))(images)
+    got = dft_operator(shape, DFTConfig(max_cycles))(images)[:, dft_feature_columns(max_cycles)]
     for image, row in zip(images, got):
         want = direct_dft_features(image, max_cycles)
         assert row.shape == want.shape
@@ -38,8 +48,33 @@ def test_operator_matches_extract_dft_and_refuses_what_it_refuses(h, w, max_cycl
         with pytest.raises(ConfigError, match="exceeds the"):
             dft_operator((h, w), config)
         return
-    got = dft_operator((h, w), config)(image[None])[0]
+    got = dft_operator((h, w), config)(image[None])[0][dft_feature_columns(max_cycles)]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+@given(st.integers(1, 24), st.integers(1, 24), st.floats(0.0, 12.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_each_conjugate_pair_is_stored_once(h, w, max_cycles, seed):
+    # even, odd and prime sides: the operator's row holds DC and one cell
+    # of each pair (u, v), (-u, -v), and expands to extract_dft's row
+    config = DFTConfig(max_cycles)
+    image = np.random.default_rng(seed).uniform(0.0, 255.0, size=(h, w))
+    try:
+        want = extract_dft(image, config).values
+    except ConfigError:
+        return
+    columns = dft_feature_columns(max_cycles)
+    us, vs = dft_feature_frequencies(max_cycles)
+    row = dft_operator((h, w), config)(image[None])[0]
+    assert row.size == (us.size + 1) // 2 and columns[0] == 0 and us[0] == vs[0] == 0
+    assert np.max(np.abs(row[columns] - want)) <= 1e-12 * np.max(want)
+    cell = {(u, v): k for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist()))}
+    mates = np.array([cell[-u, -v] for u, v in zip(us.tolist(), vs.tolist())])
+    assert np.array_equal(columns[mates], columns)
+    # the stored columns are the first cell of each pair, numbered in lattice order
+    first = np.arange(us.size) <= mates
+    assert np.array_equal(columns[first], np.arange(row.size))
+    assert not columns.flags.writeable and dft_feature_columns(max_cycles) is columns
 
 
 def both_operators(shape):

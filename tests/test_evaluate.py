@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarface import (
+    DFTConfig,
     FeatureVector,
     SplitSpec,
     cmc,
+    dft_feature_columns,
+    dft_operator,
     dissimilarity_matrix,
     embedding_matrix,
     equal_error_rate,
@@ -375,6 +378,19 @@ def test_per_feature_error_rates_equal_broadcast_oracle(case):
     entries, values, spec = case
     got = per_feature_error_rates(entries, values, random_split(entries, spec))
     assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
+
+
+def test_stored_dft_columns_gather_to_the_full_feature_map():
+    # each conjugate pair's column is answered once and read back for both cells
+    rng = np.random.default_rng(9)
+    entries = [(f"s{s}/{k}", f"s{s}") for s in range(4) for k in range(5)]
+    images = rng.uniform(0.0, 255.0, size=(4, 1, 24, 24)) + rng.normal(0.0, 20.0, size=(4, 5, 24, 24))
+    stored = dft_operator((24, 24), DFTConfig(11.0))(images.reshape(20, 24, 24))
+    columns = dft_feature_columns(11.0)
+    spec = SplitSpec(k_train=2, repetitions=3, seed=5)
+    got = per_feature_error_rates(entries, stored, random_split(entries, spec))[columns]
+    assert got.size == 377 and len(set(got.tolist())) > 1
+    assert np.array_equal(got, per_feature_error_rates_broadcast(entries, stored[:, columns], spec))
 
 
 def test_per_feature_error_rates_rounding_ties_take_lowest_index():

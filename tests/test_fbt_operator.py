@@ -127,7 +127,7 @@ def test_block_boundaries(n_images):
     for row, image in enumerate(images):
         for mode, op in operators.items():
             got, want = forward[mode][row].values, references[mode](image).values
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(forward[mode].expand(got) - want)) <= 1e-12 * np.max(np.abs(want))
             # a row never depends on its block, its position or the dataset size
             assert np.array_equal(got, op(image[None])[0])
             assert np.array_equal(got, backward[mode][n_images - 1 - row].values)

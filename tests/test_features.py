@@ -55,6 +55,13 @@ def test_config_validation():
         DFTConfig(max_cycles=-1.0)
 
 
+@pytest.mark.parametrize("max_cycles", [math.inf, -math.inf, math.nan])
+def test_non_finite_max_cycles_refused(max_cycles):
+    # an infinite radius would reach extract_dft as a raw OverflowError
+    with pytest.raises(ConfigError, match="finite"):
+        DFTConfig(max_cycles)
+
+
 def test_fbt_shapes_and_zero_sine_row():
     grid = to_polar(np.random.default_rng(0).uniform(size=(41, 41)), 5.0)
     spec = fbt(grid, SMALL)
