@@ -38,19 +38,20 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
 
     Row i is computed against rows i..N-1 from explicit differences (not
     the Gram shortcut) and mirrored into column i, so d(a, b) == d(b, a)
-    and d(a, a) == 0 exactly.  The differences fill the first dim columns
-    of a zeroed buffer whose width is dim rounded up to a multiple of
-    _CHUNK; squares are summed per chunk and the chunk sums added in a
-    fixed order.  The pad columns are never written, so appending zero
-    coordinates (landing in pad columns or adding all-zero chunks) cannot
-    change any distance, not even its last bit.  Rows are walked in tiles
-    of about _TILE_FLOATS buffer values and a distance does not depend on
-    its tile, so every block sliced from the matrix equals the distances
-    between those rows alone.  A table that stores repeated layout
-    features once (FeatureTable.columns) has each stored column scaled
-    by the square root of its repeat count first, so a distance is that
-    of the layout's rows within rounding.  Tables of more than
-    _MAX_IMAGES images are refused before the N^2 float64 are allocated.
+    and d(a, a) == 0 exactly.  The rows are first copied into a zeroed
+    array whose width is dim rounded up to a multiple of _CHUNK, and
+    whole padded rows are subtracted; squares are summed per chunk and
+    the chunk sums added in a fixed order.  Both rows of a difference pad
+    to the same zeros, so appending zero coordinates (landing in pad
+    columns or adding all-zero chunks) cannot change any distance, not
+    even its last bit.  Rows are walked in tiles of about _TILE_FLOATS
+    padded values and a distance does not depend on its tile, so every
+    block sliced from the matrix equals the distances between those rows
+    alone.  A table that stores repeated layout features once
+    (FeatureTable.columns) has each stored column scaled by the square
+    root of its repeat count in the copy, so a distance is that of the
+    layout's rows within rounding.  Tables of more than _MAX_IMAGES
+    images are refused before the N^2 float64 are allocated.
     """
     n = len(table)
     if n > _MAX_IMAGES:
@@ -58,21 +59,22 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
             f"{n} images would need a {n * n * 8 / 1e9:.1f} GB distance matrix; "
             f"at most {_MAX_IMAGES} images are supported"
         )
-    X = table.values
-    dim = X.shape[1]
-    if table.columns is not None:
-        X = X * np.sqrt(np.bincount(table.columns, minlength=dim))
+    dim = table.values.shape[1]
     if not dim:
         raise DomainError("a feature table needs at least one feature")
     width = dim + (-dim) % _CHUNK
+    X = np.zeros((n, width))
+    X[:, :dim] = table.values
+    if table.columns is not None:
+        X[:, :dim] *= np.sqrt(np.bincount(table.columns, minlength=dim))
     tile = max(1, _TILE_FLOATS // width)
-    diff = np.zeros((min(tile, n), width))  # reused by every tile
+    diff = np.empty((min(tile, n), width))  # reused by every tile
     chunks = np.empty((n, width // _CHUNK))
     D = np.empty((n, n))
     for i in range(n):
         for start in range(i, n, tile):
             block = X[start:start + tile]
-            np.subtract(block, X[i], out=diff[:len(block), :dim])
+            np.subtract(block, X[i], out=diff[:len(block)])
             parts = diff[:len(block)].reshape(len(block), -1, _CHUNK)
             np.einsum("ijk,ijk->ij", parts, parts, out=chunks[start:start + tile])
         acc = D[i, i:]

@@ -11,6 +11,7 @@ allowed, image paths resolved relative to the manifest).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -21,7 +22,23 @@ from .errors import ConfigError, DatasetError, DomainError, ParseError
 from .fileio import atomic_write_bytes
 from .polar import bilinear_sample
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+# Filler (whitespace and '#' comments to the end of a line), then a token:
+# the bytes before the next filler, empty only at the end of the data.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+
+
+def _int_field(path, match, what: str, low: int, high: int) -> int:
+    """The token of a _TOKEN match as an integer in [low, high]."""
+    tok, off = match[1], match.start(1)
+    if not tok:
+        raise ParseError(f"{path}: missing {what} at byte {off}")
+    try:
+        value = int(tok)
+    except ValueError:
+        raise ParseError(f"{path}: bad {what} {tok!r} at byte {off}") from None
+    if not (low <= value <= high):
+        raise ParseError(f"{path}: {what} {value} at byte {off} outside [{low}, {high}]")
+    return value
 
 
 def load_pgm(path) -> np.ndarray:
@@ -31,50 +48,20 @@ def load_pgm(path) -> np.ndarray:
     raises ParseError naming the byte offset of the problem.
     """
     data = Path(path).read_bytes()
-    pos = 0
-
-    def skip_filler():
-        nonlocal pos
-        while pos < len(data):
-            if data[pos:pos + 1] in (b"#",):
-                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif data[pos:pos + 1] in _WHITESPACE:
-                pos += 1
-            else:
-                return
-
-    def token(what: str) -> tuple[bytes, int]:
-        nonlocal pos
-        skip_filler()
-        if pos >= len(data):
-            raise ParseError(f"{path}: missing {what} at byte {pos}")
-        start = pos
-        while pos < len(data) and data[pos:pos + 1] not in _WHITESPACE and data[pos:pos + 1] != b"#":
-            pos += 1
-        return data[start:pos], start
-
-    def int_token(what: str, low: int, high: int) -> int:
-        tok, off = token(what)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise ParseError(f"{path}: bad {what} {tok!r} at byte {off}") from None
-        if not (low <= value <= high):
-            raise ParseError(
-                f"{path}: {what} {value} at byte {off} outside [{low}, {high}]"
-            )
-        return value
-
-    magic, off = token("magic number")
+    fields = _TOKEN.finditer(data)
+    head = next(fields)
+    magic = head[1]
     if magic not in (b"P5", b"P2"):
-        raise ParseError(f"{path}: unsupported magic {magic!r} at byte {off}")
-    width = int_token("width", 1, 1 << 30)
-    height = int_token("height", 1, 1 << 30)
-    maxval = int_token("maxval", 1, 65535)
+        problem = f"unsupported magic {magic!r}" if magic else "missing magic number"
+        raise ParseError(f"{path}: {problem} at byte {head.start(1)}")
+    width = _int_field(path, next(fields), "width", 1, 1 << 30)
+    height = _int_field(path, next(fields), "height", 1, 1 << 30)
+    maxval_field = next(fields)
+    maxval = _int_field(path, maxval_field, "maxval", 1, 65535)
+    pos = maxval_field.end()
 
     if magic == b"P5":
-        if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+        if not data[pos:pos + 1].isspace():
             raise ParseError(f"{path}: expected single whitespace after maxval at byte {pos}")
         pos += 1
         bytes_per = 2 if maxval > 255 else 1
@@ -103,10 +90,9 @@ def load_pgm(path) -> np.ndarray:
             f"{path}: truncated pixel payload at byte {pos}: {width}x{height} "
             f"ASCII pixels need at least {need} bytes, found {avail}"
         )
-    values = np.empty(width * height)
-    for i in range(width * height):
-        values[i] = int_token(f"pixel {i}", 0, maxval)
-    return values.reshape(height, width).astype(float)
+    n = width * height
+    pixels = (_int_field(path, match, f"pixel {i}", 0, maxval) for i, match in zip(range(n), fields))
+    return np.fromiter(pixels, float, n).reshape(height, width)
 
 
 def save_pgm(path, image, maxval: int = 255, binary: bool = True) -> None:

@@ -30,9 +30,31 @@ def _as_image(image) -> np.ndarray:
 def _bilinear_weights(fx, fy):
     """Weights of the top-left, top-right, bottom-left and bottom-right
     pixels of a bilinear sample at offset (fx, fy) from the top-left one;
-    every bilinear sum of the package uses these, in this order."""
+    _bilinear_sum and the FBT operator's entries use these, in this order."""
     gx, gy = 1.0 - fx, 1.0 - fy
     return gx * gy, fx * gy, gx * fy, fx * fy
+
+
+def _bilinear_corners(xs, ys, h: int, w: int):
+    """Which points (xs, ys) lie inside [0, w-1] x [0, h-1], and for those
+    only the flat index of the top-left pixel of their bilinear sample
+    (the last row and column sample from the one before) and their
+    offsets (fx, fy) from it."""
+    inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
+    xs, ys = xs[inside], ys[inside]
+    col = np.minimum(xs.astype(np.intp), w - 2)
+    row = np.minimum(ys.astype(np.intp), h - 2)
+    return inside, row * w + col, xs - col, ys - row
+
+
+def _bilinear_sum(img, inside, top, fx, fy) -> np.ndarray:
+    """Bilinear samples of `img` at the points of a _bilinear_corners
+    result, 0.0 outside; the four terms summed in _bilinear_weights order."""
+    flat, w = img.ravel(), img.shape[1]
+    w00, w10, w01, w11 = _bilinear_weights(fx, fy)
+    out = np.zeros(inside.shape)
+    out[inside] = w00 * flat[top] + w10 * flat[1:][top] + w01 * flat[w:][top] + w11 * flat[w + 1:][top]
+    return out
 
 
 def bilinear_sample(image, x, y):
@@ -49,16 +71,7 @@ def bilinear_sample(image, x, y):
         raise DomainError("x and y must have matching shapes")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise DomainError("sample coordinates must be finite")
-    h, w = img.shape
-    # + 0.0 turns the floor of -0.0 into 0.0, so its weights keep their signs
-    x0 = np.clip(np.floor(xs), 0, w - 2) + 0.0
-    y0 = np.clip(np.floor(ys), 0, h - 2) + 0.0
-    w00, w10, w01, w11 = _bilinear_weights(xs - x0, ys - y0)
-    top = (y0 * w + x0).astype(np.intp)
-    flat = img.ravel()
-    val = w00 * flat[top] + w10 * flat[top + 1] + w01 * flat[top + w] + w11 * flat[top + w + 1]
-    inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
-    val = np.where(inside, val, 0.0)
+    val = _bilinear_sum(img, *_bilinear_corners(xs, ys, *img.shape))
     return float(val[0]) if scalar else val
 
 
@@ -104,16 +117,9 @@ def to_polar(image, angular_resolution: float = 0.5) -> PolarGrid:
     img = _as_image(image)
     n_rays = _ray_count(angular_resolution)
     h, w = img.shape
-    inside, corner, fx, fy, max_radius = _polar_plan(h, w, n_rays, float(angular_resolution))
-    flat = img.ravel()
-    w00, w10, w01, w11 = _bilinear_weights(fx, fy)
-    samples = np.zeros(inside.shape)
-    # bilinear_sample's terms in its order, so samples match it bit for bit
-    samples[inside] = (
-        w00 * flat[corner] + w10 * flat[1:][corner] + w01 * flat[w:][corner] + w11 * flat[w + 1:][corner]
-    )
+    *plan, max_radius = _polar_plan(h, w, n_rays, float(angular_resolution))
     return PolarGrid(
-        samples=samples,
+        samples=_bilinear_sum(img, *plan),
         center=((w - 1) / 2.0, (h - 1) / 2.0),
         max_radius=max_radius,
         angular_resolution=float(angular_resolution),
@@ -135,9 +141,7 @@ def _ray_count(angular_resolution: float) -> int:
 
 @lru_cache(maxsize=8)
 def _polar_plan(h: int, w: int, n_rays: int, angular_resolution: float):
-    # Sampling geometry of one image shape: which grid points fall inside
-    # the image, and for those only the flat index of the top-left pixel
-    # and the fractional offsets (fx, fy) from it.
+    # Sampling geometry of one image shape: _bilinear_corners of its grid.
     x0 = (w - 1) / 2.0
     y0 = (h - 1) / 2.0
     max_radius = math.hypot(x0, y0)  # center to farthest corner
@@ -146,13 +150,7 @@ def _polar_plan(h: int, w: int, n_rays: int, angular_resolution: float):
     radii = np.arange(n_rings, dtype=float)
     xs = x0 + radii[None, :] * np.cos(theta)[:, None]
     ys = y0 + radii[None, :] * np.sin(theta)[:, None]
-    inside = (xs >= 0.0) & (xs <= w - 1.0) & (ys >= 0.0) & (ys <= h - 1.0)
-    xs = xs[inside]
-    ys = ys[inside]
-    col = np.clip(np.floor(xs).astype(int), 0, w - 2)
-    row = np.clip(np.floor(ys).astype(int), 0, h - 2)
-    corner = (row * w + col).astype(np.int32)
-    plan = (inside, corner, xs - col, ys - row)
+    plan = _bilinear_corners(xs, ys, h, w)
     for arr in plan:
         arr.setflags(write=False)
     return (*plan, max_radius)

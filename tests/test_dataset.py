@@ -51,8 +51,12 @@ def test_ascii_pgm_round_trip(tmp_path):
 
 def test_header_comments_and_whitespace(tmp_path):
     path = tmp_path / "c.pgm"
-    path.write_bytes(b"P2 # magic\n# a full comment line\n  3\t2\n255\n0 1 2\n3 4 5\n")
-    assert np.array_equal(load_pgm(path), [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    for blob in (
+        b"P2 # magic\n# a full comment line\n  3\t2\n255\n0 1 2\n3 4 5\n",
+        b"P2\n3 2\n255\n0 1 2 # a comment inside the raster\n3 4#5\n5\n",
+    ):
+        path.write_bytes(blob)
+        assert np.array_equal(load_pgm(path), [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
 
 
 def test_save_rounds_and_clips(tmp_path):
@@ -63,14 +67,18 @@ def test_save_rounds_and_clips(tmp_path):
 
 def test_parse_errors_name_byte_offsets(tmp_path):
     cases = [
+        (b"", "missing magic number at byte 0"),
         (b"P6\n2 2\n255\n" + b"x" * 4, "unsupported magic"),
         (b"P5\n2", "missing height"),
         (b"P5\nab 2\n255\n", "bad width b'ab' at byte 3"),
         (b"P5\n2 2\n0\n", "maxval 0 at byte 7 outside [1, 65535]"),
         (b"P5\n2 2\n255\nXY", "expected 4 bytes, found 2"),
+        (b"P5\n1 1\n255#c\n\x00", "expected single whitespace after maxval at byte 10"),
         (b"P2\n3 2\n255\n1 2 3 4", "need at least 11 bytes, found 8"),
         (b"P2\n1073741824 1073741824\n255\n1 2 3\n", "need at least 2305843009213693951 bytes"),
         (b"P2\n2 2\n10\n1 2 300 4", "pixel 2 300 at byte 14 outside [0, 10]"),
+        (b"P2\n2 2\n9\n1 2 3   ", "missing pixel 3 at byte 17"),
+        (b"P2\n2 1\n9\n1 x\n", "bad pixel 1 b'x' at byte 11"),
         (b"P5\n2 2\n100\n" + bytes([1, 2, 250, 4]), "pixel 2 value 250 at byte 13 exceeds maxval 100"),
         (b"P5\n2 1\n1000\n" + bytes([3, 232, 3, 233]), "pixel 1 value 1001 at byte 14 exceeds maxval 1000"),
     ]
