@@ -29,7 +29,7 @@ import numpy as np
 
 from .bessel import bessel_j, build_root_table
 from .errors import ConfigError, DomainError
-from .polar import PolarGrid, _bilinear_weights, _polar_plan, _ray_count
+from .polar import PolarGrid, _plan_taps, _polar_plan, _ray_count
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,8 @@ def fbt_operator(shape, config: FBTConfig = FBTConfig(), support=None) -> FBTOpe
         raise DomainError(f"support of shape {support.shape} for {(h, w)} images")
     res = float(config.angular_resolution)
     n_rays = _ray_count(res)
-    inside, corner, fx, fy, max_radius = _polar_plan(h, w, n_rays, res)
-    n_rings = inside.shape[1]
+    *plan, max_radius = _polar_plan(h, w, n_rays, res)
+    inside, n_rings = plan[0], plan[0].shape[1]
     basis, pref = _radial_tables(config.max_order, config.max_root, n_rings, max_radius)
     cosn, sinn = _trig_tables(config.max_order, n_rays, res)
 
@@ -351,7 +351,6 @@ def fbt_operator(shape, config: FBTConfig = FBTConfig(), support=None) -> FBTOpe
     ends = roots * np.cumsum([n.size for _, n, _, _ in groups])
     classes = tuple((int(e - roots * n.size), int(e), sx, sy) for e, (_, n, sx, sy) in zip(ends, groups))
 
-    plan_row = np.cumsum(inside.ravel(), dtype=np.int32).reshape(inside.shape) - 1  # of each inside sample
     y0, x0 = (h - 1) // 2, (w - 1) // 2
     flat = np.arange(h * w).reshape(h, w)
     mirrors = np.stack([flat[y0:, x0:], flat[y0:, w - 1 - x0::-1],
@@ -364,21 +363,20 @@ def fbt_operator(shape, config: FBTConfig = FBTConfig(), support=None) -> FBTOpe
         # mirror in y and in x, so their samples count half
         k0 = np.arange(n_rays // 4 + 1)
         orbits = np.stack([k0, (n_rays // 2 - k0) % n_rays, -k0 % n_rays, (n_rays // 2 + k0) % n_rays])
-        member_inside = inside[orbits]
-        top_left = corner[np.maximum(plan_row[k0], 0)]
-        fold = member_inside.all(axis=0) & (top_left // w >= y0) & (top_left % w >= x0)
-        residual[:] = False
-        for rays in orbits:
-            residual[rays] |= member_inside.any(axis=0) & ~fold
-        residual &= inside
+        fold = inside[orbits].all(axis=0)
         ray, ring = np.nonzero(fold)
-        pixel, weight = _bilinear_entries(plan_row[ray, ring], corner, fx, fy, w)
+        pixel, weight = _plan_taps(w, (ray, ring), *plan)
+        # a sample folds if its whole orbit is inside and its pixels are the quadrant's
+        keep = fold[ray, ring] = (pixel[:, 0] // w >= y0) & (pixel[:, 0] % w >= x0)
+        ray, ring, pixel, weight = ray[keep], ring[keep], pixel[keep], weight[keep]
+        residual[orbits] = ~fold  # every ray lies on one orbit
+        residual &= inside
         weight[(ray == 0) | (4 * ray == n_rays)] *= 0.5
         quadrant = np.zeros(h * w, dtype=np.intp)  # flat pixel -> quadrant column
         quadrant[mirrors[0]] = np.arange(mirrors.shape[1])
         quarter = _project(quadrant[pixel], mirrors.shape[1], columns, ray, ring, weight, trig, radial)
     ray, ring = np.nonzero(residual)
-    pixel, weight = _bilinear_entries(plan_row[ray, ring], corner, fx, fy, w)
+    pixel, weight = _plan_taps(w, (ray, ring), *plan)
     lit = np.zeros(h * w, dtype=bool)
     lit[pixel] = True
     lit &= support.ravel()
@@ -386,13 +384,6 @@ def fbt_operator(shape, config: FBTConfig = FBTConfig(), support=None) -> FBTOpe
     unfolded = _project(pixel, h * w, residual_pixels, ray, ring, weight, trig, radial)
     return FBTOperator((h, w), config.n_features, features, classes, mirrors[:, columns], quarter,
                        residual_pixels, unfolded)
-
-
-def _bilinear_entries(samples, corner, fx, fy, w):
-    """Flat pixel indices and weights of the four bilinear_sample terms of
-    each plan sample, both (samples, 4)."""
-    pixel = corner[samples][:, None] + np.array([0, 1, w, w + 1])
-    return pixel, np.stack(_bilinear_weights(fx[samples], fy[samples]), axis=1)
 
 
 def _project(pixel, n_pixels, columns, ray, ring, weight, trig, radial):

@@ -10,8 +10,9 @@ convention on pixel coordinates).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,12 +28,12 @@ def _as_image(image) -> np.ndarray:
     return img
 
 
-def _bilinear_weights(fx, fy):
-    """Weights of the top-left, top-right, bottom-left and bottom-right
-    pixels of a bilinear sample at offset (fx, fy) from the top-left one;
-    _bilinear_sum and the FBT operator's entries use these, in this order."""
+def _bilinear_terms(fx, fy, w: int):
+    """Flat offsets, in a w-wide image, and weights of the top-left,
+    top-right, bottom-left and bottom-right pixels of a bilinear sample at
+    offset (fx, fy) from the top-left one, in the order of every sum."""
     gx, gy = 1.0 - fx, 1.0 - fy
-    return gx * gy, fx * gy, gx * fy, fx * fy
+    return (0, 1, w, w + 1), (gx * gy, fx * gy, gx * fy, fx * fy)
 
 
 def _bilinear_corners(xs, ys, h: int, w: int):
@@ -48,13 +49,21 @@ def _bilinear_corners(xs, ys, h: int, w: int):
 
 
 def _bilinear_sum(img, inside, top, fx, fy) -> np.ndarray:
-    """Bilinear samples of `img` at the points of a _bilinear_corners
-    result, 0.0 outside; the four terms summed in _bilinear_weights order."""
-    flat, w = img.ravel(), img.shape[1]
-    w00, w10, w01, w11 = _bilinear_weights(fx, fy)
+    """Bilinear samples of `img` at a _bilinear_corners result's points, 0.0 outside."""
+    flat = img.ravel()
+    offsets, weights = _bilinear_terms(fx, fy, img.shape[1])
+    terms = (weight * flat[offset:][top] for offset, weight in zip(offsets, weights))  # one (N, 4) gather is slower
     out = np.zeros(inside.shape)
-    out[inside] = w00 * flat[top] + w10 * flat[1:][top] + w01 * flat[w:][top] + w11 * flat[w + 1:][top]
+    out[inside] = reduce(operator.iadd, terms)  # summed in order, in place
     return out
+
+
+def _plan_taps(w: int, where, inside, top, fx, fy):
+    """Flat pixel indices and weights, both (samples, 4), of the samples at
+    `where` in the `inside` of a _bilinear_corners result, all inside."""
+    k = np.cumsum(inside.ravel()).reshape(inside.shape)[where] - 1  # position among the inside points
+    offsets, weights = _bilinear_terms(fx[k], fy[k], w)
+    return top[k][:, None] + np.array(offsets), np.stack(weights, axis=1)
 
 
 def bilinear_sample(image, x, y):

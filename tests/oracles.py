@@ -405,15 +405,21 @@ def bilinear_sample_2d(image, x, y):
     return float(val[0]) if scalar else val
 
 
-def normalize_face_complex(image, left_eye, right_eye, config: NormalizationConfig = NormalizationConfig()):
-    """Eye normalization over the whole crop grid in complex arithmetic,
-    masked afterwards: the form normalize_face replaced."""
+def normalize_source_complex(left_eye, right_eye, config: NormalizationConfig = NormalizationConfig()):
+    """The source point x + iy of every crop pixel, in complex arithmetic."""
     sl = complex(left_eye[0], left_eye[1])
     sr = complex(right_eye[0], right_eye[1])
     tl = complex(*config.left_eye_target)
     tr = complex(*config.right_eye_target)
     ys, xs = np.mgrid[0:config.crop_height, 0:config.crop_width].astype(float)
-    source = sl + (sr - sl) / (tr - tl) * (xs + 1j * ys - tl)
+    return sl + (sr - sl) / (tr - tl) * (xs + 1j * ys - tl)
+
+
+def normalize_face_complex(image, left_eye, right_eye, config: NormalizationConfig = NormalizationConfig()):
+    """Eye normalization over the whole crop grid in complex arithmetic,
+    masked afterwards: the form normalize_face replaced."""
+    source = normalize_source_complex(left_eye, right_eye, config)
+    ys, xs = np.mgrid[0:config.crop_height, 0:config.crop_width].astype(float)
     out = bilinear_sample(np.asarray(image, dtype=float), source.real, source.imag)
     cx, cy = config.ellipse_center
     ax, ay = config.ellipse_axes

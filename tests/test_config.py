@@ -218,6 +218,7 @@ def run_configs(draw):
 
 
 @given(cfg=run_configs())
+@settings(deadline=None)
 def test_resolved_text_round_trips(tmp_path_factory, cfg):
     path = tmp_path_factory.getbasetemp() / "round_trip.ini"
     path.write_text(resolved_text(cfg), encoding="utf-8")

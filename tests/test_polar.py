@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import bilinear_sample_2d
 from polarface import PolarGrid, bilinear_sample, to_polar
 from polarface.errors import ConfigError, DomainError
+from polarface.polar import _bilinear_corners, _plan_taps
 
 
 def test_grid_geometry_131():
@@ -84,6 +85,13 @@ def test_bilinear_sample_equals_2d_indexing_bit_for_bit(case):
     got, want = bilinear_sample(img, x, y), bilinear_sample_2d(img, x, y)
     assert type(got) is type(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the FBT operator's four taps of each inside point, summed in order
+    inside, *corners = _bilinear_corners(np.atleast_1d(x), np.atleast_1d(y), *img.shape)
+    pixel, weight = _plan_taps(img.shape[1], np.flatnonzero(inside), inside, *corners)
+    terms = weight * img.ravel()[pixel]
+    taps = np.zeros(inside.shape)
+    taps[inside] = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    assert taps.tobytes() == np.atleast_1d(got).tobytes()
 
 
 def test_bilinear_outside_is_zero():
