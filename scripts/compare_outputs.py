@@ -3,31 +3,26 @@
 
 Usage, from the repository root:
 
-    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC [--seeds 0 1 2]
-        [--subjects 40] [--images 10] [--k-train K] [--reps N] [--only LABEL ...]
+    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the `polarface`
-package, such as two checkouts' src/.  For each seed,
-perfbench.inputs.make_tree writes one synthetic tree; each of the 24
-invocations below then runs as a `python3 -m polarface.cli` child of
-either side, with one BLAS thread and its own output directory.
---k-train and --reps go to every experiment that splits the tree, ahead
-of the invocation's own flags; --only keeps the named invocations.  On
-a tree smaller than 40 x 10 the CLI refuses some invocations (a
-learning curve up to k = 5, a subject curve over 1 subject) on both
-sides; the report counts the runs that exit non-zero.
+package, such as two checkouts' src/.  For each of the seeds 0, 1 and
+2, perfbench.inputs.make_tree writes one synthetic 40 x 10 tree; each
+of the 24 invocations in RUNS then runs as a `python3 -m polarface.cli`
+child of either side, with one BLAS thread and its own output
+directory.  The report counts the runs that exit non-zero.
 
 The sides must agree on every exit code, and on stdout and stderr once
 each side's source and work paths are masked.  Every output file is
 compared byte for byte.  For each kind of file (its name without the
 config hash) the report prints "identical" or, over the numeric cells of
 the files that differ, the largest absolute and relative change.  Exit
-status: 0 when everything is identical, 1 when anything differs.
+status: 0 when everything is identical, 1 when anything differs, 2 on a
+wrong number of arguments.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import re
@@ -40,40 +35,38 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 from perfbench.inputs import make_tree  # noqa: E402
 
+SEEDS = (0, 1, 2)
 EMBEDDING = "[experiment]\nverification_score = embedding\n"
+SUBJECTS = "[experiment]\nsubject_counts = 10, 20, 40\n"
 NORMALIZED = ("--normalize", "--layout", "flat-manifest")
 
-
-def invocations(n_subjects: int) -> dict[str, tuple[tuple[str, ...], str | None]]:
-    """Label -> (CLI arguments before --dataset and --out, config file text or None)."""
-    subjects = f"[experiment]\nsubject_counts = {n_subjects // 4}, {n_subjects // 2}, {n_subjects}\n"
-    runs = {f"error-rate-{m}": (("experiment", "error-rate", "--mode", m), None) for m in ("dft", "fbt", "fused")}
-    runs |= {f"cmc-{m}": (("experiment", "cmc", "--mode", m), None) for m in ("fbt", "dft", "fused")}
-    runs |= {
-        "roc-fused-normalized": (("experiment", "roc", "--mode", "fused", *NORMALIZED), None),
-        "roc-dft-distance": (("experiment", "roc", "--mode", "dft", "--score-orientation", "distance"), None),
-        "roc-dft-similarity": (("experiment", "roc", "--mode", "dft", "--score-orientation", "similarity"), None),
-        "roc-fbt": (("experiment", "roc", "--mode", "fbt"), None),
-        "roc-fbt-embedding": (("experiment", "roc", "--mode", "fbt", "--score-orientation", "distance"), EMBEDDING),
-        "roc-dft-embedding": (("experiment", "roc", "--mode", "dft"), EMBEDDING),
-        "learning-curve-dft": (("experiment", "learning-curve", "--mode", "dft"), None),
-        "learning-curve-fused": (("experiment", "learning-curve", "--mode", "fused"), None),
-        "subject-curve-fbt": (("experiment", "subject-curve", "--mode", "fbt"), subjects),
-        "subject-curve-dft": (("experiment", "subject-curve", "--mode", "dft"), subjects),
-        "feature-map-dft": (("experiment", "feature-map", "--mode", "dft"), None),
-        "feature-map-fbt": (("experiment", "feature-map", "--mode", "fbt"), None),
-        "extract-fbt": (("extract", "--mode", "fbt"), None),
-        "extract-dft": (("extract", "--mode", "dft"), None),
-        "extract-fused-normalized": (("extract", "--mode", "fused", *NORMALIZED), None),
-        "synth-oracle": (("experiment", "synth-oracle"), None),
-        "error-rate-dft-normalized": (("experiment", "error-rate", "--mode", "dft", *NORMALIZED), None),
-        "feature-map-dft-normalized": (("experiment", "feature-map", "--mode", "dft", *NORMALIZED,
-                                        "--k-train", "2", "--reps", "2"), None),
-    }
-    return runs
+# label -> (CLI arguments before --dataset and --out, config file text or None)
+RUNS: dict[str, tuple[tuple[str, ...], str | None]] = {
+    **{f"error-rate-{m}": (("experiment", "error-rate", "--mode", m), None) for m in ("dft", "fbt", "fused")},
+    **{f"cmc-{m}": (("experiment", "cmc", "--mode", m), None) for m in ("fbt", "dft", "fused")},
+    "roc-fused-normalized": (("experiment", "roc", "--mode", "fused", *NORMALIZED), None),
+    "roc-dft-distance": (("experiment", "roc", "--mode", "dft", "--score-orientation", "distance"), None),
+    "roc-dft-similarity": (("experiment", "roc", "--mode", "dft", "--score-orientation", "similarity"), None),
+    "roc-fbt": (("experiment", "roc", "--mode", "fbt"), None),
+    "roc-fbt-embedding": (("experiment", "roc", "--mode", "fbt", "--score-orientation", "distance"), EMBEDDING),
+    "roc-dft-embedding": (("experiment", "roc", "--mode", "dft"), EMBEDDING),
+    "learning-curve-dft": (("experiment", "learning-curve", "--mode", "dft"), None),
+    "learning-curve-fused": (("experiment", "learning-curve", "--mode", "fused"), None),
+    "subject-curve-fbt": (("experiment", "subject-curve", "--mode", "fbt"), SUBJECTS),
+    "subject-curve-dft": (("experiment", "subject-curve", "--mode", "dft"), SUBJECTS),
+    "feature-map-dft": (("experiment", "feature-map", "--mode", "dft"), None),
+    "feature-map-fbt": (("experiment", "feature-map", "--mode", "fbt"), None),
+    "extract-fbt": (("extract", "--mode", "fbt"), None),
+    "extract-dft": (("extract", "--mode", "dft"), None),
+    "extract-fused-normalized": (("extract", "--mode", "fused", *NORMALIZED), None),
+    "synth-oracle": (("experiment", "synth-oracle"), None),
+    "error-rate-dft-normalized": (("experiment", "error-rate", "--mode", "dft", *NORMALIZED), None),
+    "feature-map-dft-normalized": (("experiment", "feature-map", "--mode", "dft", *NORMALIZED,
+                                   "--k-train", "2", "--reps", "2"), None),
+}
 
 
-def run_side(src: Path, work: Path, trees: dict[int, Path], runs: dict, split: list[str]) -> dict:
+def run_side(src: Path, work: Path, trees: dict[int, Path], runs: dict) -> dict:
     """Run every invocation on every tree from `src`, with `work` as the
     children's working directory; return (seed, label) -> (exit code,
     masked stdout, masked stderr, {output file name: bytes})."""
@@ -84,7 +77,7 @@ def run_side(src: Path, work: Path, trees: dict[int, Path], runs: dict, split: l
         for label, (args, config) in runs.items():
             out = work / f"s{seed}" / label
             out.parent.mkdir(parents=True, exist_ok=True)
-            argv = [*args[:2], *(split if args[0] == "experiment" and args[1] != "synth-oracle" else []), *args[2:]]
+            argv = list(args)
             if config is not None:
                 (work / f"{label}.ini").write_text(config, encoding="ascii")
                 argv += ["--config", f"{label}.ini"]
@@ -162,33 +155,19 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
     return lines, same
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent_src", type=Path)
-    ap.add_argument("change_src", type=Path)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--subjects", type=int, default=40)
-    ap.add_argument("--images", type=int, default=10)
-    ap.add_argument("--k-train", type=int)
-    ap.add_argument("--reps", type=int)
-    ap.add_argument("--only", nargs="+", metavar="LABEL")
-    args = ap.parse_args(argv)
-    runs = invocations(args.subjects)
-    unknown = set(args.only or ()) - runs.keys()
-    if unknown:
-        ap.error(f"unknown invocations {sorted(unknown)}; known: {', '.join(runs)}")
-    runs = {k: v for k, v in runs.items() if not args.only or k in args.only}
-    split = [*(["--k-train", str(args.k_train)] if args.k_train else []),
-             *(["--reps", str(args.reps)] if args.reps else [])]
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
-        trees = {s: tmp / f"tree{s}" for s in args.seeds}
+        trees = {s: tmp / f"tree{s}" for s in SEEDS}
         for seed, tree in trees.items():
-            make_tree(tree, seed, n_subjects=args.subjects, n_images=args.images)
+            make_tree(tree, seed)
         sides = []
-        for name, src in (("parent", args.parent_src), ("change", args.change_src)):
+        for name, src in zip(("parent", "change"), sys.argv[1:]):
             (tmp / name).mkdir()
-            sides.append(run_side(src.resolve(), tmp / name, trees, runs, split))
+            sides.append(run_side(Path(src).resolve(), tmp / name, trees, RUNS))
     lines, same = compare(*sides)
     print("\n".join(lines))
     return 0 if same else 1

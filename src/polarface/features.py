@@ -367,7 +367,7 @@ def fbt_operator(shape, config: FBTConfig = FBTConfig(), support=None) -> FBTOpe
         ray, ring = np.nonzero(fold)
         pixel, weight = _plan_taps(w, (ray, ring), *plan)
         # a sample folds if its whole orbit is inside and its pixels are the quadrant's
-        keep = fold[ray, ring] = (pixel[:, 0] // w >= y0) & (pixel[:, 0] % w >= x0)
+        keep = fold[ray, ring] = ((pixel // w >= y0) & (pixel % w >= x0)).all(axis=1)
         ray, ring, pixel, weight = ray[keep], ring[keep], pixel[keep], weight[keep]
         residual[orbits] = ~fold  # every ray lies on one orbit
         residual &= inside

@@ -10,9 +10,8 @@ convention on pixel coordinates).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,10 +50,10 @@ def _bilinear_corners(xs, ys, h: int, w: int):
 def _bilinear_sum(img, inside, top, fx, fy) -> np.ndarray:
     """Bilinear samples of `img` at a _bilinear_corners result's points, 0.0 outside."""
     flat = img.ravel()
-    offsets, weights = _bilinear_terms(fx, fy, img.shape[1])
-    terms = (weight * flat[offset:][top] for offset, weight in zip(offsets, weights))  # one (N, 4) gather is slower
+    (o0, o1, o2, o3), (w00, w10, w01, w11) = _bilinear_terms(fx, fy, img.shape[1])
     out = np.zeros(inside.shape)
-    out[inside] = reduce(operator.iadd, terms)  # summed in order, in place
+    # four gathers: one (N, 4) gather is slower
+    out[inside] = w00 * flat[o0:][top] + w10 * flat[o1:][top] + w01 * flat[o2:][top] + w11 * flat[o3:][top]
     return out
 
 

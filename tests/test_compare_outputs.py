@@ -14,13 +14,28 @@ compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
 # a 4 x 4 tree: the FBT operator, eye normalization and the DFT path
-SMALL = ["--seeds", "0", "--subjects", "4", "--images", "4", "--k-train", "2", "--reps", "2"]
-ONLY = ["extract-fbt", "roc-fused-normalized", "error-rate-dft"]
+SPLIT = ("--k-train", "2", "--reps", "2")
+SMALL = {
+    "extract-fbt": compare_outputs.RUNS["extract-fbt"],
+    "roc-fused-normalized": ((*compare_outputs.RUNS["roc-fused-normalized"][0], *SPLIT), None),
+    "error-rate-dft": ((*compare_outputs.RUNS["error-rate-dft"][0], *SPLIT), None),
+}
 
 
-def test_a_source_tree_compared_with_itself_is_identical(capsys):
-    assert compare_outputs.main([str(SRC), str(SRC), *SMALL, "--only", *ONLY]) == 0
-    report = capsys.readouterr().out.splitlines()
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Make the tree, run SMALL once from src/; return (tree, results)."""
+    tmp = tmp_path_factory.mktemp("compare")
+    compare_outputs.make_tree(tmp / "tree", 0, n_subjects=4, n_images=4)
+    (tmp / "side").mkdir()
+    return tmp / "tree", compare_outputs.run_side(SRC, tmp / "side", {0: tmp / "tree"}, SMALL)
+
+
+def test_a_source_tree_compared_with_itself_is_identical(small_run, tmp_path):
+    tree, first = small_run
+    second = compare_outputs.run_side(SRC, tmp_path, {0: tree}, SMALL)
+    report, same = compare_outputs.compare(first, second)
+    assert same
     assert report[:2] == ["3 runs per side, 0 of them exiting non-zero on the parent side",
                           "exit codes, stdout and stderr identical (paths masked)"]
     assert "features_fbt.csv: 1 files identical" in report
@@ -28,16 +43,8 @@ def test_a_source_tree_compared_with_itself_is_identical(capsys):
     assert all(line.endswith(" files identical") for line in report[2:])
 
 
-@pytest.fixture(scope="module")
-def extract_run(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("compare")
-    compare_outputs.make_tree(tmp / "tree", 0, n_subjects=4, n_images=4)
-    (tmp / "side").mkdir()
-    runs = {"extract-fbt": compare_outputs.invocations(4)["extract-fbt"]}
-    return compare_outputs.run_side(SRC, tmp / "side", {0: tmp / "tree"}, runs, [])
-
-
-def test_a_planted_one_ulp_change_is_reported(extract_run):
+def test_a_planted_one_ulp_change_is_reported(small_run):
+    extract_run = {key: run for key, run in small_run[1].items() if key[1] == "extract-fbt"}
     (key, (code, out, err, files)), = extract_run.items()
     assert code == 0
     (name, data), = ((n, d) for n, d in files.items() if n.startswith("features_fbt_"))
