@@ -8,7 +8,7 @@ linear discriminant per subject and optional max-rule fusion of the
 two spectra.
 """
 
-from .bessel import BesselRootTable, bessel_j, bessel_roots, build_root_table
+from .bessel import bessel_j, bessel_roots, build_root_table
 from .classifier import (
     TrainedModel,
     classify,

@@ -35,7 +35,6 @@ that leave it fall back to bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -181,23 +180,12 @@ def bessel_roots(n, count: int) -> np.ndarray:
     return x.reshape(orders.shape + (count,))
 
 
-@dataclass(frozen=True)
-class BesselRootTable:
-    """Zeros alpha_{n,i} for n = 0..max_order, i = 1..max_root.
-
-    `roots[n, i-1]` is the i-th ascending zero of J_n.  Instances are
-    immutable and safe to share across threads.
-    """
-
-    max_order: int
-    max_root: int
-    roots: np.ndarray
-
-
 @lru_cache(maxsize=8)
-def build_root_table(max_order: int, max_root: int) -> BesselRootTable:
+def build_root_table(max_order: int, max_root: int) -> np.ndarray:
     """Build (and cache) the zero table for orders 0..max_order.
 
+    `table[n, i-1]` is the i-th ascending zero of J_n, i = 1..max_root.
+    The array is read-only, so the cached copy is safe to share.
     Verifies strict row monotonicity and the interlacing property
     alpha[n][i] < alpha[n+1][i] < alpha[n][i+1] before returning.
     """
@@ -213,4 +201,4 @@ def build_root_table(max_order: int, max_root: int) -> BesselRootTable:
         n = int(np.argmin(interlaced))
         raise RuntimeError(f"interlacing violated between orders {n}, {n + 1}")
     table.setflags(write=False)
-    return BesselRootTable(max_order=max_order, max_root=max_root, roots=table)
+    return table

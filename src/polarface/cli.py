@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
+    CURVES,
     EXPERIMENTS,
     LAYOUTS,
     MODES,
@@ -41,7 +41,6 @@ from .dataset import Dataset, face_mask, load_dataset_dir, normalize_face, save_
 from .errors import ConfigError, DatasetError, PolarFaceError
 from .evaluate import (
     Split,
-    SplitSpec,
     cmc,
     csv_text,
     embedding_matrix,
@@ -288,10 +287,10 @@ def _error_rate(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple[
 
 def _curve(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple[int, Tables]:
     """An error-rate curve, one split per point of the config's list (see
-    _CURVES); the SplitSpec field the points set heads the CSV's first
-    column."""
+    config.CURVES); the SplitSpec field the points set heads the CSV's
+    first column."""
     name = cfg.experiment
-    field, values, prefix = _CURVES[name]
+    values, field, prefix = CURVES[name]
     matrices = _matrices(dataset, cfg)
     points = [(v, *_mean_sem(run_error_experiment(split, matrices)))
               for v, split in zip(getattr(cfg, values), splits)]
@@ -348,13 +347,6 @@ def _feature_map(cfg: RunConfig, dataset: Dataset, splits: list[Split]) -> tuple
     return 0, tables
 
 
-# curve experiment -> (SplitSpec field its points set, config list of the
-# points, point prefix in the experiment ids)
-_CURVES = {
-    "learning-curve": ("k_train", "k_values", "k"),
-    "subject-curve": ("n_subjects", "subject_counts", "n"),
-}
-
 # experiment type -> run(cfg, dataset, splits) -> (exit code, tables to write)
 _EXPERIMENTS = {
     "error-rate": _error_rate,
@@ -367,29 +359,10 @@ _EXPERIMENTS = {
 }
 
 
-def _refuse_unrunnable(cfg: RunConfig) -> None:
-    """Settings an experiment cannot run with, refused before any image is read."""
-    if cfg.experiment == "subject-curve" and not cfg.subject_counts:
-        raise ConfigError("subject-curve needs experiment.subject_counts")
-    if cfg.mode == "fused" and cfg.experiment == "feature-map":
-        raise ConfigError("feature-map needs a single spectrum mode (fbt or dft)")
-    if cfg.mode == "fused" and cfg.experiment == "roc" and cfg.verification_score == "embedding":
-        raise ConfigError("embedding verification needs a single spectrum mode")
-
-
-def _split_specs(cfg: RunConfig) -> list[SplitSpec]:
-    """The split specs the experiment draws: one per curve point, else cfg.split."""
-    if cfg.experiment in _CURVES:
-        field, values, _ = _CURVES[cfg.experiment]
-        return [replace(cfg.split, **{field: v}) for v in getattr(cfg, values)]
-    return [cfg.split]
-
-
 def cmd_experiment(args) -> int:
     cfg = _resolve(args)
-    _refuse_unrunnable(cfg)
     # every split is drawn with the dataset, so a bad one is refused before any image is read
-    dataset, splits = (None, []) if cfg.experiment == "synth-oracle" else _load_dataset(cfg, _split_specs(cfg))
+    dataset, splits = (None, []) if cfg.experiment == "synth-oracle" else _load_dataset(cfg, cfg.split_specs())
     code, tables = _EXPERIMENTS[cfg.experiment](cfg, dataset, splits)
     _write_outputs(cfg, tables)
     return code

@@ -4,7 +4,9 @@ One table, `_SCHEMA`, lists every setting: its INI section and key, the
 RunConfig field (inside a sub-config or not) it sets, the codec that
 parses and renders its text, and whether it is part of the canonical
 text.  Loading a file, applying overrides and rendering that text are
-loops over the table.
+loops over the table.  RunConfig refuses every setting, and every
+combination of settings, that cannot run, so each command that loads a
+config applies the same refusals.
 
 Config files are line-oriented `key = value` under `[section]` headers
 ('#' or ';' starts a comment line; '%' is an ordinary character).
@@ -43,10 +45,27 @@ EXPERIMENTS = (
     "synth-oracle",
 )
 VERIFICATION_SCORES = ("posterior", "embedding")
+# RunConfig field -> the values it may take
+_CHOICES = {
+    "mode": MODES,
+    "layout": LAYOUTS,
+    "score_orientation": ORIENTATIONS,
+    "experiment": EXPERIMENTS,
+    "verification_score": VERIFICATION_SCORES,
+}
+# curve experiment -> (config list of its points, SplitSpec field each
+# point sets, point prefix in the experiment ids)
+CURVES = {
+    "learning-curve": ("k_values", "k_train", "k"),
+    "subject-curve": ("subject_counts", "n_subjects", "n"),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run.  Settings that cannot run together are
+    refused here, so any RunConfig that exists can run."""
+
     mode: str = "fbt"
     dataset: str = ""
     layout: str = "orl"
@@ -64,36 +83,33 @@ class RunConfig:
     normalization: NormalizationConfig = field(default_factory=NormalizationConfig)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.layout not in LAYOUTS:
-            raise ConfigError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
-        if self.score_orientation not in ORIENTATIONS:
-            raise ConfigError(
-                f"score_orientation must be one of {ORIENTATIONS}, "
-                f"got {self.score_orientation!r}"
-            )
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
-            )
-        if self.verification_score not in VERIFICATION_SCORES:
-            raise ConfigError(
-                f"verification_score must be one of {VERIFICATION_SCORES}, "
-                f"got {self.verification_score!r}"
-            )
+        for name, allowed in _CHOICES.items():
+            if (value := getattr(self, name)) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not self.k_values:
             raise ConfigError("k_values must not be empty")
         # each curve point is a split of its own; refuse bad ones before any image is read
-        curves = (("k_values", "k_train", self.k_values), ("subject_counts", "n_subjects", self.subject_counts))
-        for key, name, values in curves:
-            for value in values:
+        for points, name, _ in CURVES.values():
+            for value in getattr(self, points):
                 try:
                     replace(self.split, **{name: value})
                 except ConfigError as exc:
-                    raise ConfigError(f"experiment.{key}: {exc}") from None
+                    raise ConfigError(f"experiment.{points}: {exc}") from None
+        if self.experiment == "subject-curve" and not self.subject_counts:
+            raise ConfigError("subject-curve needs experiment.subject_counts")
+        if self.mode == "fused" and self.experiment == "feature-map":
+            raise ConfigError("feature-map needs a single spectrum mode (fbt or dft)")
+        if self.mode == "fused" and self.experiment == "roc" and self.verification_score == "embedding":
+            raise ConfigError("embedding verification needs a single spectrum mode")
+
+    def split_specs(self) -> list[SplitSpec]:
+        """The split specs the experiment draws: one per curve point, else [split]."""
+        if self.experiment in CURVES:
+            points, name, _ = CURVES[self.experiment]
+            return [replace(self.split, **{name: v}) for v in getattr(self, points)]
+        return [self.split]
 
 
 class _Codec(NamedTuple):
@@ -178,15 +194,6 @@ _SCHEMA = tuple(_Setting(*row) for row in (
 _BY_KEY = {(s.section, s.key): s for s in _SCHEMA}
 
 
-def _replaced(cfg: RunConfig, values: dict) -> RunConfig:
-    """cfg with the settings that values names (by field name) replaced."""
-    top, subs = {}, {}
-    for s in _SCHEMA:
-        if s.name in values:
-            (subs.setdefault(s.sub, {}) if s.sub else top)[s.name] = values[s.name]
-    return replace(cfg, **top, **{sub: replace(getattr(cfg, sub), **kw) for sub, kw in subs.items()})
-
-
 def _read_file(path) -> dict:
     """Field name -> parsed value, for every setting the file gives."""
     # '%' is a literal; and no line can name the section "\n", so a
@@ -219,10 +226,16 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
 
     overrides is keyed by RunConfig field name (`repetitions`, not
     `split.repetitions`); a None value leaves the setting alone and a key
-    that names no setting is ignored.
+    that names no setting is ignored.  The merged settings build one
+    RunConfig, so a file value that an override replaces is never judged.
     """
-    cfg = RunConfig() if path is None else _replaced(RunConfig(), _read_file(path))
-    return _replaced(cfg, {k: v for k, v in (overrides or {}).items() if v is not None})
+    values = {} if path is None else _read_file(path)
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    cfg, top, subs = RunConfig(), {}, {}
+    for s in _SCHEMA:
+        if s.name in values:
+            (subs.setdefault(s.sub, {}) if s.sub else top)[s.name] = values[s.name]
+    return replace(cfg, **top, **{sub: replace(getattr(cfg, sub), **kw) for sub, kw in subs.items()})
 
 
 def resolved_text(cfg: RunConfig) -> str:

@@ -153,7 +153,7 @@ def _trig_tables(max_order: int, n_rays: int, angular_resolution: float):
 def _radial_tables(max_order: int, max_root: int, n_rings: int, R: float):
     # J basis and orthogonality prefactors; shared across images with the
     # same grid geometry, which is what makes batch extraction cheap.
-    alpha = build_root_table(max_order, max_root).roots
+    alpha = build_root_table(max_order, max_root)
     orders = np.arange(max_order + 1)[:, None]
     radii = np.arange(n_rings, dtype=float)
     basis = bessel_j(orders[:, :, None], alpha[:, :, None] * radii / R)

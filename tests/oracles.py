@@ -356,7 +356,7 @@ def inverse_fbt(spectrum: FBSpectrum, n_rays: int, n_rings: int) -> PolarGrid:
     Cartesian anchor.
     """
     res = 360.0 / n_rays
-    alpha = build_root_table(spectrum.max_order, spectrum.max_root).roots
+    alpha = build_root_table(spectrum.max_order, spectrum.max_root)
     orders = np.arange(spectrum.max_order + 1)[:, None]
     basis = bessel_j(orders[:, :, None], alpha[:, :, None] * np.arange(n_rings, dtype=float) / spectrum.R)
     angles = orders * (np.deg2rad(res) * np.arange(n_rays))

@@ -260,6 +260,12 @@ def test_feature_map_rejects_fused_mode(toy_faces, truncated_faces, tmp_path, ca
             "--dataset", faces, "--mode", "fused", "--out", tmp_path / f"r{k}",
         )
         assert_refusal(code, capsys)
+    # extract loads the same config, so it refuses the same settings
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nmode = fused\n[experiment]\ntype = feature-map\n")
+    out = tmp_path / "features"
+    assert_refusal(run_cli("extract", "--config", config, "--dataset", toy_faces, "--out", out), capsys)
+    assert not out.exists()
 
 
 def test_subject_curve_without_counts_fails_before_reading(toy_faces, truncated_faces, tmp_path, capsys):

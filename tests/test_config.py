@@ -83,6 +83,12 @@ def test_cli_overrides_beat_file(tmp_path):
     assert cfg.mode == "fused"
     assert cfg.split.k_train == 4
     assert cfg.split.seed == 0  # None override leaves the file/default value
+    # only the merged settings are judged: an overridden file value that
+    # could not run alone is never refused
+    path.write_text("[run]\nworkers = 0\n")
+    assert load_run_config(path, {"workers": 2}).workers == 2
+    path.write_text("[experiment]\ntype = subject-curve\n")
+    assert load_run_config(path, {"experiment": "error-rate"}).experiment == "error-rate"
 
 
 def test_unknown_section_and_key_rejected(tmp_path):
@@ -134,6 +140,12 @@ def test_bad_values_rejected(tmp_path):
     [
         ("[experiment]\nk_values = 0,3\n", "experiment.k_values: k_train must be >= 1, got 0"),
         ("[experiment]\nsubject_counts = 10,1\n", "experiment.subject_counts: n_subjects must be >= 2, got 1"),
+        # the settings no experiment can run together
+        ("[experiment]\ntype = subject-curve\n", "subject-curve needs experiment.subject_counts"),
+        ("[run]\nmode = fused\n[experiment]\ntype = feature-map\n",
+         "feature-map needs a single spectrum mode (fbt or dft)"),
+        ("[run]\nmode = fused\n[experiment]\ntype = roc\nverification_score = embedding\n",
+         "embedding verification needs a single spectrum mode"),
     ],
 )
 def test_curve_points_checked_on_load(tmp_path, body, phrase):
@@ -142,6 +154,19 @@ def test_curve_points_checked_on_load(tmp_path, body, phrase):
     with pytest.raises(ConfigError) as err:
         load_run_config(path)
     assert phrase in str(err.value)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_split_specs_one_per_curve_point(experiment):
+    split = SplitSpec(k_train=2, n_subjects=30, seed=7)
+    cfg = RunConfig(experiment=experiment, k_values=(1, 4), subject_counts=(5, 10, 20), split=split)
+    specs = cfg.split_specs()
+    if experiment == "learning-curve":
+        assert specs == [dataclasses.replace(split, k_train=k) for k in (1, 4)]
+    elif experiment == "subject-curve":
+        assert specs == [dataclasses.replace(split, n_subjects=n) for n in (5, 10, 20)]
+    else:
+        assert specs == [split]
 
 
 def test_percent_is_a_literal(tmp_path):
@@ -186,7 +211,7 @@ def run_configs(draw):
     eye = st.tuples(st.floats(0, width - 1), st.floats(0, height - 1))
     left, right = draw(eye), draw(eye)
     assume(left != right)
-    return RunConfig(
+    values = dict(
         mode=draw(st.sampled_from(MODES)),
         dataset=draw(st.text(alphabet="aZ09/._-%;#=:[] ", max_size=16).map(str.strip)),
         layout=draw(st.sampled_from(LAYOUTS)),
@@ -215,6 +240,11 @@ def run_configs(draw):
             ellipse_axes=draw(st.tuples(positive, positive)),
         ),
     )
+    # only configs that can run: a draw RunConfig refuses is discarded
+    try:
+        return RunConfig(**values)
+    except ConfigError:
+        assume(False)
 
 
 @given(cfg=run_configs())
