@@ -15,10 +15,12 @@ directory.  The report counts the runs that exit non-zero.
 The sides must agree on every exit code, and on stdout and stderr once
 each side's source and work paths are masked.  Every output file is
 compared byte for byte.  For each kind of file (its name without the
-config hash) the report prints "identical" or, over the numeric cells of
-the files that differ, the largest absolute and relative change.  Exit
-status: 0 when everything is identical, 1 when anything differs, 2 on a
-wrong number of arguments.
+config hash) and committed tolerance (TOLERANCES; a file with none must
+be identical) the report prints "identical" or, over the numeric cells
+of the files that differ, the largest absolute and relative change and
+how many files are beyond the tolerance.  Exit status: 0 when every
+file is identical or within its tolerance, 1 otherwise, 2 on a wrong
+number of arguments.
 """
 
 from __future__ import annotations
@@ -63,6 +65,19 @@ RUNS: dict[str, tuple[tuple[str, ...], str | None]] = {
     "error-rate-dft-normalized": (("experiment", "error-rate", "--mode", "dft", *NORMALIZED), None),
     "feature-map-dft-normalized": (("experiment", "feature-map", "--mode", "dft", *NORMALIZED,
                                    "--k-train", "2", "--reps", "2"), None),
+}
+
+# Committed tolerances, by run label: (absolute or relative, bound) on every numeric cell of the
+# run's roc_* files.  Every other file must be identical.  A posterior ROC threshold moves by the
+# PFLD solve's magnification of a last-bit change of a distance (about 1e-11 has been seen); an
+# embedding ROC threshold is itself a distance.
+TOLERANCES: dict[str, tuple[str, float]] = {
+    "roc-fused-normalized": ("absolute", 1e-10),
+    "roc-dft-distance": ("absolute", 1e-10),
+    "roc-dft-similarity": ("absolute", 1e-10),
+    "roc-fbt": ("absolute", 1e-10),
+    "roc-fbt-embedding": ("relative", 1e-13),
+    "roc-dft-embedding": ("relative", 1e-13),
 }
 
 
@@ -123,11 +138,18 @@ def kind_of(name: str) -> str:
     return re.sub(r"_[0-9a-f]{8}(?=\.[^.]+$)", "", name)
 
 
+def tolerance_of(label: str, name: str) -> tuple[str, float] | None:
+    """The committed tolerance of one run's output file; None when it
+    must be identical."""
+    return TOLERANCES.get(label) if name.startswith("roc_") else None
+
+
 def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
     """Report lines for two run_side results of the same runs, and whether
-    everything is identical."""
+    every file is identical or within its run's committed tolerance.
+    Files are reported by kind and tolerance."""
     lines, same = [], True
-    kinds: dict[str, list] = {}
+    kinds: dict[str, tuple] = {}
     for key in sorted(parent):
         (code_a, out_a, err_a, files_a), (code_b, out_b, err_b, files_b) = parent[key], change[key]
         for what, x, y in (("exit code", code_a, code_b), ("stdout", out_a, out_b), ("stderr", err_a, err_b)):
@@ -135,23 +157,29 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
                 lines.append(f"s{key[0]} {key[1]}: {what} differs: {x!r} -> {y!r}")
                 same = False
         for name in sorted(files_a.keys() | files_b.keys()):
-            kinds.setdefault(kind_of(name), []).append((files_a.get(name), files_b.get(name)))
+            tolerance = tolerance_of(key[1], name)
+            kind = kind_of(name) + ("" if tolerance is None else f" within {tolerance[1]:g} {tolerance[0]}")
+            kinds.setdefault(kind, (tolerance, []))[1].append((files_a.get(name), files_b.get(name)))
     failed = sum(code != 0 for code, *_ in parent.values())
     lines.append(f"{len(parent)} runs per side, {failed} of them exiting non-zero on the parent side")
     if same:
         lines.append("exit codes, stdout and stderr identical (paths masked)")
-    for kind, pairs in sorted(kinds.items()):
+    for kind, (tolerance, pairs) in sorted(kinds.items()):
         differ = [(a, b) for a, b in pairs if a != b]
         if not differ:
             lines.append(f"{kind}: {len(pairs)} files identical")
             continue
-        same = False
         changes = [None if a is None or b is None else file_change(a, b) for a, b in differ]
         if None in changes:
+            same = False
             lines.append(f"{kind}: {len(differ)} of {len(pairs)} files differ, in layout or in a non-numeric cell")
-        else:
-            lines.append(f"{kind}: {len(differ)} of {len(pairs)} files differ, largest change "
-                         f"{max(c[0] for c in changes):.3g} absolute, {max(c[1] for c in changes):.3g} relative")
+            continue
+        unit, bound = tolerance or ("absolute", -1.0)  # no tolerance: every differing file is beyond it
+        beyond = sum(c[unit == "relative"] > bound for c in changes)
+        same = same and not beyond
+        lines.append(f"{kind}: {len(differ)} of {len(pairs)} files differ, largest change "
+                     f"{max(c[0] for c in changes):.3g} absolute, {max(c[1] for c in changes):.3g} relative; "
+                     + (f"{beyond} beyond tolerance" if beyond else "all within tolerance"))
     return lines, same
 
 

@@ -3,7 +3,8 @@
 Feature vectors are re-represented by their Euclidean distances to the
 training (gallery) set.  Every such distance is one cell of the N x N
 matrix over a feature table's images, so a run computes that matrix
-once and slices each split's gallery block and probe rows from it.  In
+once, from chunked BLAS Gram products of the column-centered table, and
+slices each split's gallery block and probe rows from it.  In
 that space a pseudo-Fisher linear discriminant is trained per class, one
 against all others: the centered distance matrix gets a constant bias
 column, and the minimum-norm least-squares solution of
@@ -28,30 +29,26 @@ from .errors import ConfigError, DomainError
 from .features import FeatureTable
 
 _SVD_CUTOFF = 1e-10  # relative singular value cutoff in the least-squares solve
-_CHUNK = 64  # squares are summed over chunks of this many coordinates
-_TILE_FLOATS = 1 << 15  # one difference block: 256 KB of float64, small enough to stay in cache
+_CHUNK = 64  # columns per Gram product (the K of every GEMM), and rows per block of G
 _MAX_IMAGES = 20_000  # the distance matrix of a table: 3.2 GB of float64 at this size
 
 
 def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
     """Euclidean distances between all rows of a feature table, (N, N).
 
-    Row i is computed against rows i..N-1 from explicit differences (not
-    the Gram shortcut) and mirrored into column i, so d(a, b) == d(b, a)
-    and d(a, a) == 0 exactly.  The rows are first copied into a zeroed
-    array whose width is dim rounded up to a multiple of _CHUNK, and
-    whole padded rows are subtracted; squares are summed per chunk and
-    the chunk sums added in a fixed order.  Both rows of a difference pad
-    to the same zeros, so appending zero coordinates (landing in pad
-    columns or adding all-zero chunks) cannot change any distance, not
-    even its last bit.  Rows are walked in tiles of about _TILE_FLOATS
-    padded values and a distance does not depend on its tile, so every
-    block sliced from the matrix equals the distances between those rows
-    alone.  A table that stores repeated layout features once
-    (FeatureTable.columns) has each stored column scaled by the square
-    root of its repeat count in the copy, so a distance is that of the
-    layout's rows within rounding.  Tables of more than _MAX_IMAGES
-    images are refused before the N^2 float64 are allocated.
+    From the Gram matrix G of the rows once each column is centered on
+    its mean, d^2 = G_ii + G_jj - 2 G_ij clamped at 0; centering moves no
+    distance but keeps a large common offset (a spectrum's DC term) out
+    of the rounding.  The centered values sit in zero-padded chunks of
+    _CHUNK columns, and each block of _CHUNK rows of G is summed over the
+    chunks in order, one K = _CHUNK product per chunk, straight into the
+    result.  So appending zero coordinates (into pad columns, or as
+    all-zero chunks adding exact zeros) changes no distance, not even its
+    last bit.  The upper triangle is mirrored into the lower one, so
+    d(a, b) == d(b, a) and d(a, a) == 0 exactly.  A stored column of a
+    table that stores repeated layout features once (FeatureTable.columns)
+    is scaled by the square root of its repeat count.  Tables of more
+    than _MAX_IMAGES images are refused before N^2 float64 are allocated.
     """
     n = len(table)
     if n > _MAX_IMAGES:
@@ -63,26 +60,29 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
     if not dim:
         raise DomainError("a feature table needs at least one feature")
     width = dim + (-dim) % _CHUNK
-    X = np.zeros((n, width))
-    X[:, :dim] = table.values
-    if table.columns is not None:
-        X[:, :dim] *= np.sqrt(np.bincount(table.columns, minlength=dim))
-    tile = max(1, _TILE_FLOATS // width)
-    diff = np.empty((min(tile, n), width))  # reused by every tile
-    chunks = np.empty((n, width // _CHUNK))
+    repeats = np.ones(width) if table.columns is None else np.bincount(table.columns, minlength=width)
+    chunks = np.zeros((width // _CHUNK, n, _CHUNK))
+    for k, chunk in enumerate(chunks):
+        cols = slice(k * _CHUNK, (k + 1) * _CHUNK)
+        chunk[:, :dim - k * _CHUNK] = table.values[:, cols]
+        chunk -= chunk.mean(axis=0)
+        chunk *= np.sqrt(repeats[cols])
     D = np.empty((n, n))
-    for i in range(n):
-        for start in range(i, n, tile):
-            block = X[start:start + tile]
-            np.subtract(block, X[i], out=diff[:len(block)])
-            parts = diff[:len(block)].reshape(len(block), -1, _CHUNK)
-            np.einsum("ijk,ijk->ij", parts, parts, out=chunks[start:start + tile])
-        acc = D[i, i:]
-        acc[:] = chunks[i:, 0]
-        for k in range(1, chunks.shape[1]):
-            acc += chunks[i:, k]
-        np.sqrt(acc, out=acc)
-        D[i + 1:, i] = D[i, i + 1:]
+    for start in range(0, n, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        np.matmul(chunks[0, rows], chunks[0].T, out=D[rows])
+        for chunk in chunks[1:]:
+            D[rows] += chunk[rows] @ chunk.T
+    squares = D.diagonal().copy()
+    D *= -2.0
+    D += squares[:, None]
+    D += squares
+    np.sqrt(np.maximum(D, 0.0, out=D), out=D)
+    for start in range(0, n, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        corner = np.triu(D[rows, rows], 1)
+        D[rows, rows] = corner + corner.T
+        D[start + _CHUNK:, rows] = D[rows, start + _CHUNK:].T
     return D
 
 

@@ -87,8 +87,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--score-orientation", choices=ORIENTATIONS, dest="score_orientation")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line (subcommands included) with main's one error line, not a usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polarface",
         description="Polar-frequency face recognition experiments.",
     )
@@ -392,8 +399,8 @@ def cmd_synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (PolarFaceError, OSError) as exc:
         print(f"polarface: error: {exc}", file=sys.stderr)

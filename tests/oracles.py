@@ -119,9 +119,11 @@ def padded_rows(values) -> np.ndarray:
 def distances_to(X, row) -> np.ndarray:
     """Euclidean distance from every row of X to `row`, one row at a time.
 
-    Both operands are zero-padded to a multiple of 64 columns; squares
-    are summed within 64-wide chunks and the chunk sums added in order,
-    the reduction dissimilarity_matrix must reproduce bit for bit.
+    Both operands are zero-padded to a multiple of 64 columns, the
+    explicit differences squared, the squares summed within 64-wide
+    chunks and the chunk sums added in order: the explicit-difference
+    path that dissimilarity_matrix's Gram products replaced, and the
+    reference they must stay within a stated rounding bound of.
     """
     diff = padded_rows(X) - padded_rows(row)
     parts = diff.reshape(diff.shape[0], -1, 64)

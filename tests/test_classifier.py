@@ -70,54 +70,92 @@ def test_distance_matrix_against_brute_force(n, d, seed):
     assert np.allclose(D, D.T)
 
 
+def centered_squares(values):
+    """Squared norms of the rows once each column is centered on its mean."""
+    values = np.asarray(values, dtype=float)
+    return ((values - values.mean(axis=0)) ** 2).sum(axis=1)
+
+
+def assert_within_gram_bound(D, E, squares_a, squares_b, width, oracle_width=None):
+    """|D^2 - E^2| <= c eps (|a'|^2 + |b'|^2) in every cell, where E is the
+    explicit-difference oracle's distance and a', b' the centered rows.
+
+    With u = eps / 2, S = |a'|^2 + |b'|^2, and C and C' the 64-column
+    chunks of the kernel's stored width and of the oracle's width, the
+    terms of c, to first order in eps (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 3.1):
+    - centering and the repeat-count scale round each value by at most
+      3u of itself: 4 * 3u S = 6 eps S;
+    - G_ii, G_jj and G_ij each sum C dot products of 64 terms, each
+      within gamma_64, in chunk order: within gamma_(63 + C), and the
+      three together within 2 gamma_(63 + C) S = (63 + C) eps S;
+    - the two additions of the finish: 4u S = 2 eps S;
+    - the square root, and squaring D here: 3u d^2 <= 3 eps S;
+    - the oracle's differences, squares, chunk sums, square root and
+      squaring here: gamma_(69 + C') E^2 <= (69 + C') eps S.
+    So c = 143 + C + C'.  The kernel stays within about 6.
+    """
+    chunks = -(-width // 64) + -(-(oracle_width or width) // 64)
+    slack = (143 + chunks) * np.finfo(float).eps * np.add.outer(squares_a, squares_b)
+    D, E = np.asarray(D), np.asarray(E)
+    assert np.all(np.abs(D * D - E * E) <= slack)
+
+
 @st.composite
 def widths_and_counts(draw):
-    """A width of up to 21 chunks, often one that pads across a chunk,
-    and an image count up to a little past the rows of one 256 KB tile
-    at that width."""
-    d = draw(st.one_of(st.sampled_from([60, 186, 1201]), st.integers(1, 1300)))
-    return d, draw(st.integers(2, 32768 // (d + (-d) % 64) + 20))
+    """A width of up to 21 chunks, often one at a chunk edge, and an
+    image count across up to four blocks of 64 rows."""
+    d = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 186, 601, 1201]), st.integers(1, 1300)))
+    return d, draw(st.integers(2, 200))
 
 
 @given(widths_and_counts(), st.integers(0, 2**32 - 1))
-@example((60, 530), 0)  # 512 rows of width 64 fill one tile
-@example((186, 200), 1)  # 170 rows of width 192 fill one tile
-@example((1201, 60), 2)  # 26 rows of width 1216 fill one tile
-@example((100, 600), 3)  # 600 rows of width 128 span three tiles
-@example((1201, 100), 4)  # the DFT layout: 19 chunks, four tiles
+@example((1, 63), 0)  # one column; one row short of a full row block
+@example((63, 64), 1)  # one column short of a chunk; one full row block
+@example((64, 65), 2)  # one full chunk; a second row block of one row
+@example((65, 129), 3)  # a second chunk of one column; three row blocks
+@example((1201, 129), 4)  # the DFT layout's 19 chunks over three row blocks
 @settings(max_examples=40, deadline=None)
 def test_one_matrix_slices_equal_per_split_distances(shape, seed):
-    # Every row of the triangular build equals the row-loop oracle, and
-    # every gallery block and probe row sliced from it equals the
-    # distances the per-split path computes from its own stacked rows.
+    # The whole matrix, and every gallery block and probe row sliced from
+    # it, is within the Gram bound of the distances the per-split path
+    # computes from its own stacked rows, one row at a time.
     d, n = shape
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(n, d)) * 10.0
     values[rng.integers(n)] = values[0]  # a duplicate image
     D = dissimilarity_matrix(table_of(values))
-    assert np.array_equal(D, [distances_to(values, row) for row in values])
+    assert np.array_equal(D, D.T)
+    assert not np.diag(D).any()
+    squares = centered_squares(values)
+    assert_within_gram_bound(D, [distances_to(values, row) for row in values], squares, squares, d)
     order = rng.permutation(n)
     cut = int(rng.integers(1, n))
     train, probes = order[:cut], order[cut:]
     G = values[train]
-    assert np.array_equal(D[np.ix_(train, train)], [distances_to(G, row) for row in G])
-    for p in probes:
-        assert np.array_equal(D[p, train], distances_to(G, values[p]))
+    assert_within_gram_bound(D[np.ix_(train, train)], [distances_to(G, row) for row in G],
+                             squares[train], squares[train], d)
+    assert_within_gram_bound(D[np.ix_(probes, train)], [distances_to(G, values[p]) for p in probes],
+                             squares[probes], squares[train], d)
 
 
-@given(st.integers(1, 4), st.integers(1, 600), st.integers(1, 1300), st.integers(0, 2**32 - 1))
-@example(n_a=1, n_b=600, d=100, seed=0)  # 600 rows of width 128 span three tiles
-@example(n_a=3, n_b=100, d=1201, seed=1)  # the DFT layout: 19 chunks, four tiles
+@given(st.integers(1, 4), st.integers(1, 200), st.integers(1, 1300), st.sampled_from([0.0, 1e6]),
+       st.integers(0, 2**32 - 1))
+@example(n_a=1, n_b=128, d=65, offset=0.0, seed=0)  # three row blocks, the last of one row; two chunks
+@example(n_a=3, n_b=100, d=1201, offset=1e6, seed=1)  # the DFT layout's 19 chunks
 @settings(max_examples=40, deadline=None)
-def test_pairwise_distances_match_row_loop_oracle(n_a, n_b, d, seed):
+def test_pairwise_distances_match_row_loop_oracle(n_a, n_b, d, offset, seed):
     # The block of distances from the rows of A to the rows of B, cut
-    # from one matrix over both, equals the row-loop oracle.
+    # from one matrix over both, is within the Gram bound of the row-loop
+    # oracle.  Under a common offset of 1e6 the uncentered row norms are
+    # about 1e4 times the centered ones, and a Gram matrix of uncentered
+    # rows misses the bound by orders of magnitude.
     rng = np.random.default_rng(seed)
-    A = rng.normal(size=(n_a, d)) * 100.0
-    B = rng.normal(size=(n_b, d)) * 100.0
+    A = offset + rng.normal(size=(n_a, d)) * 100.0
+    B = offset + rng.normal(size=(n_b, d)) * 100.0
     D = dissimilarity_matrix(table_of(np.vstack([A, B])))
-    want = np.array([distances_to(B, row) for row in A])
-    assert np.array_equal(D[:n_a, n_a:], want)
+    squares = centered_squares(np.vstack([A, B]))
+    assert_within_gram_bound(D[:n_a, n_a:], [distances_to(B, row) for row in A], squares[:n_a], squares[n_a:], d)
 
 
 def dft_table(values, max_cycles):
@@ -130,12 +168,11 @@ def dft_table(values, max_cycles):
        st.integers(0, 2**32 - 1))
 @example(n=30, max_cycles=19.5, offset=0.0, seed=0)  # the 1201-cell layout: 601 stored columns
 @example(n=30, max_cycles=19.5, offset=50.0, seed=1)
+@example(n=30, max_cycles=19.5, offset=1e6, seed=2)  # scaled after centering, so no offset in the rounding
 @settings(max_examples=40, deadline=None)
 def test_dft_layout_distances_match_the_expanded_rows(n, max_cycles, offset, seed):
-    # A stored pair column weighs sqrt(2), and the scaled copy rounds each
-    # value by up to half an ulp: a distance is off by at most about
-    # 2 eps (|a| + |b|) beyond the kernel's own rounding.  On the
-    # 1201-cell layout that is within 2e-15 of the distance itself.  The
+    # A stored pair column weighs sqrt(2): the distances are within the
+    # Gram bound of the oracle's over the expanded layout rows.  The
     # matrix stays exactly symmetric with a zero diagonal.
     rng = np.random.default_rng(seed)
     stored = dft_feature_columns(max_cycles).max() + 1
@@ -144,12 +181,8 @@ def test_dft_layout_distances_match_the_expanded_rows(n, max_cycles, offset, see
     table = dft_table(values, max_cycles)
     D = dissimilarity_matrix(table)
     full = table.expand(values)
-    want = np.array([distances_to(full, row) for row in full])
-    norms = np.linalg.norm(full, axis=1)
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(D - want) <= 2e-15 * want + 2 * eps * (norms[:, None] + norms[None, :]))
-    if max_cycles == 19.5:
-        assert np.all(np.abs(D - want) <= 2e-15 * want)
+    squares = centered_squares(full)
+    assert_within_gram_bound(D, [distances_to(full, row) for row in full], squares, squares, stored, full.shape[1])
     assert np.array_equal(D, D.T)
     assert not np.diag(D).any()
 

@@ -251,6 +251,27 @@ def assert_refusal(code, capsys, phrase="single spectrum mode"):
     assert phrase in err[0]
 
 
+@pytest.mark.parametrize(
+    "args, phrase",
+    [
+        (("experiment", "error-rate", "--mode", "pca"), "argument --mode: invalid choice: 'pca'"),
+        (("extract", "--k-train", "five"), "argument --k-train: invalid int value: 'five'"),
+    ],
+)
+def test_bad_flag_values_exit_two_with_one_line(toy_faces, tmp_path, capsys, args, phrase):
+    # argparse's own refusal once printed a usage block above its error line
+    out = tmp_path / "runs"
+    assert_refusal(run_cli(*args, "--dataset", toy_faces, "--out", out), capsys, phrase)
+    assert not out.exists()
+
+
+def test_help_prints_usage(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_cli("experiment", "--help")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polarface experiment")
+
+
 def test_feature_map_rejects_fused_mode(toy_faces, truncated_faces, tmp_path, capsys):
     # the mode is refused before any image is read, so a broken tree
     # gets the same error

@@ -39,33 +39,73 @@ def test_a_source_tree_compared_with_itself_is_identical(small_run, tmp_path):
     assert report[:2] == ["3 runs per side, 0 of them exiting non-zero on the parent side",
                           "exit codes, stdout and stderr identical (paths masked)"]
     assert "features_fbt.csv: 1 files identical" in report
-    assert "roc_fused.csv: 1 files identical" in report
+    assert "roc_fused.csv within 1e-10 absolute: 1 files identical" in report
     assert all(line.endswith(" files identical") for line in report[2:])
 
 
-def test_a_planted_one_ulp_change_is_reported(small_run):
-    extract_run = {key: run for key, run in small_run[1].items() if key[1] == "extract-fbt"}
-    (key, (code, out, err, files)), = extract_run.items()
+def planted(results, label, prefix, move, row=1, column=0):
+    """One run of `results`, a copy of it whose file named `prefix`...
+    has the cell at (row, column) replaced by move(cell), and that
+    cell's old text."""
+    run = {key: result for key, result in results.items() if key[1] == label}
+    (key, (code, out, err, files)), = run.items()
     assert code == 0
-    (name, data), = ((n, d) for n, d in files.items() if n.startswith("features_fbt_"))
+    (name, data), = ((n, d) for n, d in files.items() if n.startswith(prefix))
     lines = data.decode().split("\n")
-    cells = lines[1].split(",")
-    cell = cells[3]  # the first feature of the second image
-    value = float(cell)
-    cells[3] = repr(float(np.nextafter(value, np.inf)))
-    lines[1] = ",".join(cells)
-    planted = {key: (code, out, err, {**files, name: "\n".join(lines).encode()})}
-    report, same = compare_outputs.compare(extract_run, planted)
+    cells = lines[row].split(",")
+    cell, cells[column] = cells[column], move(cells[column])
+    lines[row] = ",".join(cells)
+    return run, {key: (code, out, err, {**files, name: "\n".join(lines).encode()})}, cell
+
+
+def nudged(step):
+    """A move for planted: the number in the cell, changed by step(value)."""
+    return lambda cell: repr(float(step(float(cell))))
+
+
+def test_a_planted_one_ulp_change_is_reported(small_run):
+    # the first feature of the second image: features have no tolerance
+    extract_run, changed, cell = planted(small_run[1], "extract-fbt", "features_fbt_",
+                                         nudged(lambda v: np.nextafter(v, np.inf)), column=3)
+    report, same = compare_outputs.compare(extract_run, changed)
     assert not same
     (line,) = [line for line in report if line.startswith("features_fbt.csv")]
-    match = re.fullmatch(r"features_fbt\.csv: 1 of 1 files differ, largest change (\S+) absolute, (\S+) relative",
-                         line)
+    match = re.fullmatch(r"features_fbt\.csv: 1 of 1 files differ, largest change (\S+) absolute, (\S+) relative; "
+                         r"1 beyond tolerance", line)
     assert match, line
-    assert float(match[1]) == pytest.approx(np.spacing(abs(value)), rel=0.01)
+    assert float(match[1]) == pytest.approx(np.spacing(abs(float(cell))), rel=0.01)
     assert 0.0 < float(match[2]) <= np.finfo(float).eps
     # a changed label is not a numeric change
-    cells[1] = "s9"
-    lines[1] = ",".join(cells)
-    relabeled = {key: (code, out, err, {**files, name: "\n".join(lines).encode()})}
+    _, relabeled, _ = planted(small_run[1], "extract-fbt", "features_fbt_", lambda _: "s9", column=1)
     assert "features_fbt.csv: 1 of 1 files differ, in layout or in a non-numeric cell" in compare_outputs.compare(
         extract_run, relabeled)[0]
+
+
+def test_posterior_roc_thresholds_pass_within_their_committed_tolerance(small_run):
+    # roc-fused-normalized's thresholds may move by 1e-10 absolute; its summary not at all
+    assert compare_outputs.TOLERANCES["roc-fused-normalized"] == ("absolute", 1e-10)
+    roc_run, inside, _ = planted(small_run[1], "roc-fused-normalized", "roc_fused_", nudged(lambda v: v + 0.9e-10))
+    report, same = compare_outputs.compare(roc_run, inside)
+    assert same
+    (line,) = [line for line in report if line.startswith("roc_fused.csv")]
+    assert line.startswith("roc_fused.csv within 1e-10 absolute: 1 of 1 files differ, largest change 9e-11 absolute")
+    assert line.endswith("; all within tolerance")
+    _, outside, _ = planted(small_run[1], "roc-fused-normalized", "roc_fused_", nudged(lambda v: v + 1.1e-10))
+    report, same = compare_outputs.compare(roc_run, outside)
+    assert not same
+    assert any(line.endswith("; 1 beyond tolerance") for line in report)
+    # the EER in the same run's summary: one ulp is beyond, as in every file without a tolerance
+    _, summary, _ = planted(small_run[1], "roc-fused-normalized", "summary_",
+                            nudged(lambda v: np.nextafter(v, np.inf)), column=1)
+    assert not compare_outputs.compare(roc_run, summary)[1]
+
+
+def test_distance_roc_tolerance_is_relative():
+    # an embedding ROC's thresholds are distances: 1e-13 of the value, at any scale; its summary has none
+    assert compare_outputs.tolerance_of("roc-dft-embedding", "summary_00000000.csv") is None
+    header = b"threshold,p_verify,p_false_alarm\n"
+    for scale in (1e-3, 1.0, 1e6):
+        for factor, ok in ((1 + 0.9e-13, True), (1 + 1.1e-13, False)):
+            files = ({"roc_dft_00000000.csv": header + f"{v!r},0.5,0.25\n".encode()} for v in (scale, scale * factor))
+            sides = ({(0, "roc-dft-embedding"): (0, "", "", f)} for f in files)
+            assert compare_outputs.compare(*sides)[1] is ok
