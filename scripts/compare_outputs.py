@@ -67,17 +67,23 @@ RUNS: dict[str, tuple[tuple[str, ...], str | None]] = {
                                    "--k-train", "2", "--reps", "2"), None),
 }
 
-# Committed tolerances, by run label: (absolute or relative, bound) on every numeric cell of the
-# run's roc_* files.  Every other file must be identical.  A posterior ROC threshold moves by the
-# PFLD solve's magnification of a last-bit change of a distance (about 1e-11 has been seen); an
-# embedding ROC threshold is itself a distance.
-TOLERANCES: dict[str, tuple[str, float]] = {
-    "roc-fused-normalized": ("absolute", 1e-10),
-    "roc-dft-distance": ("absolute", 1e-10),
-    "roc-dft-similarity": ("absolute", 1e-10),
-    "roc-fbt": ("absolute", 1e-10),
-    "roc-fbt-embedding": ("relative", 1e-13),
-    "roc-dft-embedding": ("relative", 1e-13),
+# Committed tolerances, by run label and output file name prefix: (absolute or relative, bound) on
+# every numeric cell of the run's files of that prefix.  Every other file must be identical.  A
+# posterior ROC threshold moves by the PFLD solve's magnification of a last-bit change of a distance
+# (about 1e-11 has been seen); an embedding ROC threshold is itself a distance.  An FBT feature is a
+# sum over thousands of pixels, and regrouping that sum moves its last bits by about 1e-15 of the
+# row's largest coefficient (84 to 245 on 8-bit synthetic faces; 2.7e-13 absolute has been seen).
+# Its bound is absolute: a coefficient near zero, left by cancellation, carries the same absolute
+# error, which relative to itself has read 1.3e-10.
+TOLERANCES: dict[tuple[str, str], tuple[str, float]] = {
+    ("roc-fused-normalized", "roc_"): ("absolute", 1e-10),
+    ("roc-dft-distance", "roc_"): ("absolute", 1e-10),
+    ("roc-dft-similarity", "roc_"): ("absolute", 1e-10),
+    ("roc-fbt", "roc_"): ("absolute", 1e-10),
+    ("roc-fbt-embedding", "roc_"): ("relative", 1e-13),
+    ("roc-dft-embedding", "roc_"): ("relative", 1e-13),
+    ("extract-fbt", "features_fbt_"): ("absolute", 1e-11),
+    ("extract-fused-normalized", "features_fbt_"): ("absolute", 1e-11),
 }
 
 
@@ -141,7 +147,8 @@ def kind_of(name: str) -> str:
 def tolerance_of(label: str, name: str) -> tuple[str, float] | None:
     """The committed tolerance of one run's output file; None when it
     must be identical."""
-    return TOLERANCES.get(label) if name.startswith("roc_") else None
+    return next((bound for (run, prefix), bound in TOLERANCES.items() if run == label and name.startswith(prefix)),
+                None)
 
 
 def compare(parent: dict, change: dict) -> tuple[list[str], bool]:

@@ -3,7 +3,7 @@
 Feature vectors are re-represented by their Euclidean distances to the
 training (gallery) set.  Every such distance is one cell of the N x N
 matrix over a feature table's images, so a run computes that matrix
-once, from chunked BLAS Gram products of the column-centered table, and
+once, from sliced BLAS Gram products of the column-centered table, and
 slices each split's gallery block and probe rows from it.  In
 that space a pseudo-Fisher linear discriminant is trained per class, one
 against all others: the centered distance matrix gets a constant bias
@@ -26,10 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .features import FeatureTable
+from .features import _SLICE, FeatureTable, _sliced_matmul
 
 _SVD_CUTOFF = 1e-10  # relative singular value cutoff in the least-squares solve
-_CHUNK = 64  # columns per Gram product (the K of every GEMM), and rows per block of G
 _MAX_IMAGES = 20_000  # the distance matrix of a table: 3.2 GB of float64 at this size
 
 
@@ -39,16 +38,16 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
     From the Gram matrix G of the rows once each column is centered on
     its mean, d^2 = G_ii + G_jj - 2 G_ij clamped at 0; centering moves no
     distance but keeps a large common offset (a spectrum's DC term) out
-    of the rounding.  The centered values sit in zero-padded chunks of
-    _CHUNK columns, and each block of _CHUNK rows of G is summed over the
-    chunks in order, one K = _CHUNK product per chunk, straight into the
-    result.  So appending zero coordinates (into pad columns, or as
-    all-zero chunks adding exact zeros) changes no distance, not even its
-    last bit.  The upper triangle is mirrored into the lower one, so
-    d(a, b) == d(b, a) and d(a, a) == 0 exactly.  A stored column of a
-    table that stores repeated layout features once (FeatureTable.columns)
-    is scaled by the square root of its repeat count.  Tables of more
-    than _MAX_IMAGES images are refused before N^2 float64 are allocated.
+    of the rounding.  The centered values sit in zero-padded slices of
+    _SLICE columns, and each block of _SLICE rows of G is _sliced_matmul's
+    sum over them, straight into the result.  So appending zero
+    coordinates (into pad columns, or as all-zero slices adding exact
+    zeros) changes no distance, not even its last bit.  The upper
+    triangle is mirrored into the lower one, so d(a, b) == d(b, a) and
+    d(a, a) == 0 exactly.  A stored column of a table that stores
+    repeated layout features once (FeatureTable.columns) is scaled by the
+    square root of its repeat count.  Tables of more than _MAX_IMAGES
+    images are refused before N^2 float64 are allocated.
     """
     n = len(table)
     if n > _MAX_IMAGES:
@@ -59,30 +58,27 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
     dim = table.values.shape[1]
     if not dim:
         raise DomainError("a feature table needs at least one feature")
-    width = dim + (-dim) % _CHUNK
+    width = dim + (-dim) % _SLICE
     repeats = np.ones(width) if table.columns is None else np.bincount(table.columns, minlength=width)
-    chunks = np.zeros((width // _CHUNK, n, _CHUNK))
-    for k, chunk in enumerate(chunks):
-        cols = slice(k * _CHUNK, (k + 1) * _CHUNK)
-        chunk[:, :dim - k * _CHUNK] = table.values[:, cols]
-        chunk -= chunk.mean(axis=0)
-        chunk *= np.sqrt(repeats[cols])
+    slices = np.zeros((width // _SLICE, n, _SLICE))
+    for k, part in enumerate(slices):
+        cols = slice(k * _SLICE, (k + 1) * _SLICE)
+        part[:, :dim - k * _SLICE] = table.values[:, cols]
+        part -= part.mean(axis=0)
+        part *= np.sqrt(repeats[cols])
     D = np.empty((n, n))
-    for start in range(0, n, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        np.matmul(chunks[0, rows], chunks[0].T, out=D[rows])
-        for chunk in chunks[1:]:
-            D[rows] += chunk[rows] @ chunk.T
+    for start in range(0, n, _SLICE):
+        D[start:start + _SLICE] = _sliced_matmul(slices[:, start:start + _SLICE], slices)
     squares = D.diagonal().copy()
     D *= -2.0
     D += squares[:, None]
     D += squares
     np.sqrt(np.maximum(D, 0.0, out=D), out=D)
-    for start in range(0, n, _CHUNK):
-        rows = slice(start, start + _CHUNK)
+    for start in range(0, n, _SLICE):
+        rows = slice(start, start + _SLICE)
         corner = np.triu(D[rows, rows], 1)
         D[rows, rows] = corner + corner.T
-        D[start + _CHUNK:, rows] = D[rows, start + _CHUNK:].T
+        D[start + _SLICE:, rows] = D[rows, start + _SLICE:].T
     return D
 
 

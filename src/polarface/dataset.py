@@ -162,9 +162,6 @@ class Dataset:
     def id_subject_pairs(self) -> list[tuple[str, str]]:
         return [(e.image_id, e.subject_id) for e in self.entries]
 
-    def subjects(self) -> list[str]:
-        return sorted({e.subject_id for e in self.entries})
-
 
 def load_dataset_dir(root, layout: str = "orl") -> Dataset:
     """Enumerate a dataset in deterministic (lexicographic) order.

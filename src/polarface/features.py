@@ -220,6 +220,22 @@ class _BlockOperator:
 # A matrix product's rows can round differently with its row count, so
 # operators always project whole blocks of this many images.
 _BLOCK = 16
+# Its entries can round differently with how BLAS splits its inner axis,
+# which may follow the thread count.  So the two products with a long inner
+# axis, the FBT projection (pixels) and the distance kernel's Gram blocks
+# (features), are each one K = _SLICE product per whole slice of that axis,
+# the operands zero-padded to whole slices, summed in slice order by
+# _sliced_matmul.
+_SLICE = 64
+
+
+def _sliced_matmul(a, b) -> np.ndarray:
+    """The sum of a[s] @ b[s].T over the slices s in order, (m, n), where a
+    is (slices, m, _SLICE) and b (slices, n, _SLICE); zeros for no slices."""
+    total = np.zeros((a.shape[1], b.shape[1]))
+    for x, y in zip(a, b):
+        total += x @ y.T
+    return total
 
 
 def apply_operators(operators, images, outs) -> None:
@@ -273,7 +289,8 @@ class FBTOperator(_BlockOperator):
     count is odd.
 
     fold(image) gives an image's operator input, one sum per class and
-    then the residual pixels; project maps stacked inputs to feature
+    then the residual pixels, each in whole _SLICE slices like the
+    operator columns they meet; project maps stacked inputs to feature
     rows, and calling the operator on an image stack does both.
     """
 
@@ -282,35 +299,37 @@ class FBTOperator(_BlockOperator):
     features: np.ndarray  # feature index of each operator row
     classes: tuple[tuple[int, int, int, int], ...]  # (first row, end row, x sign, y sign)
     mirrors: np.ndarray  # (4, quadrant pixels): flat index of each and of its x, y and xy mirror
-    quarter: np.ndarray  # (rows, quadrant pixels)
+    quarter: np.ndarray  # (rows, quadrant pixels), zero-padded to whole _SLICE columns
     residual_pixels: np.ndarray  # flat image indices
-    residual: np.ndarray  # (rows, residual pixels)
+    residual: np.ndarray  # (rows, residual pixels), zero-padded likewise
 
     @property
     def fold_shape(self) -> tuple[int]:
         """Shape of fold's output."""
-        return (len(self.classes) * self.mirrors.shape[1] + self.residual_pixels.size,)
+        return (len(self.classes) * self.quarter.shape[1] + self.residual.shape[1],)
 
     def fold(self, img, out) -> None:
-        """Write the operator input of one float image into out."""
+        """Write the operator input of one float image into out, leaving its
+        pad entries as they are: 0 in apply_operators' block buffer."""
         q, qx, qy, qxy = img.ravel()[self.mirrors]
-        n = q.size
+        n, width = q.size, self.quarter.shape[1]
         for sy in (1, -1):
             a = q + qy if sy > 0 else q - qy
             b = qx + qxy if sy > 0 else qx - qxy
             for c, (_, _, cls_x, cls_y) in enumerate(self.classes):
                 if cls_y == sy:
-                    (np.add if cls_x > 0 else np.subtract)(a, b, out=out[c * n:(c + 1) * n])
-        out[len(self.classes) * n:] = img.ravel()[self.residual_pixels]
+                    (np.add if cls_x > 0 else np.subtract)(a, b, out=out[c * width:c * width + n])
+        out[len(self.classes) * width:][:self.residual_pixels.size] = img.ravel()[self.residual_pixels]
 
     def project(self, folded) -> np.ndarray:
         """Feature rows of a stack of fold outputs."""
-        n = self.mirrors.shape[1]
+        inputs, quarter, residual = (x.reshape(len(x), -1, _SLICE).swapaxes(0, 1)
+                                     for x in (folded, self.quarter, self.residual))
+        n = len(quarter)  # slices per class
         rows = np.empty((len(folded), self.features.size))
         for c, (start, stop, _, _) in enumerate(self.classes):
-            rows[:, start:stop] = folded[:, c * n:(c + 1) * n] @ self.quarter[start:stop].T
-        if self.residual_pixels.size:
-            rows += folded[:, len(self.classes) * n:] @ self.residual.T
+            rows[:, start:stop] = _sliced_matmul(inputs[c * n:(c + 1) * n], quarter[:, start:stop])
+        rows += _sliced_matmul(inputs[len(self.classes) * n:], residual)
         out = np.zeros((len(folded), self.n_features))  # B_0 has no row and stays 0
         out[:, self.features] = rows
         return out
@@ -390,7 +409,8 @@ def _project(pixel, n_pixels, columns, ray, ring, weight, trig, radial):
     """Operator rows over the given pixel columns (of n_pixels): for each
     order g and root i, the sum over the samples (ray, ring) of weight *
     trig[g, ray] * radial[g, i, ring], added into the columns of the
-    sample's four pixels (`pixel` and `weight` are (samples, 4)).
+    sample's four pixels (`pixel` and `weight` are (samples, 4)), then
+    zero-padded to whole _SLICE columns.
 
     The ray sum comes first, binned per pixel and ring.  A sample lies
     within one pixel of each of its pixels along both axes, so within
@@ -399,7 +419,7 @@ def _project(pixel, n_pixels, columns, ray, ring, weight, trig, radial):
     pixel are then contracted with the radial basis.
     """
     n_groups, roots, n_rings = radial.shape
-    out = np.empty((n_groups, roots, columns.size))
+    out = np.zeros((n_groups, roots, columns.size + -columns.size % _SLICE))
     if columns.size == 0:
         return out.reshape(n_groups * roots, 0)
     wanted = np.zeros(n_pixels, dtype=bool)
@@ -429,7 +449,7 @@ def _project(pixel, n_pixels, columns, ray, ring, weight, trig, radial):
                     acc += term
                 else:
                     acc[...] = term
-    return out.reshape(n_groups * roots, columns.size)
+    return out.reshape(n_groups * roots, -1)
 
 
 def dft_magnitude(image) -> np.ndarray:

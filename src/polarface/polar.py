@@ -106,10 +106,6 @@ class PolarGrid:
     def n_rings(self) -> int:
         return self.samples.shape[1]
 
-    def ray_angles(self) -> np.ndarray:
-        """Ray angles in radians."""
-        return np.deg2rad(self.angular_resolution) * np.arange(self.n_rays)
-
     def ring_radii(self) -> np.ndarray:
         """Ring radii in pixels (0, 1, 2, ...)."""
         return np.arange(self.n_rings, dtype=float)

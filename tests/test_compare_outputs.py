@@ -38,7 +38,7 @@ def test_a_source_tree_compared_with_itself_is_identical(small_run, tmp_path):
     assert same
     assert report[:2] == ["3 runs per side, 0 of them exiting non-zero on the parent side",
                           "exit codes, stdout and stderr identical (paths masked)"]
-    assert "features_fbt.csv: 1 files identical" in report
+    assert "features_fbt.csv within 1e-11 absolute: 1 files identical" in report
     assert "roc_fused.csv within 1e-10 absolute: 1 files identical" in report
     assert all(line.endswith(" files identical") for line in report[2:])
 
@@ -64,26 +64,45 @@ def nudged(step):
 
 
 def test_a_planted_one_ulp_change_is_reported(small_run):
-    # the first feature of the second image: features have no tolerance
-    extract_run, changed, cell = planted(small_run[1], "extract-fbt", "features_fbt_",
-                                         nudged(lambda v: np.nextafter(v, np.inf)), column=3)
-    report, same = compare_outputs.compare(extract_run, changed)
+    # the mean error of the DFT run: summaries have no tolerance
+    error_run, changed, cell = planted(small_run[1], "error-rate-dft", "summary_",
+                                       nudged(lambda v: np.nextafter(v, np.inf)), column=1)
+    report, same = compare_outputs.compare(error_run, changed)
     assert not same
-    (line,) = [line for line in report if line.startswith("features_fbt.csv")]
-    match = re.fullmatch(r"features_fbt\.csv: 1 of 1 files differ, largest change (\S+) absolute, (\S+) relative; "
+    (line,) = [line for line in report if line.startswith("summary.csv")]
+    match = re.fullmatch(r"summary\.csv: 1 of 1 files differ, largest change (\S+) absolute, (\S+) relative; "
                          r"1 beyond tolerance", line)
     assert match, line
     assert float(match[1]) == pytest.approx(np.spacing(abs(float(cell))), rel=0.01)
     assert 0.0 < float(match[2]) <= np.finfo(float).eps
-    # a changed label is not a numeric change
-    _, relabeled, _ = planted(small_run[1], "extract-fbt", "features_fbt_", lambda _: "s9", column=1)
-    assert "features_fbt.csv: 1 of 1 files differ, in layout or in a non-numeric cell" in compare_outputs.compare(
-        extract_run, relabeled)[0]
+    # a changed label is not a numeric change, whatever the file's tolerance
+    extract_run, relabeled, _ = planted(small_run[1], "extract-fbt", "features_fbt_", lambda _: "s9", column=1)
+    assert ("features_fbt.csv within 1e-11 absolute: 1 of 1 files differ, in layout or in a non-numeric cell"
+            in compare_outputs.compare(extract_run, relabeled)[0])
+
+
+def test_fbt_features_pass_within_their_committed_absolute_tolerance(small_run):
+    # the FBT features of the extract runs may move by 1e-11 absolute; no other features may move
+    assert compare_outputs.tolerance_of("extract-fused-normalized", "features_fbt_00000000.csv") == ("absolute", 1e-11)
+    assert compare_outputs.tolerance_of("extract-fused-normalized", "features_dft_00000000.csv") is None
+    assert compare_outputs.tolerance_of("extract-dft", "features_dft_00000000.csv") is None
+    extract_run, inside, _ = planted(small_run[1], "extract-fbt", "features_fbt_", nudged(lambda v: v + 0.9e-11),
+                                     column=3)
+    report, same = compare_outputs.compare(extract_run, inside)
+    assert same
+    (line,) = [line for line in report if line.startswith("features_fbt.csv")]
+    match = re.match(r"features_fbt\.csv within 1e-11 absolute: 1 of 1 files differ, largest change (\S+) absolute",
+                     line)
+    assert match and float(match[1]) == pytest.approx(0.9e-11, rel=0.01), line
+    _, outside, _ = planted(small_run[1], "extract-fbt", "features_fbt_", nudged(lambda v: v + 1.1e-11), column=3)
+    report, same = compare_outputs.compare(extract_run, outside)
+    assert not same
+    assert any(line.endswith("; 1 beyond tolerance") for line in report)
 
 
 def test_posterior_roc_thresholds_pass_within_their_committed_tolerance(small_run):
     # roc-fused-normalized's thresholds may move by 1e-10 absolute; its summary not at all
-    assert compare_outputs.TOLERANCES["roc-fused-normalized"] == ("absolute", 1e-10)
+    assert compare_outputs.TOLERANCES["roc-fused-normalized", "roc_"] == ("absolute", 1e-10)
     roc_run, inside, _ = planted(small_run[1], "roc-fused-normalized", "roc_fused_", nudged(lambda v: v + 0.9e-10))
     report, same = compare_outputs.compare(roc_run, inside)
     assert same

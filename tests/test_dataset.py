@@ -113,7 +113,6 @@ def test_orl_tree_enumeration(tmp_path):
     assert [e.image_id for e in ds] == [
         "s1/1.pgm", "s1/2.pgm", "s10/1.pgm", "s2/1.pgm", "s2/2.pgm",
     ]
-    assert ds.subjects() == ["s1", "s10", "s2"]
     assert np.array_equal(ds.entries[1].load(), np.full((4, 4), 20.0))
     assert ds.id_subject_pairs()[0] == ("s1/1.pgm", "s1")
 

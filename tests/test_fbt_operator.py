@@ -1,6 +1,11 @@
 """The FBT operator against the per-image to_polar + fbt reference, and
 the CLI's block-wise extraction through it."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,8 +81,11 @@ def test_default_geometries_fold_completely(shape):
     op = fbt_operator(shape)
     assert op.residual_pixels.size == 0
     h, w = shape
-    assert op.quarter.shape == (183, (h - (h - 1) // 2) * (w - (w - 1) // 2))
-    assert op.mirrors.shape == (4, op.quarter.shape[1])
+    quadrant = (h - (h - 1) // 2) * (w - (w - 1) // 2)
+    assert op.mirrors.shape == (4, quadrant)
+    # one column per quadrant pixel, zero-padded to whole 64-column slices
+    assert op.quarter.shape == (183, -(-quadrant // 64) * 64)
+    assert not op.quarter[:, quadrant:].any()
     images = np.random.default_rng(5).uniform(0.0, 255.0, size=(2, *shape))
     got = op(images)
     for image, row in zip(images, got):
@@ -147,19 +155,25 @@ def eye_faces(root, n_subjects=3, n_images=6):
     return root / "manifest.csv"
 
 
-def test_fused_normalized_run_is_independent_of_workers(tmp_path):
+def test_fused_normalized_run_is_independent_of_blas_threads(tmp_path):
+    # the FBT projection and the distance kernel sum fixed 64-wide slices of their inner axis in
+    # order, so BLAS cannot split that axis differently for another thread count; two child
+    # processes, at one and at two BLAS threads (all a 2-core machine can show), write the same bytes
     manifest = eye_faces(tmp_path / "faces")
+    src = Path(cli.__file__).resolve().parents[1]
+    common = ["--mode", "fused", "--normalize", "--layout", "flat-manifest", "--dataset", str(manifest)]
     outs = [tmp_path / "one", tmp_path / "two"]
-    for out, workers in zip(outs, ("1", "2")):
-        assert cli.main([
-            "experiment", "roc", "--mode", "fused", "--normalize", "--layout", "flat-manifest",
-            "--dataset", str(manifest), "--k-train", "3", "--reps", "1",
-            "--workers", workers, "--out", str(out),
-        ]) == 0
+    for out, threads in zip(outs, ("1", "2")):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        for run in (["extract"], ["experiment", "roc", "--k-train", "3", "--reps", "1"]):
+            subprocess.run([sys.executable, "-m", "polarface.cli", *run, *common, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"features_fbt", "features_dft", "roc_fused"} <= {name.rsplit("_", 1)[0] for name in names}
     for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_corrupted_operator_stops_the_run(toy_faces, tmp_path, monkeypatch, capsys):

@@ -32,7 +32,6 @@ def test_grid_geometry_rectangular():
 
 def test_ray_angles_and_ring_radii():
     grid = to_polar(np.zeros((21, 21)), angular_resolution=45.0)
-    assert np.allclose(grid.ray_angles(), np.radians(np.arange(8) * 45.0))
     assert np.array_equal(grid.ring_radii(), np.arange(grid.n_rings, dtype=float))
 
 
