@@ -135,11 +135,9 @@ def train_pfld(distances: np.ndarray, labels: Sequence) -> TrainedModel:
     mean_offset = distances.mean(axis=0)
     design = np.ones((n, n + 1))
     np.subtract(distances, mean_offset, out=design[:, :n])
-    targets = np.where(
-        np.array(labels, dtype=object)[:, None] == np.array(class_labels, dtype=object)[None, :],
-        1.0,
-        -1.0,
-    )
+    column = {label: j for j, label in enumerate(class_labels)}
+    codes = np.array([column[label] for label in labels])
+    targets = np.where(codes[:, None] == np.arange(len(class_labels)), 1.0, -1.0)
     q, r = np.linalg.qr(design.T)
     pivots = np.abs(r.diagonal())
     if pivots.min() > _QR_RANK_BOUND * pivots.max():

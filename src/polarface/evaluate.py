@@ -23,8 +23,11 @@ from .errors import ConfigError, DomainError
 Entry = tuple[str, str]  # (image id, subject id)
 
 # Features sorted together in per_feature_error_rates; every intermediate
-# is (block, n_images), 100 KB at 32 x 400.
+# but the direct argmin's chunks is at most (block, n_images + 2), 100 KB
+# at 32 x 400.
 _FEATURE_BLOCK = 32
+_CERTIFY_SPACINGS = 4  # a sorted row's least adjacent gap, in spacings of 2 max|v|, for the two-neighbour rule
+_ARGMIN_CELLS = 1 << 17  # gaps in one chunk of the direct argmin: 1 MB of float64
 _MAX_MASK = 1 << 30  # booleans in one Split's gallery mask (repetitions x rows): 1 GiB
 
 
@@ -294,74 +297,6 @@ def equal_error_rate(roc: ROCCurve) -> EERResult:
     return EERResult(eer=float(eer), threshold_low=float(lo), threshold_high=float(hi))
 
 
-class _SortedBlock:
-    """The columns of a (features, images) block, each stably sorted and
-    laid end to end in one flat array of rows of length n.
-
-    Equal values form runs; within a run the images keep canonical
-    order.  Lookups also read the out-of-row positions -1 and size, and
-    mask out what they find there; values, canon and run_end carry one
-    pad element for size.
-    """
-
-    def __init__(self, block: np.ndarray):
-        self.n = n = block.shape[1]
-        order = np.argsort(block, axis=1, kind="stable")
-        size = order.size
-        self.canon = np.append(order.ravel(), 0)  # canonical index of each value
-        self.values = np.append(np.take_along_axis(block, order, axis=1).ravel(), 0.0)
-        new_run = np.ones(size, dtype=bool)
-        new_run[1:] = self.values[1:size] != self.values[: size - 1]
-        new_run[::n] = True
-        starts = np.flatnonzero(new_run)
-        run = np.cumsum(new_run) - 1
-        self.run_start = starts[run]
-        self.run_end = np.append(np.append(starts[1:], size)[run], size)
-
-    def nearest_train(self, train: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat position of each probe's nearest train value, the lowest
-        canonical index among ties, given the train mask in sorted order
-        and the flat positions of the probes.
-
-        Returns the positions and a mask of the probes whose answer is
-        not settled: a train value beyond the winning run rounds to the
-        same gap, so the lowest index may lie farther out.
-        """
-        v, canon, run_start, run_end = self.values, self.canon, self.run_start, self.run_end
-        # count[q] train values lie before position q: after[count[q]] is
-        # the first train position >= q and before[count[q]] the last < q.
-        count = np.zeros(train.size + 1, dtype=np.intp)
-        np.cumsum(train, out=count[1:])
-        bounds = np.concatenate(([-1], np.flatnonzero(train), [train.size]))
-        before, after = bounds[:-1], bounds[1:]
-        row_start = probes // self.n * self.n
-        row_end = row_start + self.n
-        p = v[probes]
-        run_end_p = run_end[probes]
-        at_run = count[run_start[probes]]
-        own, below = after[at_run], before[at_run]
-        above = after[count[run_end_p]]
-        has_below, has_above = below >= row_start, above < row_end
-        at_below_run = count[run_start[below]]
-        below = after[at_below_run]  # the run's first train value: lowest index
-        beyond_below = before[at_below_run]
-        beyond_above = after[count[run_end[above]]]
-        gap_below = np.abs(p - v[below])
-        gap_above = np.abs(p - v[above])
-        below_wins = has_below & (~has_above | (gap_below <= gap_above))
-        above_wins = has_above & (~has_below | (gap_above <= gap_below))
-        take_above = above_wins & ~(below_wins & (canon[below] < canon[above]))
-        in_own_run = own < run_end_p
-        pick = np.where(in_own_run, own, np.where(take_above, above, below))
-        unresolved = ~in_own_run & (
-            (below_wins & (beyond_below >= row_start)
-             & (np.abs(p - v[beyond_below]) == gap_below))
-            | (above_wins & (beyond_above < row_end)
-               & (np.abs(p - v[beyond_above]) == gap_above))
-        )
-        return pick, unresolved
-
-
 def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, split: Split) -> np.ndarray:
     """Mean 1-NN percent error of every single feature over the
     repetitions of a split drawn from `entries`.
@@ -374,18 +309,30 @@ def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, split:
     every (probe, train) gap exactly.
 
     Rows are permuted once into that canonical order (sorted subject,
-    then sorted image id), so training index order is row order.  Each
-    column is sorted once, stably, in blocks of _FEATURE_BLOCK features:
-    equal values form runs whose members keep canonical order, and the
-    first train row of a run has its lowest index.  Per repetition, a
-    running count of train values in sorted order gives every probe, and
-    only the probes, its nearest train run below and above.  A probe whose
-    own run holds a train row takes that row (gap 0).  Otherwise the
-    smaller gap wins, and equal gaps go to the lower of the two runs'
-    first indices.  Rounding is monotone, so a farther train value can
-    never have a smaller gap, but it can round to the same gap; where
-    the next train value beyond the winning run does, the probe is
-    resolved by a direct argmin over all train rows.
+    then sorted image id), so training index order is row order, and of
+    two rows the lower index has the lower or equal subject code.  Each
+    feature is sorted once, in blocks of _FEATURE_BLOCK features, and
+    certified when every adjacent gap of its sorted values v exceeds
+    _CERTIFY_SPACINGS = 4 spacings s of 2 max|v| (never, if 2 max|v|
+    overflows).  Why that settles every probe of the row:
+
+    - Every gap |p - t| is at most 2 max|v|, so rounding moves it by at
+      most s / 2.  Rounding is monotone and 4 s is a float, so the exact
+      adjacent gaps exceed 4 s as well, and no two values are equal.
+    - A training value farther out on the same side of a probe than the
+      nearest one is more than 4 s farther away exactly, so its rounded
+      gap exceeds the nearest one's by more than 3 s: never equal.
+    - So the brute-force argmin is the nearer of the last training value
+      below the probe and the first above it, and on equal gaps the one
+      with the lower index, that is the lower or equal subject code.
+
+    Each certified row is laid out between a -inf and a +inf sentinel
+    that count as training values, so every probe has a neighbour on
+    both sides within its row.  Per repetition, a probe's position less
+    the number of probes before it counts the training values before it,
+    which names both neighbours.  A row that is not certified (repeated
+    values, or values within the margin) goes to a direct argmin over
+    the training rows in canonical order, _argmin_errors.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -395,31 +342,78 @@ def per_feature_error_rates(entries: Sequence[Entry], values: np.ndarray, split:
     if not np.isfinite(values).all():
         raise DomainError("feature values must be finite")
     rows, train = split.rows, split.train
-    codes = np.unique(split.subjects, return_inverse=True)[1]
-    n, n_features = rows.size, values.shape[1]
+    # int32 gathers faster than intp; _MAX_MASK keeps the row count below 2**31
+    codes = np.unique(split.subjects, return_inverse=True)[1].astype(np.int32)
+    n_features = values.shape[1]
     n_probes = (~train).sum(axis=1)
     total = np.zeros(n_features)
     for start in range(0, n_features, _FEATURE_BLOCK):
         stop = min(start + _FEATURE_BLOCK, n_features)
         block = values[rows, start:stop].T
-        sorted_block = _SortedBlock(block)
-        canon = sorted_block.canon[:-1]
-        labels = codes[canon]
+        order = np.argsort(block, axis=1)
+        ordered = np.take_along_axis(block, order, axis=1)
+        with np.errstate(over="ignore"):  # 2 max|v| = inf: spacing nan, row not certified
+            margin = _CERTIFY_SPACINGS * np.spacing(2.0 * np.abs(block).max(axis=1))
+        certified = (np.diff(ordered, axis=1) > margin[:, None]).all(axis=1)
+        order = order[certified]
+        padded = np.full((len(order), block.shape[1] + 2), np.inf)
+        padded[:, 0] = -np.inf
+        padded[:, 1:-1] = ordered[certified]
+        labels = np.zeros(padded.shape, dtype=codes.dtype)  # a sentinel's infinite gap never wins
+        labels[:, 1:-1] = codes[order]
+        in_train = np.ones(padded.shape, dtype=bool)
+        tied = block[~certified]
+        wrong = np.empty(stop - start, dtype=np.intp)
         for mask, n_probe in zip(train, n_probes):
-            in_train = mask[canon]
-            probes = np.flatnonzero(~in_train)
-            pick, unresolved = sorted_block.nearest_train(in_train, probes)
-            predicted = labels[pick]
-            if unresolved.any():
-                train_rows = np.flatnonzero(mask)
-                for j in np.flatnonzero(unresolved):
-                    k = probes[j]
-                    gaps = np.abs(sorted_block.values[k] - block[k // n, train_rows])
-                    predicted[j] = codes[train_rows[np.argmin(gaps)]]
-            # every feature row holds the same n_probe probes
-            wrong = (predicted != labels[probes]).reshape(-1, n_probe).sum(axis=1)
+            in_train[:, 1:-1] = mask[order]
+            wrong[certified] = _two_neighbour_errors(padded, labels, in_train, n_probe)
+            if len(tied):
+                wrong[~certified] = _argmin_errors(tied, mask, codes)
             total[start:stop] += 100.0 * (wrong / n_probe)
     return total / len(train)
+
+
+def _two_neighbour_errors(padded: np.ndarray, labels: np.ndarray, in_train: np.ndarray,
+                          n_probe: int) -> np.ndarray:
+    """Wrong answers per certified row: `padded` holds each row's sorted
+    values between its sentinels, `labels` their subject codes and
+    `in_train` which of them count as training values, with n_probe
+    probes in every row."""
+    in_train = in_train.ravel()
+    probes = np.flatnonzero(~in_train)
+    at = np.flatnonzero(in_train)
+    count = probes - np.arange(probes.size)  # training values before each probe
+    above, below = at[count], at[count - 1]
+    v, label = padded.ravel(), labels.ravel()
+    p = v[probes]
+    gap_below, gap_above = p - v[below], v[above] - p
+    label_below, label_above = label[below], label[above]
+    take_above = (gap_above < gap_below) | ((gap_above == gap_below) & (label_above < label_below))
+    predicted = np.where(take_above, label_above, label_below)
+    return np.count_nonzero((predicted != label[probes]).reshape(-1, n_probe), axis=1)
+
+
+def _argmin_errors(block: np.ndarray, mask: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Wrong answers per row of a (features, images) block in canonical
+    order, each probe taking the code of the first training value at its
+    smallest gap, as the brute-force argmin does.  A chunk's gap matrix
+    holds whole rows of probes where they fit, and at most _ARGMIN_CELLS
+    values."""
+    train_values, probes = block.compress(mask, axis=1), block.compress(~mask, axis=1)  # C order, unlike block[:, mask]
+    train_codes, n_probe = codes[mask], probes.shape[1]
+    probe_step = max(1, _ARGMIN_CELLS // train_codes.size)
+    row_step = max(1, probe_step // n_probe)
+    predicted = np.empty(probes.shape, dtype=codes.dtype)
+    buffer = np.empty((min(row_step, len(block)), min(probe_step, n_probe), train_codes.size))
+    for r in range(0, len(block), row_step):
+        rows = slice(r, r + row_step)
+        for lo in range(0, n_probe, probe_step):
+            part = probes[rows, lo:lo + probe_step, None]
+            gaps = buffer[:part.shape[0], :part.shape[1]]
+            np.copyto(gaps, part)
+            gaps -= train_values[rows, None, :]  # faster than np.subtract of two broadcast operands
+            predicted[rows, lo:lo + probe_step] = train_codes[np.abs(gaps, out=gaps).argmin(axis=2)]
+    return np.count_nonzero(predicted != codes[~mask], axis=1)
 
 
 def _cell(value) -> str:

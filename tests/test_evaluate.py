@@ -25,6 +25,7 @@ from polarface import (
     verification_pairs,
     verification_roc,
 )
+from polarface import evaluate
 from polarface.errors import ConfigError, DomainError
 from polarface.evaluate import csv_text, sem_value
 
@@ -355,6 +356,18 @@ TIE_POOLS = (
     (5e-324, 1e-323, 1.5e-323, 0.0, -5e-324, 1e-310),
     (-1e300, 1e300, 1e-300, 0.0),
 )
+# Each scale x with s = np.spacing(2 max|v|) of its pools: near 1.0, near
+# 1e16 and in the subnormals, where subtraction is exact.
+SPACING_SCALES = ((1.0 + 2.0**-52, 2.0**-51), (1e16 + 2.0, 4.0), (1e-310, 5e-324))
+# Values k spacings apart, k = 1, 2, 4, 5 and 8: a row of distinct values
+# from such a pool is certified for the two-neighbour rule from k = 5 on.
+# The mirror values half a spacing beyond -x have gaps across zero that
+# differ by k s exactly, so at k = 1 two of them can round to one float.
+TIE_POOLS += tuple(
+    tuple(x + j * k * s for j in range(20)) + tuple(-(x + s / 2) - j * k * s for j in range(20))
+    for x, s in SPACING_SCALES
+    for k in (1, 2, 4, 5, 8)
+)
 
 
 @st.composite
@@ -424,6 +437,62 @@ def test_per_feature_error_rates_resolve_ties_at_the_probes_flat_position():
     spec = SplitSpec(k_train=1, repetitions=4, seed=0)
     got = per_feature_error_rates(entries, values, random_split(entries, spec))
     assert got[1] == 37.5
+    assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
+
+
+def test_per_feature_error_rates_certificate_margin():
+    # one column per spacing count k: the probe -(x + s / 2) is k s + s / 2
+    # nearer to x (s1/0) than to x + k s (s0/0).  At k = 1 both gaps round
+    # to one float away from the subnormals, so the lower index, s0/0, wins;
+    # only the margin keeps that row from the two-neighbour rule, which
+    # sees x alone.  From k = 5 on the rows are certified.
+    entries = [("s0/0", "s0"), ("s0/1", "s0"), ("s1/0", "s1"), ("s1/1", "s1")]
+    spec = SplitSpec(k_train=1, repetitions=4, seed=0)
+    for x, s in SPACING_SCALES:
+        values = np.array([[x + k * s, -(x + s / 2), x, x + (k + 8) * s] for k in (1, 2, 4, 5, 8)]).T
+        got = per_feature_error_rates(entries, values, random_split(entries, spec))
+        assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
+        if s > 5e-324:
+            # reps 0 and 1 train on s0/0 and s1/0: the s0 probe is right
+            # through the rounding tie and the s1 probe wrong (50%), as in
+            # reps 2 and 3; the two-neighbour rule would give 75
+            assert got[0] == 50.0
+
+
+def test_per_feature_error_rates_repeated_and_signed_zero_values():
+    # a row of distinct values but for one repeated pair, and a row of
+    # 0.0 and -0.0 among other values: neither is certified
+    entries = toy_entries(n_subjects=4, per_subject=5)
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(len(entries), 3))
+    values[12, 0] = values[5, 0]
+    values[:, 1] = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], size=len(entries))
+    values[:, 2] = rng.choice([0.0, -0.0], size=len(entries))
+    spec = SplitSpec(k_train=2, repetitions=3, seed=2)
+    got = per_feature_error_rates(entries, values, random_split(entries, spec))
+    assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
+
+
+@pytest.mark.parametrize("cells", [1, 40, 200])
+def test_per_feature_direct_argmin_in_chunks(monkeypatch, cells):
+    # 8 train and 12 probe values per row, all rows full of ties: chunks of
+    # one probe, of 5 probes (5, 5, 2) and of two whole rows (2, 1)
+    monkeypatch.setattr(evaluate, "_ARGMIN_CELLS", cells)
+    entries = toy_entries(n_subjects=4, per_subject=5)
+    values = np.random.default_rng(8).integers(0, 5, size=(len(entries), 3)).astype(float)
+    spec = SplitSpec(k_train=2, repetitions=3, seed=4)
+    got = per_feature_error_rates(entries, values, random_split(entries, spec))
+    assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
+
+
+@pytest.mark.filterwarnings("error")
+def test_per_feature_rows_near_the_float_limit():
+    # 2 max|v| overflows, so the row is not certified, yet no gap
+    # |probe - train| does: the result comes without a warning
+    entries = toy_entries(n_subjects=2, per_subject=3)
+    values = np.array([[1e308], [9e307], [0.0], [5.0], [1.7e308], [8e307]])
+    spec = SplitSpec(k_train=1, repetitions=3)
+    got = per_feature_error_rates(entries, values, random_split(entries, spec))
     assert np.array_equal(got, per_feature_error_rates_broadcast(entries, values, spec))
 
 
