@@ -42,20 +42,20 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
     From the Gram matrix G of the rows once each column is centered on
     its mean, d^2 = G_ii + G_jj - 2 G_ij clamped at 0; centering moves no
     distance but keeps a large common offset (a spectrum's DC term) out
-    of the rounding.  The centered values sit in zero-padded slices of
-    _SLICE columns, and each block of _SLICE rows of G is _sliced_matmul's
-    sum over them, straight into the result.  So appending zero
-    coordinates (into pad columns, or as all-zero slices adding exact
-    zeros) changes no distance, not even its last bit.  The upper
-    triangle is mirrored into the lower one, so d(a, b) == d(b, a) and
-    d(a, a) == 0 exactly.  The slices hold N rounded up to a multiple of
-    8 rows, the pad rows zero and cut from each block's product: OpenBLAS
-    splits a block's columns between threads, and unless their count is a
-    multiple of 8 its edge tiles round differently at another thread
-    count.  A stored column of a table that stores repeated layout
-    features once (FeatureTable.columns) is scaled by the square root of
-    its repeat count.  Tables of more than _MAX_IMAGES
-    images are refused before N^2 float64 are allocated.
+    of the rounding.  The centered values sit in one matrix zero-padded
+    to whole _SLICE columns, and each block of _SLICE rows of G is one
+    _sliced_matmul of those rows with all rows, straight into the result.
+    So appending zero coordinates (into pad columns, or as all-zero
+    slices adding exact zeros) changes no distance, not even its last
+    bit.  The upper triangle is mirrored into the lower one, so d(a, b)
+    == d(b, a) and d(a, a) == 0 exactly.  The matrix holds N rounded up
+    to a multiple of 8 rows, the pad rows zero and cut from each block's
+    product: OpenBLAS splits a block's columns between threads, and
+    unless their count is a multiple of 8 its edge tiles round
+    differently at another thread count.  A stored column of a table
+    that stores repeated layout features once (FeatureTable.columns) is
+    scaled by the square root of its repeat count.  Tables of more than
+    _MAX_IMAGES images are refused before N^2 float64 are allocated.
     """
     n = len(table)
     if n > _MAX_IMAGES:
@@ -66,17 +66,14 @@ def dissimilarity_matrix(table: FeatureTable) -> np.ndarray:
     dim = table.values.shape[1]
     if not dim:
         raise DomainError("a feature table needs at least one feature")
-    width = dim + (-dim) % _SLICE
-    repeats = np.ones(width) if table.columns is None else np.bincount(table.columns, minlength=width)
-    slices = np.zeros((width // _SLICE, n + (-n) % 8, _SLICE))
-    for k, part in enumerate(slices):
-        cols, real = slice(k * _SLICE, (k + 1) * _SLICE), part[:n]
-        real[:, :dim - k * _SLICE] = table.values[:, cols]
-        real -= real.mean(axis=0)
-        real *= np.sqrt(repeats[cols])
+    centered = np.zeros((n + (-n) % 8, dim + (-dim) % _SLICE))
+    real = centered[:n, :dim]
+    np.subtract(table.values, table.values.mean(axis=0), out=real)
+    if table.columns is not None:
+        real *= np.sqrt(np.bincount(table.columns, minlength=dim))
     D = np.empty((n, n))
     for start in range(0, n, _SLICE):
-        D[start:start + _SLICE] = _sliced_matmul(slices[:, start:start + _SLICE], slices)[:n - start, :n]
+        D[start:start + _SLICE] = _sliced_matmul(centered[start:start + _SLICE], centered)[:n - start, :n]
     squares = D.diagonal().copy()
     D *= -2.0
     D += squares[:, None]
@@ -156,10 +153,8 @@ def _forward_solve(lower: np.ndarray, targets: np.ndarray) -> np.ndarray:
     at two BLAS threads than at one."""
     z = np.empty_like(targets)
     for start in range(0, len(lower), _SLICE):
-        rows, done = slice(start, start + _SLICE), start // _SLICE
-        left = lower[rows, :start]
-        update = _sliced_matmul(left.reshape(len(left), done, _SLICE).transpose(1, 0, 2),
-                                z[:start].reshape(done, _SLICE, z.shape[1]).transpose(0, 2, 1))
+        rows = slice(start, start + _SLICE)
+        update = _sliced_matmul(lower[rows, :start], z[:start].T)
         z[rows] = np.linalg.solve(lower[rows, rows], targets[rows] - update)
     return z
 

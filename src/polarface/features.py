@@ -150,9 +150,10 @@ def _trig_tables(max_order: int, n_rays: int, angular_resolution: float):
 
 
 @lru_cache(maxsize=32)
-def _radial_tables(max_order: int, max_root: int, n_rings: int, R: float):
-    # J basis and orthogonality prefactors; shared across images with the
-    # same grid geometry, which is what makes batch extraction cheap.
+def _radial_tables(max_order: int, max_root: int, n_rings: int, R: float, angular_resolution: float):
+    """Read-only (orders, roots, rings) table of the FBT's radial weights,
+    pref * J_n(alpha_{n,i} r / R) * r * dtheta at ring radius r (dr = 1),
+    pref the disk orthogonality prefactor (1 or 2)/(pi R^2 J_{n+1}^2)."""
     alpha = build_root_table(max_order, max_root)
     orders = np.arange(max_order + 1)[:, None]
     radii = np.arange(n_rings, dtype=float)
@@ -160,9 +161,9 @@ def _radial_tables(max_order: int, max_root: int, n_rings: int, R: float):
     edge = bessel_j(orders + 1, alpha)
     scale = np.where(orders == 0, 1.0, 2.0)
     pref = scale / (math.pi * R * R * edge * edge)
-    basis.setflags(write=False)
-    pref.setflags(write=False)
-    return basis, pref
+    radial = pref[:, :, None] * basis * (radii * np.deg2rad(angular_resolution))
+    radial.setflags(write=False)
+    return radial
 
 
 def fbt(grid: PolarGrid, config: FBTConfig) -> FBSpectrum:
@@ -177,18 +178,11 @@ def fbt(grid: PolarGrid, config: FBTConfig) -> FBSpectrum:
             f"grid angular resolution {grid.angular_resolution} differs from "
             f"config {config.angular_resolution}"
         )
-    basis, pref = _radial_tables(
-        config.max_order, config.max_root, grid.n_rings, grid.max_radius
-    )
+    radial = _radial_tables(config.max_order, config.max_root, grid.n_rings, grid.max_radius,
+                            grid.angular_resolution)
     cosn, sinn = _trig_tables(config.max_order, grid.n_rays, grid.angular_resolution)
-    dtheta = np.deg2rad(grid.angular_resolution)
-    dr = 1.0
-    radii = grid.ring_radii()
-    proj_cos = cosn @ grid.samples  # (orders, rings)
-    proj_sin = sinn @ grid.samples
-    weighted = basis * radii  # r * J_n(alpha r / R)
-    A = pref * np.einsum("nir,nr->ni", weighted, proj_cos) * dr * dtheta
-    B = pref * np.einsum("nir,nr->ni", weighted, proj_sin) * dr * dtheta
+    A = np.einsum("nir,nr->ni", radial, cosn @ grid.samples)  # ray sums are (orders, rings)
+    B = np.einsum("nir,nr->ni", radial, sinn @ grid.samples)
     B[0, :] = 0.0  # sin(0 theta) basis carries nothing
     return FBSpectrum(A=A, B=B, R=grid.max_radius)
 
@@ -221,19 +215,25 @@ class _BlockOperator:
 # operators always project whole blocks of this many images.
 _BLOCK = 16
 # Its entries can round differently with how BLAS splits its inner axis,
-# which may follow the thread count.  So the two products with a long inner
-# axis, the FBT projection (pixels) and the distance kernel's Gram blocks
-# (features), are each one K = _SLICE product per whole slice of that axis,
-# the operands zero-padded to whole slices, summed in slice order by
-# _sliced_matmul.
+# which may follow the thread count.  So every product with a long inner
+# axis (the FBT projection, the distance kernel's Gram blocks, the PFLD
+# forward solve's updates) goes through _sliced_matmul.
 _SLICE = 64
 
 
 def _sliced_matmul(a, b) -> np.ndarray:
-    """The sum of a[s] @ b[s].T over the slices s in order, (m, n), where a
-    is (slices, m, _SLICE) and b (slices, n, _SLICE); zeros for no slices."""
-    total = np.zeros((a.shape[1], b.shape[1]))
-    for x, y in zip(a, b):
+    """a @ b.T, (m, n), for an (m, K) a and (n, K) b, as one K = _SLICE
+    product per slice s of _SLICE columns, a[:, s] @ b[:, s].T, summed in
+    slice order; zeros when K = 0.  K must be a whole number of slices:
+    callers zero-pad their operands, so an all-zero slice adds exact
+    zeros.  Each operand is viewed once as a (slices, rows, _SLICE) stack,
+    which copies nothing for a row or column range or a transpose."""
+    if a.shape[1] != b.shape[1] or a.shape[1] % _SLICE:
+        raise ValueError(f"inner axes of {a.shape[1]} and {b.shape[1]} columns: "
+                         f"need one whole number of {_SLICE}-column slices")
+    slices = a.shape[1] // _SLICE
+    total = np.zeros((len(a), len(b)))
+    for x, y in zip(*(v.reshape(len(v), slices, _SLICE).swapaxes(0, 1) for v in (a, b))):
         total += x @ y.T
     return total
 
@@ -323,13 +323,11 @@ class FBTOperator(_BlockOperator):
 
     def project(self, folded) -> np.ndarray:
         """Feature rows of a stack of fold outputs."""
-        inputs, quarter, residual = (x.reshape(len(x), -1, _SLICE).swapaxes(0, 1)
-                                     for x in (folded, self.quarter, self.residual))
-        n = len(quarter)  # slices per class
+        width = self.quarter.shape[1]  # fold columns per class
         rows = np.empty((len(folded), self.features.size))
         for c, (start, stop, _, _) in enumerate(self.classes):
-            rows[:, start:stop] = _sliced_matmul(inputs[c * n:(c + 1) * n], quarter[:, start:stop])
-        rows += _sliced_matmul(inputs[len(self.classes) * n:], residual)
+            rows[:, start:stop] = _sliced_matmul(folded[:, c * width:(c + 1) * width], self.quarter[start:stop])
+        rows += _sliced_matmul(folded[:, len(self.classes) * width:], self.residual)
         out = np.zeros((len(folded), self.n_features))  # B_0 has no row and stays 0
         out[:, self.features] = rows
         return out
@@ -352,7 +350,7 @@ def fbt_operator(shape, config: FBTConfig = FBTConfig(), support=None) -> FBTOpe
     n_rays = _ray_count(res)
     *plan, max_radius = _polar_plan(h, w, n_rays, res)
     inside, n_rings = plan[0], plan[0].shape[1]
-    basis, pref = _radial_tables(config.max_order, config.max_root, n_rings, max_radius)
+    radial = _radial_tables(config.max_order, config.max_root, n_rings, max_radius, res)
     cosn, sinn = _trig_tables(config.max_order, n_rays, res)
 
     # Coefficient groups (cos or sin, orders) by the signs the x and y
@@ -361,9 +359,7 @@ def fbt_operator(shape, config: FBTConfig = FBTConfig(), support=None) -> FBTOpe
     groups = [(0, order[0::2], 1, 1), (0, order[1::2], -1, 1), (1, order[1::2], 1, -1), (1, order[2::2], -1, -1)]
     groups = [g for g in groups if g[1].size]
     trig = np.concatenate([(cosn, sinn)[t][n] for t, n, _, _ in groups])  # (orders of all groups, rays)
-    n_of = np.concatenate([n for _, n, _, _ in groups])
-    # r J_n(alpha r / R) dr dtheta times the orthogonality prefactor, per ring
-    radial = (pref[:, :, None] * basis * (np.arange(n_rings) * np.deg2rad(res)))[n_of]
+    radial = radial[np.concatenate([n for _, n, _, _ in groups])]  # per order of all groups
     # operator rows: group by group, order-major and root-minor within one
     features = np.concatenate([((t * order.size + n)[:, None] * roots + np.arange(roots)).ravel()
                                for t, n, _, _ in groups])

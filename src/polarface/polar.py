@@ -106,10 +106,6 @@ class PolarGrid:
     def n_rings(self) -> int:
         return self.samples.shape[1]
 
-    def ring_radii(self) -> np.ndarray:
-        """Ring radii in pixels (0, 1, 2, ...)."""
-        return np.arange(self.n_rings, dtype=float)
-
 
 def to_polar(image, angular_resolution: float = 0.5) -> PolarGrid:
     """Resample `image` onto a polar grid around the image center.

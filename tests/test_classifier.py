@@ -23,6 +23,7 @@ from polarface import (
     train_pfld,
 )
 from polarface import cli
+from polarface.classifier import _forward_solve
 from polarface.config import load_run_config
 from polarface.errors import ConfigError, DomainError
 
@@ -329,6 +330,22 @@ def test_duplicate_gallery_images_are_solved_by_lstsq():
     assert np.array_equal(train_pfld(D, labels).weights, want)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", [1, 40, 41])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_forward_solve_matches_numpy_solve(n, k, order):
+    # train_pfld passes the transpose of a C-ordered R, so an F-ordered lower triangle; the
+    # strictly lower part is scaled to keep the system well conditioned
+    rng = np.random.default_rng(1000 * n + k)
+    lower = np.tril(rng.normal(size=(n, n)), -1) / np.sqrt(n) + np.diag(rng.uniform(1.0, 2.0, n))
+    lower = np.asarray(lower, order=order)
+    targets = rng.normal(size=(n, k))
+    got = _forward_solve(lower, targets)
+    want = np.linalg.solve(lower, targets)
+    assert got.shape == (n, k)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def digests_at_one_and_two_blas_threads(code, data):
     """The stdout of `code` run with `data` (an .npz path) as its argument
     in child processes at one and at two BLAS threads, all a 2-core machine
@@ -343,10 +360,11 @@ def digests_at_one_and_two_blas_threads(code, data):
     return out
 
 
-@pytest.mark.parametrize("n", [130, 138])
+@pytest.mark.parametrize("n", [130, 132, 138, 400])
 def test_distance_matrix_is_independent_of_blas_threads(tmp_path, n):
     # OpenBLAS splits a Gram block's columns between threads, and unless their count is a multiple
-    # of 8 the edge tiles round differently; the kernel pads its rows to one (both sizes differ without)
+    # of 8 the edge tiles round differently; the kernel pads its rows to one (130 and 138 differ
+    # without).  400 is the size of the benchmark's tables.
     np.savez(tmp_path / "table.npz", values=np.random.default_rng(n).normal(size=(n, 186)))
     code = textwrap.dedent("""
         import hashlib, sys

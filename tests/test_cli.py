@@ -1,11 +1,12 @@
 """End-to-end command-line runs on the toy dataset."""
 
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
-from oracles import read_feature_file
+from oracles import DATA, read_feature_file
 from polarface import cli, features, load_pgm, save_pgm
 from polarface.cli import main
 from polarface.config import EXPERIMENTS, MODES
@@ -270,6 +271,19 @@ def test_help_prints_usage(capsys):
         run_cli("experiment", "--help")
     assert stop.value.code == 0
     assert capsys.readouterr().out.startswith("usage: polarface experiment")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the copies are of Python 3.11's argparse layout, which other versions change")
+@pytest.mark.parametrize("command", ["experiment", "extract"])
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    # the whole help text at 80 columns, against a committed copy: no flag, choice or
+    # metavar of the run commands changes unnoticed
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        run_cli(command, "--help")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == (DATA / f"help_{command}.txt").read_text(encoding="utf-8")
 
 
 def test_feature_map_rejects_fused_mode(toy_faces, truncated_faces, tmp_path, capsys):

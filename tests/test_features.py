@@ -23,7 +23,7 @@ from polarface import (
 )
 from polarface.errors import ConfigError, DomainError
 from polarface.evaluate import csv_text
-from polarface.features import dft_error_map, fbt_error_map
+from polarface.features import _SLICE, _sliced_matmul, dft_error_map, fbt_error_map
 
 from oracles import dft_lattice_loop, extract_fbt, inverse_fbt, read_feature_file, spectrum_from_features
 
@@ -158,6 +158,41 @@ def test_feature_vector_layout_and_inverse_mapping():
 
 def test_default_extract_fbt_layout_id():
     assert extract_fbt(np.zeros((31, 31)) + 0.3).layout_id == "fbt-186"
+
+
+def sliced_loop(a, b):
+    """a @ b.T as an explicit in-order sum of one product per _SLICE-wide
+    column slice of the operands as given.  Not of contiguous copies: for a
+    transposed operand, OpenBLAS rounds some small products differently."""
+    total = np.zeros((len(a), len(b)))
+    for s in range(0, a.shape[1], _SLICE):
+        total += a[:, s:s + _SLICE] @ b[:, s:s + _SLICE].T
+    return total
+
+
+@pytest.mark.parametrize("m, n, slices", [(16, 13, 3), (64, 200, 10), (5, 64, 1), (16, 7, 0)])
+def test_sliced_matmul_is_the_in_order_slice_sum(m, n, slices):
+    # operands laid out as the callers' are: a column range of a block, a row range of an
+    # operator, a transpose and an F-ordered matrix, each with one more slice, all zero
+    rng = np.random.default_rng(m * n + slices)
+    k = (slices + 1) * _SLICE
+    block = rng.normal(size=(m, 3 * k + 5))
+    operator = rng.normal(size=(n + 9, k))
+    cases = [(block[:, k:2 * k], operator[4:4 + n]),
+             (rng.normal(size=(k, m)).T, rng.normal(size=(n, 2 * k))[:, k:]),
+             (np.asfortranarray(rng.normal(size=(m, k))), rng.normal(size=(k, n)).T)]
+    for a, b in cases:
+        a[:, -_SLICE:] = b[:, -_SLICE:] = 0.0
+        got = _sliced_matmul(a[:, :-_SLICE], b[:, :-_SLICE])
+        assert got.shape == (m, n)
+        assert np.array_equal(got, sliced_loop(a[:, :-_SLICE], b[:, :-_SLICE]))
+        assert np.array_equal(_sliced_matmul(a, b), got)  # the zero slice adds exact zeros
+
+
+@pytest.mark.parametrize("ka, kb", [(63, 63), (65, 65), (64, 128), (1, 1)])
+def test_sliced_matmul_refuses_partial_slices(ka, kb):
+    with pytest.raises(ValueError):
+        _sliced_matmul(np.ones((4, ka)), np.ones((3, kb)))
 
 
 @given(st.integers(0, 2**32 - 1))

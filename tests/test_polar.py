@@ -30,11 +30,6 @@ def test_grid_geometry_rectangular():
     assert grid.n_rays == 360
 
 
-def test_ray_angles_and_ring_radii():
-    grid = to_polar(np.zeros((21, 21)), angular_resolution=45.0)
-    assert np.array_equal(grid.ring_radii(), np.arange(grid.n_rings, dtype=float))
-
-
 def test_angular_resolution_must_divide_circle():
     with pytest.raises(ConfigError):
         to_polar(np.zeros((21, 21)), angular_resolution=0.7)
